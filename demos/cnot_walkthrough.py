@@ -16,8 +16,8 @@ from spintip import (
     PureState,
     RegisterLayout,
     ancilla_diagnostics,
-    cnot_frequencies,
     compile_cnot,
+    drive_lines,
     execute,
     program_to_text,
 )
@@ -25,9 +25,10 @@ from spintip import (
 cfg = MachineConfig()
 layout = RegisterLayout(2)
 
-# The five distinct drive lines of the sequence, derived from the engine.
+# The machine's drive lines, derived from the engine once per config; the
+# CNOT sequence uses every one of them except the rotation line.
 print("drive lines (MHz)")
-for name, value in cnot_frequencies(0, 1, layout, cfg).items():
+for name, value in drive_lines(cfg).items():
     print(f"  {name:20s} {value / 1e6:16.6f}")
 
 program = compile_cnot(0, 1, layout, cfg)

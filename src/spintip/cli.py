@@ -234,6 +234,8 @@ def main(argv=None):
         parser.error("exactly one of --circuit or --batch is required")
     if args.tips is not None and args.tips < 1:
         parser.error("--tips must be at least 1")
+    if args.trace_snr is not None and not args.trace_snr > 0:
+        parser.error("--trace-snr must be positive")
     try:
         cfg = load_machine_config(args.config) if args.config else MachineConfig().validate()
     except (ConfigError, OSError) as exc:

@@ -5,10 +5,18 @@ engine for the transition line of the *intended* conditional flip — the same
 formula the executor will use to test resonance — so compiled programs cannot
 silently drift off their own machine model. The closed forms in ``physics``
 stay an independent cross-check route, never a compilation input.
+
+The lines are derived once per config on a one-qubit register (``drive_lines``)
+and reused for every qubit of every register. That holds because couplings are
+uniform across qubits: each flip's line depends only on the config and on the
+bits of the addressed spin's partners (its own nucleus or electron, and the tip
+carbon while the tip sits on its qubit), never on which qubit or how many.
 """
 
 import dataclasses
+import functools
 import math
+import types
 
 import numpy as np
 
@@ -28,23 +36,46 @@ from .program import (
     RotGate,
     validate_program,
 )
-from .register import PARKED
+from .register import PARKED, RegisterLayout
 
 _PI = math.pi
 
 
-def _line(layout, cfg, qubit, site, excited=()):
-    """Engine transition line for flipping ``site`` with the tip on ``qubit``.
+@functools.cache
+def drive_lines(cfg):
+    """The six distinct drive lines of the gate set, as a read-only mapping.
 
-    ``excited`` lists the spectator sites held in bit 1; everything else is in
-    bit 0. This is the single funnel through which the compiler obtains
-    frequencies.
+    Each is the engine line of the intended flip on a one-qubit register with
+    the tip engaged, keyed by role:
+
+    - rotation: the qubit nucleus with its electron ground (Rot, and INIT's
+      first correction)
+    - control_electron: the control electron while its nucleus is |1> (tip
+      carbon still ground)
+    - tip_nucleus: the tip carbon while the local electron is excited
+    - target_electron_n1 / _n0: the target electron for either target-nucleus
+      bit while the tip carbon is |1>
+    - target_nucleus: the qubit nucleus with its electron excited (the CNOT's
+      conditional flip, and INIT's second correction)
     """
-    config = [0] * layout.num_sites
-    for excited_site in excited:
-        config[excited_site] = 1
-    return physics.transition_frequency(
-        tuple(config), site, layout.with_tip(qubit), cfg
+    layout = RegisterLayout(1, tip_position=0)
+    nucleus, electron, tip = layout.nucleus_site(0), layout.electron_site(0), layout.tip_site
+
+    def line(site, *excited):
+        config = [0] * layout.num_sites
+        for excited_site in excited:
+            config[excited_site] = 1
+        return physics.transition_frequency(tuple(config), site, layout, cfg)
+
+    return types.MappingProxyType(
+        {
+            "rotation": line(nucleus),
+            "control_electron": line(electron, nucleus),
+            "tip_nucleus": line(tip, electron),
+            "target_electron_n1": line(electron, nucleus, tip),
+            "target_electron_n0": line(electron, tip),
+            "target_nucleus": line(nucleus, electron, tip),
+        }
     )
 
 
@@ -77,11 +108,6 @@ def _electron_pulse(cfg, frequency):
     )
 
 
-def rotation_frequency(qubit, layout, cfg):
-    """Nuclear drive line for a single-qubit rotation (tip engaged, all ground)."""
-    return _line(layout, cfg, qubit, layout.nucleus_site(qubit))
-
-
 def compile_rotation(qubit, angle, phase, layout, cfg, mode=PulseMode.PHASED_ROTATION):
     """Rotate one qubit nucleus: park the tip on it, drive its shifted line.
 
@@ -100,33 +126,10 @@ def compile_rotation(qubit, angle, phase, layout, cfg, mode=PulseMode.PHASED_ROT
     if folded > 0.0:
         instructions.append(
             ApplyPulse(
-                _nuclear_pulse(cfg, rotation_frequency(qubit, layout, cfg), folded, phase, mode)
+                _nuclear_pulse(cfg, drive_lines(cfg)["rotation"], folded, phase, mode)
             )
         )
     return PulseProgram(tuple(instructions), gate_count=1)
-
-
-def cnot_frequencies(control, target, layout, cfg):
-    """The five drive lines of the entangling sequence, engine-derived.
-
-    Keyed by role: flip the control electron when its nucleus is |1> (tip
-    carbon still ground), flip the tip carbon when the local electron is
-    excited, flip the target electron for either target-nucleus bit while the
-    tip carbon is |1>, and flip the target nucleus while its electron is
-    excited.
-    """
-    n_c = layout.nucleus_site(control)
-    e_c = layout.electron_site(control)
-    n_t = layout.nucleus_site(target)
-    e_t = layout.electron_site(target)
-    tip = layout.tip_site
-    return {
-        "control_electron": _line(layout, cfg, control, e_c, excited=(n_c,)),
-        "tip_nucleus": _line(layout, cfg, control, tip, excited=(e_c,)),
-        "target_electron_n1": _line(layout, cfg, target, e_t, excited=(n_t, tip)),
-        "target_electron_n0": _line(layout, cfg, target, e_t, excited=(tip,)),
-        "target_nucleus": _line(layout, cfg, target, n_t, excited=(e_t, tip)),
-    }
 
 
 def compile_cnot(control, target, layout, cfg):
@@ -141,7 +144,7 @@ def compile_cnot(control, target, layout, cfg):
         raise SameQubit(f"CNOT control and target are both qubit {control}")
     layout.check_qubit(control)
     layout.check_qubit(target)
-    f = cnot_frequencies(control, target, layout, cfg)
+    f = drive_lines(cfg)
     when_set = ApplyPulse(_electron_pulse(cfg, f["target_electron_n1"]))
     when_clear = ApplyPulse(_electron_pulse(cfg, f["target_electron_n0"]))
     instructions = (
@@ -167,16 +170,6 @@ def compile_cnot(control, target, layout, cfg):
     return PulseProgram(instructions, gate_count=1)
 
 
-def init_frequencies(qubit, layout, cfg):
-    """Nuclear correction lines for both electron spectator states."""
-    n = layout.nucleus_site(qubit)
-    e = layout.electron_site(qubit)
-    return (
-        _line(layout, cfg, qubit, n),
-        _line(layout, cfg, qubit, n, excited=(e,)),
-    )
-
-
 def compile_init(layout, cfg):
     """Force every qubit nucleus to |0> by measure-and-correct.
 
@@ -186,15 +179,17 @@ def compile_init(layout, cfg):
     detunes the first correction pulse. On an already initialized register no
     conditional pulse fires.
     """
+    lines = drive_lines(cfg)
+    ground_pulse = _nuclear_pulse(cfg, lines["rotation"])
+    shifted_pulse = _nuclear_pulse(cfg, lines["target_nucleus"])
     instructions = []
     for qubit in range(layout.num_qubits):
-        ground_line, shifted_line = init_frequencies(qubit, layout, cfg)
         instructions += [
             MoveTip(qubit),
             MeasureViaCurrent(qubit),
-            ConditionalPulse(_nuclear_pulse(cfg, ground_line), on_last_measurement=1),
+            ConditionalPulse(ground_pulse, on_last_measurement=1),
             MeasureViaCurrent(qubit),
-            ConditionalPulse(_nuclear_pulse(cfg, shifted_line), on_last_measurement=1),
+            ConditionalPulse(shifted_pulse, on_last_measurement=1),
         ]
     return PulseProgram(tuple(instructions), gate_count=layout.num_qubits)
 
@@ -240,6 +235,8 @@ def execute(program, state, layout, cfg, rng, trace_snr=None):
     Instructions run in order; moves update the tip, conditional pulses fire
     on the inferred p-bit of the most recent measurement. ``rng`` seeds one
     stream that all measurements consume in order, so a seed pins the run.
+    The timing is the program's static analysis, which charges conditional
+    pulses whether or not they fire.
     """
     validate_program(program, layout)
     if state.num_sites != layout.num_sites:
@@ -251,19 +248,8 @@ def execute(program, state, layout, cfg, rng, trace_snr=None):
     state = state.copy()
     records = []
     pulse_log = []
-    durations = []
-    categories = {
-        "tip_motion": 0.0,
-        "nuclear_pulses": 0.0,
-        "electron_pulses": 0.0,
-        "measurement": 0.0,
-        "barriers": 0.0,
-    }
     last_inferred = None
     for position, instruction in enumerate(program.instructions):
-        duration = timing.instruction_duration(instruction, current, cfg, current.tip_position)
-        durations.append(duration)
-        categories[timing.duration_category(instruction)] += duration
         if isinstance(instruction, MoveTip):
             current = current.with_tip(instruction.target)
         elif isinstance(instruction, ApplyPulse):
@@ -284,11 +270,10 @@ def execute(program, state, layout, cfg, rng, trace_snr=None):
             records.append(record)
             last_inferred = record.inferred_p_bit
         # Barrier: nothing to do
-    report = timing.build_report(durations, categories, cfg, program.gate_count)
     return ExecutionResult(
         final_state=state,
         records=tuple(records),
-        timing=report,
+        timing=timing.analyze_program(program, layout, cfg),
         pulse_log=tuple(pulse_log),
         final_tip_position=current.tip_position,
     )

@@ -6,6 +6,7 @@ constant), so Zeeman coefficients and hyperfine couplings below are frequencies.
 
 import dataclasses
 import enum
+import math
 import warnings
 
 from .errors import ConfigError
@@ -80,6 +81,11 @@ class MachineConfig:
 
         Returns self so loading code can chain on it.
         """
+        for field in dataclasses.fields(self):
+            if not math.isfinite(getattr(self, field.name)):
+                raise ConfigError(
+                    f"{field.name} must be finite, got {getattr(self, field.name)!r}"
+                )
         positive = (
             "magnetic_field", "temperature", "coherence_time", "lattice_spacing",
             "tip_move_time", "nuclear_pi_duration", "electron_pi_duration",

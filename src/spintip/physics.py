@@ -155,20 +155,22 @@ def closed_form_frequencies(cfg):
     return {name: float(value) for name, value in _closed_forms_exact(cfg).items()}
 
 
+def _larmor_exact(species, magneton, cfg):
+    """Closed-form Larmor frequency g * magneton / h * B, in extended precision."""
+    ld = _EXACT
+    return (
+        ld(SPECIES_INFO[species].g_factor)
+        * ld(magneton)
+        / ld(cfg.planck_constant)
+        * ld(cfg.magnetic_field)
+    )
+
+
 def _closed_forms_exact(cfg):
     ld = _EXACT
-
-    def larmor(species, magneton):
-        return (
-            ld(SPECIES_INFO[species].g_factor)
-            * ld(magneton)
-            / ld(cfg.planck_constant)
-            * ld(cfg.magnetic_field)
-        )
-
-    electron = larmor(Species.ELECTRON, cfg.bohr_magneton)
-    nucleus = larmor(Species.PHOSPHORUS_NUCLEUS, cfg.nuclear_magneton)
-    tip = larmor(Species.TIP_CARBON_NUCLEUS, cfg.nuclear_magneton)
+    electron = _larmor_exact(Species.ELECTRON, cfg.bohr_magneton, cfg)
+    nucleus = _larmor_exact(Species.PHOSPHORUS_NUCLEUS, cfg.nuclear_magneton, cfg)
+    tip = _larmor_exact(Species.TIP_CARBON_NUCLEUS, cfg.nuclear_magneton, cfg)
     half_mod = ld(0.5) * ld(cfg.hyperfine_tip_modified)
     half_tip = ld(0.5) * ld(cfg.tip_hyperfine)
     return {
@@ -193,12 +195,7 @@ def modulation_frequency(p_bit, a_bit, cfg):
     if p_bit not in (0, 1) or a_bit not in (0, 1):
         raise ValueError(f"bits must be 0 or 1, got {p_bit!r}, {a_bit!r}")
     ld = _EXACT
-    base = (
-        ld(SPECIES_INFO[Species.ELECTRON].g_factor)
-        * ld(cfg.bohr_magneton)
-        / ld(cfg.planck_constant)
-        * ld(cfg.magnetic_field)
-    )
+    base = _larmor_exact(Species.ELECTRON, cfg.bohr_magneton, cfg)
     tip_term = ld(0.5) * ld(cfg.tip_hyperfine)
     qubit_term = ld(0.5) * ld(cfg.hyperfine_tip_modified)
     value = base

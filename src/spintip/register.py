@@ -16,27 +16,12 @@ from .errors import MismatchedRegister
 PARKED = None
 
 
-def bit_of(index, site, num_sites):
-    """Bit of ``site`` inside basis ``index`` (site 0 is the MSB)."""
-    return (index >> (num_sites - 1 - site)) & 1
-
-
-def flip_bit(index, site, num_sites):
-    """Basis index with the bit of ``site`` toggled."""
-    return index ^ (1 << (num_sites - 1 - site))
-
-
 def index_of_bits(bits):
     """Pack a bit tuple (site order) into a basis index."""
     value = 0
     for b in bits:
         value = (value << 1) | (b & 1)
     return value
-
-
-def bits_of_index(index, num_sites):
-    """Unpack a basis index into its bit tuple (site order)."""
-    return tuple((index >> (num_sites - 1 - s)) & 1 for s in range(num_sites))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -15,64 +15,59 @@ last bit, conditional slots included.
 import dataclasses
 
 from . import compiler, timing
-from .program import CnotGate, InitGate, MoveTip, RotGate
+from .program import CnotGate, InitGate, MoveTip, PulseProgram, RotGate
 from .register import PARKED
 
 
 @dataclasses.dataclass(frozen=True)
 class GateTask:
-    """One schedulable unit: a gate's instructions and the qubits it binds."""
+    """One schedulable unit: a gate's instructions and the qubits it binds.
+
+    ``work`` holds the durations of the instructions after the first MoveTip,
+    entered with the tip at ``first_position``; ``end_position`` is where the
+    task leaves the tip.
+    """
 
     gate_index: int
     label: str
     qubits: tuple
     instructions: tuple
+    work: tuple
+    end_position: "int | None"
 
     @property
     def first_position(self):
         return self.instructions[0].target
 
-    def end_position(self):
-        position = self.first_position
-        for instruction in self.instructions:
-            if isinstance(instruction, MoveTip):
-                position = instruction.target
-        return position
-
 
 def expand_tasks(circuit, layout, cfg):
     """Per-gate tasks in circuit order; INIT becomes one task per qubit."""
-    tasks = []
+    units = []
     for gate_index, gate in enumerate(circuit.gates):
         if isinstance(gate, InitGate):
             program = compiler.compile_init(layout, cfg)
             per_qubit = len(program.instructions) // layout.num_qubits
             for qubit in range(layout.num_qubits):
                 chunk = program.instructions[qubit * per_qubit : (qubit + 1) * per_qubit]
-                tasks.append(GateTask(gate_index, f"INIT {qubit}", (qubit,), chunk))
+                units.append((gate_index, f"INIT {qubit}", (qubit,), chunk))
         elif isinstance(gate, CnotGate):
             program = compiler.compile_gate(gate, layout, cfg)
             label = f"CNOT {gate.control} {gate.target}"
             qubits = tuple(sorted((gate.control, gate.target)))
-            tasks.append(GateTask(gate_index, label, qubits, program.instructions))
+            units.append((gate_index, label, qubits, program.instructions))
         else:
             program = compiler.compile_gate(gate, layout, cfg)
             name = "ROT" if isinstance(gate, RotGate) else "MEASURE"
-            tasks.append(
-                GateTask(gate_index, f"{name} {gate.qubit}", (gate.qubit,), program.instructions)
-            )
+            units.append((gate_index, f"{name} {gate.qubit}", (gate.qubit,), program.instructions))
+    tasks = []
+    for gate_index, label, qubits, instructions in units:
+        entered = layout.with_tip(instructions[0].target)
+        work = timing.analyze_program(PulseProgram(instructions[1:]), entered, cfg)
+        end = [i.target for i in instructions if isinstance(i, MoveTip)][-1]
+        tasks.append(
+            GateTask(gate_index, label, qubits, instructions, work.per_instruction, end)
+        )
     return tasks
-
-
-def _walk_durations(task, layout, cfg, from_position):
-    """Instruction durations of a task entered with the tip at ``from_position``."""
-    position = from_position
-    durations = []
-    for instruction in task.instructions:
-        durations.append(timing.instruction_duration(instruction, layout, cfg, position))
-        if isinstance(instruction, MoveTip):
-            position = instruction.target
-    return durations
 
 
 @dataclasses.dataclass(frozen=True)
@@ -122,19 +117,19 @@ def schedule_multi_tip(circuit, num_tips, layout, cfg):
         ready = max((qubit_release.get(q, 0.0) for q in task.qubits), default=0.0)
         best = None
         for tip in range(num_tips):
-            durations = _walk_durations(task, layout, cfg, position[tip])
-            arrival = free[tip] + durations[0]
+            travel = timing.move_duration(layout, cfg, position[tip], task.first_position)
+            arrival = free[tip] + travel
             start = arrival if arrival >= ready else ready
             if best is None or start < best[1]:
-                best = (tip, start, durations)
-        tip, start, durations = best
+                best = (tip, start)
+        tip, start = best
         end = start
-        for duration in durations[1:]:
+        for duration in task.work:
             end += duration
         assignment.append(tip)
         timeline.append(TimelineEntry(tip, start, end, task.label, task.gate_index))
         free[tip] = end
-        position[tip] = task.end_position()
+        position[tip] = task.end_position
         for qubit in task.qubits:
             qubit_release[qubit] = end
     makespan = 0.0
@@ -179,20 +174,19 @@ def validate_assignment(assignment, circuit, layout, cfg, slack=1e-9):
         items.sort(key=lambda pair: pair[0].start)
         previous_end, previous_position = 0.0, PARKED
         for entry, task in items:
-            durations = _walk_durations(task, layout, cfg, previous_position)
-            travel = durations[0]
+            travel = timing.move_duration(layout, cfg, previous_position, task.first_position)
             if entry.start + slack < previous_end + travel:
                 problems.append(
                     f"tip {tip} cannot reach {task.label!r} by {entry.start!r}"
                 )
             work = 0.0
-            for duration in durations[1:]:
+            for duration in task.work:
                 work += duration
             if abs((entry.end - entry.start) - work) > slack:
                 problems.append(
                     f"task {task.label!r} lasts {entry.end - entry.start!r}, needs {work!r}"
                 )
-            previous_end, previous_position = entry.end, task.end_position()
+            previous_end, previous_position = entry.end, task.end_position
 
     # Per-qubit: tasks must run disjointly and in circuit order.
     by_qubit = {}

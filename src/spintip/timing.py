@@ -64,7 +64,11 @@ class TimingReport:
 
 
 def analyze_program(program, layout, cfg):
-    """Static TimingReport for a program starting from the layout's tip position."""
+    """Static TimingReport for a program starting from the layout's tip position.
+
+    The only walk of instruction durations: execution and scheduling take
+    their times from here. The total is the plain left-to-right sum.
+    """
     tip = layout.tip_position
     durations = []
     categories = {
@@ -74,27 +78,21 @@ def analyze_program(program, layout, cfg):
         "measurement": 0.0,
         "barriers": 0.0,
     }
+    total = 0.0
     for instruction in program.instructions:
         duration = instruction_duration(instruction, layout, cfg, tip)
         durations.append(duration)
         categories[duration_category(instruction)] += duration
+        total += duration
         if isinstance(instruction, MoveTip):
             tip = instruction.target
-    return build_report(durations, categories, cfg, program.gate_count)
-
-
-def build_report(durations, categories, cfg, gate_count):
-    """Assemble a TimingReport; total is the plain left-to-right sum."""
-    total = 0.0
-    for duration in durations:
-        total += duration
-    if gate_count and total > 0:
-        capacity = decoherence_budget(cfg, total / gate_count)
+    if program.gate_count and total > 0:
+        capacity = decoherence_budget(cfg, total / program.gate_count)
     else:
         capacity = None
     return TimingReport(
         per_instruction=tuple(durations),
-        category_totals=dict(categories),
+        category_totals=categories,
         total_wall_time=total,
         gate_capacity=capacity,
         feasible=total <= cfg.coherence_time,

@@ -140,13 +140,28 @@ class TestFailureModes:
         done = run_cli("--circuit", str(example_circuit), "--tips", "0")
         assert done.returncode == 2
 
+    @pytest.mark.parametrize("snr", ["0", "-1", "nan"])
+    def test_non_positive_trace_snr_exits_two(self, example_circuit, snr):
+        done = run_cli("--circuit", str(example_circuit), f"--trace-snr={snr}")
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert "--trace-snr must be positive" in done.stderr
+
+    def test_infinite_trace_snr_is_a_clean_trace(self, example_circuit):
+        done = run_cli("--circuit", str(example_circuit), "--seed", "9", "--trace-snr", "inf")
+        assert done.returncode == 0
+        finals = json.loads(done.stdout)["measurements"][-2:]
+        assert [m["inferred_p_bit"] for m in finals] == [1, 1]
+
     def test_unphysical_drive_line_exits_three(self, monkeypatch, tmp_path, capsys):
         # Force the compiler to emit a drive at 1 Hz: it can hit nothing, and
         # the run must say so loudly rather than quietly doing nothing.
         import spintip.cli as cli
         import spintip.compiler as compiler
+        from spintip import MachineConfig
 
-        monkeypatch.setattr(compiler, "rotation_frequency", lambda qubit, layout, cfg: 1.0)
+        detuned = {**compiler.drive_lines(MachineConfig()), "rotation": 1.0}
+        monkeypatch.setattr(compiler, "drive_lines", lambda cfg: detuned)
         path = tmp_path / "detuned.circuit"
         path.write_text("ROT 0 1.0 0.0\n", encoding="utf-8")
         code = cli.main(["--circuit", str(path), "--seed", "1"])

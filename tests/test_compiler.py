@@ -6,6 +6,7 @@ being told what a CNOT matrix looks like.
 """
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -24,15 +25,14 @@ from spintip import (
     PureState,
     RegisterLayout,
     ancilla_diagnostics,
-    cnot_frequencies,
     compile_circuit,
     compile_cnot,
     compile_gate,
     compile_init,
     compile_rotation,
+    drive_lines,
     execute,
     parse_circuit,
-    rotation_frequency,
     thermal_sample,
     transition_frequency,
 )
@@ -72,7 +72,7 @@ class TestRotationCompilation:
     def test_drive_sits_on_the_ground_electron_nuclear_line(self):
         # Frozen from the transition oracle: |-86135303.49 - 120e6/2| + nothing
         # else, because the drive assumes a clean (ground) local electron.
-        assert rotation_frequency(0, SOLO, CFG) == pytest.approx(146135303.48894662, abs=1e-5)
+        assert drive_lines(CFG)["rotation"] == pytest.approx(146135303.48894662, abs=1e-5)
 
     def test_program_is_move_plus_one_pulse(self):
         program = compile_rotation(0, math.pi / 2, 0.25, SOLO, CFG)
@@ -116,9 +116,47 @@ class TestRotationCompilation:
         # With distinct bare/modified couplings the same nucleus sits 20 MHz
         # away when the tip leaves: (130e6 - 90e6) / 2.
         cfg = dataclasses.replace(CFG, hyperfine_bare=90e6, hyperfine_tip_modified=130e6)
-        engaged = rotation_frequency(0, SOLO, cfg)
+        engaged = drive_lines(cfg)["rotation"]
         parked = transition_frequency((0, 0, 0), 0, RegisterLayout(1), cfg)
         assert engaged - parked == pytest.approx(20e6, abs=1e-3)
+
+
+class TestDriveLineTable:
+    @pytest.mark.parametrize(
+        "cfg",
+        [CFG, dataclasses.replace(CFG, hyperfine_bare=90e6, hyperfine_tip_modified=130e6)],
+        ids=["default", "distinct_couplings"],
+    )
+    @pytest.mark.parametrize("num_qubits", [1, 2, 3, 4])
+    def test_table_equals_the_lines_of_the_full_register(self, num_qubits, cfg):
+        # The table is derived once on one qubit; every line a gate drives on
+        # any qubit of a larger register must be the very same float.
+        layout = RegisterLayout(num_qubits)
+        table = drive_lines(cfg)
+        tip = layout.tip_site
+
+        def line(engaged, site, *excited):
+            config = [0] * layout.num_sites
+            for excited_site in excited:
+                config[excited_site] = 1
+            return transition_frequency(tuple(config), site, layout.with_tip(engaged), cfg)
+
+        for q in range(num_qubits):
+            n, e = layout.nucleus_site(q), layout.electron_site(q)
+            assert line(q, n) == table["rotation"]
+            assert line(q, n, e) == table["target_nucleus"]  # INIT's shifted retry
+        for c, t in itertools.permutations(range(num_qubits), 2):
+            n_c, e_c = layout.nucleus_site(c), layout.electron_site(c)
+            n_t, e_t = layout.nucleus_site(t), layout.electron_site(t)
+            assert line(c, e_c, n_c) == table["control_electron"]
+            assert line(c, tip, e_c) == table["tip_nucleus"]
+            assert line(t, e_t, n_t, tip) == table["target_electron_n1"]
+            assert line(t, e_t, tip) == table["target_electron_n0"]
+            assert line(t, n_t, e_t, tip) == table["target_nucleus"]
+
+    def test_table_is_read_only(self):
+        with pytest.raises(TypeError):
+            drive_lines(CFG)["rotation"] = 1.0
 
 
 class TestCnotCompilation:
@@ -145,7 +183,7 @@ class TestCnotCompilation:
         assert sorted(counts.values()) == [1, 2, 2, 2, 2]
 
     def test_drive_lines_frozen_values(self):
-        lines = cnot_frequencies(0, 1, PAIR, CFG)
+        lines = drive_lines(CFG)
         assert lines["control_electron"] == pytest.approx(140902449360.72705, abs=1e-4)
         assert lines["tip_nucleus"] == pytest.approx(946458905.1587291, abs=1e-5)
         assert lines["target_electron_n1"] == pytest.approx(138902449360.72705, abs=1e-4)
@@ -155,9 +193,7 @@ class TestCnotCompilation:
     def test_every_drive_line_is_selective(self):
         # All six distinct working lines must clear twice the resonance
         # tolerance of each other, or pulses would cross-talk.
-        lines = sorted(cnot_frequencies(0, 1, PAIR, CFG).values())
-        lines.append(rotation_frequency(0, PAIR, CFG))
-        lines.sort()
+        lines = sorted(drive_lines(CFG).values())
         for a, b in zip(lines, lines[1:]):
             assert b - a > 2 * CFG.selectivity_tolerance
 

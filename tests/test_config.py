@@ -103,6 +103,13 @@ def test_positive_quantities_enforced(field):
         cfg.validate()
 
 
+@pytest.mark.parametrize("field, value", [("magnetic_field", "nan"), ("temperature", "inf")])
+def test_non_finite_values_rejected(tmp_path, field, value):
+    path = write_config(tmp_path, f"{field} = {value}\n")
+    with pytest.raises(ConfigError, match=f"{field} must be finite"):
+        load_machine_config(path)
+
+
 def test_negative_coupling_rejected():
     cfg = dataclasses.replace(MachineConfig(), tip_hyperfine=-1.0)
     with pytest.raises(ConfigError, match="tip_hyperfine"):

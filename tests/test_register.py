@@ -4,7 +4,7 @@ import pytest
 
 from spintip import PARKED, RegisterLayout, Species
 from spintip.errors import MismatchedRegister
-from spintip.register import bit_of, bits_of_index, flip_bit, index_of_bits
+from spintip.register import index_of_bits
 
 
 def test_site_roles_and_names():
@@ -28,9 +28,6 @@ def test_bit_packing_round_trip():
     bits = (1, 0, 1, 1, 0)
     index = index_of_bits(bits)
     assert index == 0b10110  # site 0 is the most significant bit
-    assert bits_of_index(index, 5) == bits
-    assert [bit_of(index, site, 5) for site in range(5)] == list(bits)
-    assert flip_bit(index, 4, 5) == 0b10111
 
 
 def test_default_chain_hop_distances():
