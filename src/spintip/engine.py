@@ -4,10 +4,20 @@ States live in the full 2^(2n+1)-dimensional register space. A pulse drives
 exactly the basis-index pairs whose single-spin flip lies within the machine's
 selectivity window of the drive frequency — everything else is untouched, which
 is the whole trick behind tip-conditional logic.
+
+A flip line depends only on the bits of the addressed spin's one or two
+partners (``physics.partner_sites``), so a pulse evaluates at most four lines
+and moves whole slabs of amplitudes: basic-slice views of the state, with
+the addressed and partner sites pinned, one slab per partner pattern and
+addressed bit. No register-sized frequency or index array is built.
+Populations and measurement read and zero the halves of a site through the
+same kind of view.
 """
 
 import dataclasses
 import enum
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -141,9 +151,7 @@ class PureState:
 
     def population(self, site, bit):
         """Total weight with ``site`` in ``bit``."""
-        indices = np.arange(len(self.amplitudes))
-        mask = ((indices >> (self.num_sites - 1 - site)) & 1) == bit
-        return float(np.sum(np.abs(self.amplitudes[mask]) ** 2))
+        return float(np.sum(np.abs(_pinned(self.amplitudes, {site: bit})) ** 2))
 
     def fidelity(self, other):
         """|<self|other>|^2."""
@@ -157,6 +165,21 @@ class PureState:
                 bits = format(index, f"0{self.num_sites}b")
                 lines.append(f"{bits} {float(amp.real)!r} {float(amp.imag)!r}")
         return "\n".join(lines) + "\n"
+
+
+def _pinned(amplitudes, fixed):
+    """View of the amplitudes with each site of ``fixed`` pinned to its bit.
+
+    Free sites between pinned ones share one axis, so k pinned sites give at
+    most 2k + 1 axes. Length-1 slices rather than integers keep the result a
+    view even when every site is pinned.
+    """
+    shape, index, start = [], [], 0
+    for site, bit in sorted(fixed.items()):
+        shape += [1 << (site - start), 2]
+        index += [slice(None), slice(bit, bit + 1)]
+        start = site + 1
+    return amplitudes.reshape(shape + [-1])[tuple(index)]
 
 
 def _pair_unitary(pulse):
@@ -187,12 +210,37 @@ def _addressed_site(channel, layout):
     return layout.nucleus_site(layout.tip_position)
 
 
+@functools.lru_cache(maxsize=1024)
+def _pattern_lines(layout, cfg, site):
+    """(partners, partner bit patterns, float64 flip line of each pattern).
+
+    Each line is evaluated on one representative basis index of its pattern.
+    Layouts and configs are frozen, so a circuit's pulses share the entries
+    of each tip position and addressed site; the lines are read-only.
+    """
+    n = layout.num_sites
+    partners = physics.partner_sites(layout, site)
+    patterns = tuple(itertools.product((0, 1), repeat=len(partners)))
+    representatives = np.array(
+        [sum(bit << (n - 1 - p) for p, bit in zip(partners, bits)) for bits in patterns],
+        dtype=np.int64,
+    )
+    lines = physics._flip_magnitudes(layout, cfg, site, representatives, np.float64)
+    lines.flags.writeable = False
+    return partners, patterns, lines
+
+
 def apply_selective_pulse(state, pulse, layout, cfg):
     """Drive every basis pair resonant with the pulse; return (state, outcome).
 
     A pair (i, i^flip) of the addressed site is resonant when its flip
-    frequency lies within ``cfg.selectivity_tolerance`` of the drive. The
-    returned state is a new object; the input is left alone.
+    frequency lies within ``cfg.selectivity_tolerance`` of the drive. That
+    frequency is a function of the partner bits alone, so it is evaluated
+    once per partner pattern (float64, on one representative index each).
+    Every resonant pattern names two slabs of the state, addressed bit 0 and
+    1 with the partners pinned; they are swapped (exact pi) or rotated by the
+    pair unitary in place, on a copy. The returned state is a new object; the
+    input is left alone.
     """
     if state.num_sites != layout.num_sites:
         raise MismatchedRegister(
@@ -200,27 +248,29 @@ def apply_selective_pulse(state, pulse, layout, cfg):
         )
     site = _addressed_site(pulse.channel, layout)
     n = layout.num_sites
-    shift = n - 1 - site
-    lines = physics.site_flip_frequency_array(layout, cfg, site)
-    indices = np.arange(layout.dimension)
-    lower = indices[((indices >> shift) & 1) == 0]
-    resonant = np.abs(lines[lower] - pulse.frequency) <= cfg.selectivity_tolerance
-    i0 = lower[resonant]
-    i1 = i0 + (1 << shift)
+    partners, patterns, lines = _pattern_lines(layout, cfg, site)
+    resonant = np.abs(lines - pulse.frequency) <= cfg.selectivity_tolerance
+    hits = [bits for bits, hit in zip(patterns, resonant) if hit]
 
     amps = state.amplitudes.copy()
-    population = float(np.sum(np.abs(amps[i0]) ** 2) + np.sum(np.abs(amps[i1]) ** 2))
-    if i0.size:
-        if pulse.mode is PulseMode.LOGICAL_X and pulse.angle == math.pi:
-            amps[i0], amps[i1] = amps[i1], amps[i0]  # exact swap, no rounding
+    swap = pulse.mode is PulseMode.LOGICAL_X and pulse.angle == math.pi
+    u00, u01, u10, u11 = _pair_unitary(pulse)
+    population = 0.0
+    for bits in hits:
+        fixed = dict(zip(partners, bits))
+        a0 = _pinned(amps, {**fixed, site: 0})
+        a1 = _pinned(amps, {**fixed, site: 1})
+        population += float(np.sum(np.abs(a0) ** 2) + np.sum(np.abs(a1) ** 2))
+        if swap:  # exact swap, no rounding
+            held = a0.copy()
+            a0[...] = a1
+            a1[...] = held
         else:
-            u00, u01, u10, u11 = _pair_unitary(pulse)
-            a0 = amps[i0]
-            a1 = amps[i1]
-            amps[i0] = u00 * a0 + u01 * a1
-            amps[i1] = u10 * a0 + u11 * a1
+            rotated0 = u00 * a0 + u01 * a1
+            a1[...] = u10 * a0 + u11 * a1
+            a0[...] = rotated0
     outcome = PulseOutcome(
-        resonant_pair_count=int(i0.size),
+        resonant_pair_count=len(hits) << (n - 1 - len(partners)),
         resonant_population=population,
         no_resonant_transition=population <= IDLE_POPULATION,
     )
@@ -238,16 +288,13 @@ def measure_spin(state, site, rng):
     total = float(np.sum(np.abs(amps) ** 2))
     if math.sqrt(total) < 1e-9:
         raise DegenerateState(f"state norm {math.sqrt(total):.3e} is too small to measure")
-    n = state.num_sites
-    indices = np.arange(len(amps))
-    site_bits = (indices >> (n - 1 - site)) & 1
-    p_one = float(np.sum(np.abs(amps[site_bits == 1]) ** 2)) / total
+    p_one = state.population(site, 1) / total
     bit = 1 if rng.random() < p_one else 0
     probability = p_one if bit == 1 else 1.0 - p_one
     collapsed = amps.copy()
-    collapsed[site_bits != bit] = 0.0
+    _pinned(collapsed, {site: 1 - bit})[...] = 0.0
     collapsed /= np.linalg.norm(collapsed)
-    return bit, PureState(collapsed, n), float(probability)
+    return bit, PureState(collapsed, state.num_sites), float(probability)
 
 
 def thermal_ground_probability(species, cfg):
@@ -296,6 +343,10 @@ def ancilla_diagnostics(state, layout, sites=None):
     others = [s for s in range(n) if s not in sites]
     tensor = np.transpose(tensor, tuple(sites) + tuple(others))
     matrix = tensor.reshape(1 << len(sites), -1)
-    rho = matrix @ matrix.conj().T
-    purity = float(np.real(np.sum(rho * rho.conj().T)))
+    if matrix.shape[0] > matrix.shape[1]:
+        # Both sides of a pure state share their nonzero spectrum, so the
+        # smaller Gram matrix (conjugated, which keeps its norm) has the purity.
+        matrix = matrix.T
+    gram = matrix @ matrix.conj().T
+    purity = float(np.vdot(gram, gram).real)
     return AncillaDiagnostics(populations=populations, purity=purity)

@@ -39,3 +39,7 @@ class UnclassifiableFrequency(SimulationError):
 
 class AliasingError(SimulationError):
     """Requested trace sampling rate violates the Nyquist bound for its line."""
+
+
+class RegisterTooLarge(SimulationError):
+    """A dense run of the register would need more memory than the host has."""

@@ -3,8 +3,10 @@
 Basis states are energy eigenstates here, so every configuration has a sharp
 energy (in Hz) and every single-spin flip a sharp transition frequency. Scalar
 entry points evaluate in extended precision and round once to float64; the
-vectorized per-site line arrays used by pulse application are plain float64
-(their ~1e-5 Hz rounding is negligible against any sane selectivity window).
+float64 route (used by pulse application on one representative index per
+partner pattern, and by ``site_flip_frequency_array``) has ~1e-5 Hz rounding,
+negligible against any sane selectivity window. A flip line depends only on
+the bits of the site's partners (``partner_sites``).
 """
 
 import itertools
@@ -71,6 +73,34 @@ def configuration_energy(config, layout, cfg):
     return float(total)
 
 
+def partner_sites(layout, site):
+    """Sites whose bits the flip line of ``site`` depends on, at most two.
+
+    A nucleus and its electron are partners; while the tip is engaged, the
+    tip carbon and the electron under it are partners too. Every other bit of
+    the register leaves the line alone.
+    """
+    if site == layout.tip_site:
+        if layout.tip_position is PARKED:
+            return ()
+        return (layout.electron_site(layout.tip_position),)
+    qubit = layout.qubit_of(site)
+    if layout.species_of(site) is Species.PHOSPHORUS_NUCLEUS:
+        return (layout.electron_site(qubit),)
+    if layout.tip_position == qubit:
+        return (layout.nucleus_site(qubit), layout.tip_site)
+    return (layout.nucleus_site(qubit),)
+
+
+def _coupling(layout, cfg, site, partner):
+    """Hyperfine constant (Hz) between two partner sites under the current tip."""
+    if layout.tip_site in (site, partner):
+        return cfg.tip_hyperfine
+    if layout.tip_position == layout.qubit_of(site):
+        return cfg.hyperfine_tip_modified
+    return cfg.hyperfine_bare
+
+
 def _flip_magnitudes(layout, cfg, site, indices, dtype):
     """|dE| for flipping ``site`` out of each basis index in ``indices``.
 
@@ -80,32 +110,14 @@ def _flip_magnitudes(layout, cfg, site, indices, dtype):
     coefficient plus its coupling terms evaluated at the partner spins.
     """
     n = layout.num_sites
-    species = layout.species_of(site)
-
-    def partner_m(other_site):
-        info = SPECIES_INFO[layout.species_of(other_site)]
-        bits = (indices >> (n - 1 - other_site)) & 1
+    delta = np.zeros(np.shape(indices), dtype=dtype)
+    delta = delta + _zeeman_coefficient(layout.species_of(site), cfg, dtype)
+    for partner in partner_sites(layout, site):
+        info = SPECIES_INFO[layout.species_of(partner)]
+        bits = (indices >> (n - 1 - partner)) & 1
         m_ground = dtype(0.5) if info.ground_orientation == "up" else dtype(-0.5)
-        return np.where(bits == 0, m_ground, -m_ground)
-
-    delta = np.zeros(np.shape(indices), dtype=dtype) + _zeeman_coefficient(species, cfg, dtype)
-    if species is Species.ELECTRON:
-        qubit = layout.qubit_of(site)
-        on_qubit = layout.tip_position == qubit
-        coupling = cfg.hyperfine_tip_modified if on_qubit else cfg.hyperfine_bare
-        delta = delta + dtype(coupling) * partner_m(layout.nucleus_site(qubit))
-        if on_qubit:
-            delta = delta + dtype(cfg.tip_hyperfine) * partner_m(layout.tip_site)
-    elif species is Species.PHOSPHORUS_NUCLEUS:
-        qubit = layout.qubit_of(site)
-        on_qubit = layout.tip_position == qubit
-        coupling = cfg.hyperfine_tip_modified if on_qubit else cfg.hyperfine_bare
-        delta = delta + dtype(coupling) * partner_m(layout.electron_site(qubit))
-    else:  # tip carbon: couples to an electron only while the tip is engaged
-        if layout.tip_position is not PARKED:
-            delta = delta + dtype(cfg.tip_hyperfine) * partner_m(
-                layout.electron_site(layout.tip_position)
-            )
+        m = np.where(bits == 0, m_ground, -m_ground)
+        delta = delta + dtype(_coupling(layout, cfg, site, partner)) * m
     return np.abs(delta)
 
 

@@ -171,6 +171,38 @@ class TestFailureModes:
         assert report["pulses"]["spectral_misses"] == [1]
         assert any("no transition line" in reason for reason in report["status"]["reasons"])
 
+    def test_register_too_large_for_memory_exits_two(self, tmp_path):
+        # 41 qubits is 2^83 amplitudes: the run must refuse before allocating.
+        path = tmp_path / "huge.circuit"
+        path.write_text("MEASURE 40\n", encoding="utf-8")
+        done = run_cli("--circuit", str(path), "--seed", "0")
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: a 41-qubit register needs about ")
+        assert "GiB" in done.stderr
+        assert done.stderr.count("\n") == 1
+
+    def test_aliasing_trace_sample_rate_exits_two(self, example_circuit, tmp_path):
+        config = tmp_path / "slow.config"
+        config.write_text("trace_sample_rate = 1e3\n", encoding="utf-8")
+        done = run_cli(
+            "--circuit", str(example_circuit), "--config", str(config),
+            "--seed", "0", "--trace-snr", "5",
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: sample rate 1000 cannot represent")
+        assert done.stderr.count("\n") == 1
+
+    def test_unclassifiable_readout_exits_three(self, tmp_path):
+        # At this SNR the noise peak of seed 7 lands on no modulation line.
+        path = tmp_path / "noisy.circuit"
+        path.write_text("MEASURE 0\n", encoding="utf-8")
+        done = run_cli("--circuit", str(path), "--seed", "7", "--trace-snr", "0.001")
+        assert done.returncode == 3
+        assert "matched 0 modulation lines" in done.stderr
+        assert done.stderr.startswith("error: ")
+        assert done.stderr.count("\n") == 1
+
     def test_budget_enforcement_exits_four(self, example_circuit, tmp_path):
         config = tmp_path / "short.config"
         config.write_text("coherence_time = 1e-6\n", encoding="utf-8")
@@ -213,6 +245,23 @@ class TestBatchRuns:
         assert "good.circuit: exit 0" in done.stdout
         assert (tmp_path / "good.report.json").exists()
         assert not (tmp_path / "bad.report.json").exists()
+
+    def test_batch_keeps_going_past_simulation_errors(self, tmp_path):
+        (tmp_path / "a.circuit").write_text("MEASURE 0\n", encoding="utf-8")
+        (tmp_path / "b.circuit").write_text("MEASURE 40\n", encoding="utf-8")
+        (tmp_path / "c.circuit").write_text("# nothing to read\n", encoding="utf-8")
+        done = run_cli("--batch", str(tmp_path), "--seed", "7", "--trace-snr", "0.001")
+        assert done.returncode == 3
+        assert done.stdout.splitlines() == [
+            "a.circuit: exit 3",  # seed 7: the readout line is unclassifiable
+            "b.circuit: exit 2",  # too large for memory
+            "c.circuit: exit 0",
+        ]
+        assert "Traceback" not in done.stderr
+        assert len(done.stderr.splitlines()) == 2
+        assert (tmp_path / "c.report.json").exists()
+        assert not (tmp_path / "a.report.json").exists()
+        assert not (tmp_path / "b.report.json").exists()
 
     def test_empty_batch_directory_exits_two(self, tmp_path):
         done = run_cli("--batch", str(tmp_path))

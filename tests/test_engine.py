@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from spintip import (
     Channel,
@@ -17,10 +19,12 @@ from spintip import (
     ancilla_diagnostics,
     apply_selective_pulse,
     measure_spin,
+    site_flip_frequency_array,
     thermal_ground_probability,
     thermal_sample,
     transition_frequency,
 )
+from spintip.engine import IDLE_POPULATION
 from spintip.errors import DegenerateState, TipParked
 
 CFG = MachineConfig()
@@ -295,6 +299,16 @@ class TestDiagnostics:
             assert report.populations[name] == pytest.approx(0.5, abs=1e-12)
 
 
+    def test_complex_coherence_is_still_pure(self):
+        # Ancillas in |0>|+i>: a pure product state with a complex coherence.
+        # sum(rho * rho.conj().T) read 0 here; Tr(rho^2) is 1.
+        amps = np.zeros(8, dtype=complex)
+        amps[0b000] = 1 / math.sqrt(2)
+        amps[0b001] = 1j / math.sqrt(2)
+        report = ancilla_diagnostics(PureState(amps, 3), LAYOUT)
+        assert report.purity == pytest.approx(1.0, abs=1e-12)
+
+
 class TestStateText:
     def test_dump_text_lists_populated_amplitudes(self):
         amps = np.zeros(8, dtype=complex)
@@ -303,3 +317,211 @@ class TestStateText:
         state = PureState(amps, 3)
         text = state.dump_text()
         assert text == "000 0.6 0.0\n101 0.0 0.8\n"
+
+
+# -- Index-array oracles ------------------------------------------------------
+#
+# The engine drives slabs of a reshaped view, one per partner pattern, and
+# reads populations through views. These are the register-sized index-array
+# routes it replaced, kept here as references: a line array over every basis
+# index, fancy-indexed pair updates, arange masks, and the purity from the
+# Gram matrix of the ancilla side (with its trace written correctly).
+
+
+def oracle_pair_unitary(pulse):
+    if pulse.mode is PulseMode.LOGICAL_X:
+        w = np.exp(1j * math.pi * (pulse.angle / math.pi))
+        u00 = u11 = (1.0 + w) / 2.0
+        u01 = u10 = (1.0 - w) / 2.0
+    else:
+        c = math.cos(pulse.angle / 2.0)
+        s = math.sin(pulse.angle / 2.0)
+        u00 = u11 = complex(c, 0.0)
+        u01 = -1j * s * np.exp(-1j * pulse.phase)
+        u10 = -1j * s * np.exp(1j * pulse.phase)
+    return u00, u01, u10, u11
+
+
+def addressed_site(channel, layout):
+    if channel is Channel.TIP_CARBON_NUCLEAR_RF:
+        return layout.tip_site
+    if channel is Channel.ELECTRON_RF:
+        return layout.electron_site(layout.tip_position)
+    return layout.nucleus_site(layout.tip_position)
+
+
+def oracle_pulse(state, pulse, layout, cfg):
+    """(amplitudes, pair count, population, idle) by register-sized index arrays."""
+    site = addressed_site(pulse.channel, layout)
+    shift = layout.num_sites - 1 - site
+    lines = site_flip_frequency_array(layout, cfg, site)
+    indices = np.arange(layout.dimension)
+    lower = indices[((indices >> shift) & 1) == 0]
+    resonant = np.abs(lines[lower] - pulse.frequency) <= cfg.selectivity_tolerance
+    i0 = lower[resonant]
+    i1 = i0 + (1 << shift)
+    amps = state.amplitudes.copy()
+    population = float(np.sum(np.abs(amps[i0]) ** 2) + np.sum(np.abs(amps[i1]) ** 2))
+    if i0.size:
+        if pulse.mode is PulseMode.LOGICAL_X and pulse.angle == math.pi:
+            amps[i0], amps[i1] = amps[i1], amps[i0]
+        else:
+            u00, u01, u10, u11 = oracle_pair_unitary(pulse)
+            a0 = amps[i0]
+            a1 = amps[i1]
+            amps[i0] = u00 * a0 + u01 * a1
+            amps[i1] = u10 * a0 + u11 * a1
+    return amps, int(i0.size), population, population <= IDLE_POPULATION
+
+
+def oracle_population(state, site, bit):
+    indices = np.arange(len(state.amplitudes))
+    mask = ((indices >> (state.num_sites - 1 - site)) & 1) == bit
+    return float(np.sum(np.abs(state.amplitudes[mask]) ** 2))
+
+
+def oracle_measure(state, site, rng):
+    rng = np.random.default_rng(rng)
+    amps = state.amplitudes
+    total = float(np.sum(np.abs(amps) ** 2))
+    indices = np.arange(len(amps))
+    site_bits = (indices >> (state.num_sites - 1 - site)) & 1
+    p_one = float(np.sum(np.abs(amps[site_bits == 1]) ** 2)) / total
+    bit = 1 if rng.random() < p_one else 0
+    probability = p_one if bit == 1 else 1.0 - p_one
+    collapsed = amps.copy()
+    collapsed[site_bits != bit] = 0.0
+    collapsed /= np.linalg.norm(collapsed)
+    return bit, collapsed, float(probability)
+
+
+def oracle_purity(state, sites):
+    n = state.num_sites
+    tensor = state.amplitudes.reshape((2,) * n)
+    others = [s for s in range(n) if s not in sites]
+    matrix = np.transpose(tensor, tuple(sites) + tuple(others)).reshape(1 << len(sites), -1)
+    rho = matrix @ matrix.conj().T
+    # Tr(rho^2) = sum_ij rho_ij rho_ji. The engine's former expression,
+    # sum(rho * rho.conj().T), is sum_ij rho_ij^2: wrong once rho has
+    # complex off-diagonals (see test_complex_coherence_is_still_pure).
+    return float(np.real(np.sum(rho * rho.T)))
+
+
+# Configs in which two partner patterns share a line, so one pulse drives
+# several slabs: with no tip coupling the tip bit stops shifting the electron
+# and tip lines, and a window wider than the hyperfine splitting takes in
+# both nuclear lines.
+SHARED_LINE_CONFIGS = (
+    dataclasses.replace(CFG, tip_hyperfine=0.0),
+    dataclasses.replace(CFG, selectivity_tolerance=2 * CFG.hyperfine_bare),
+)
+PROPERTY_SETTINGS = settings(deadline=None, max_examples=150)
+
+
+@st.composite
+def register_states(draw, min_qubits=1):
+    """A layout of 1..4 qubits and a normalised complex state, some amplitudes zero."""
+    num_qubits = draw(st.integers(min_qubits, 4))
+    layout = RegisterLayout(num_qubits)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=layout.dimension) + 1j * rng.normal(size=layout.dimension)
+    amps[rng.random(layout.dimension) < draw(st.sampled_from([0.0, 0.5, 0.9]))] = 0.0
+    if not np.any(amps):
+        amps[0] = 1.0
+    return layout, PureState(amps / np.linalg.norm(amps), layout.num_sites)
+
+
+@st.composite
+def pulse_cases(draw):
+    layout, state = draw(register_states())
+    cfg = draw(st.sampled_from((CFG,) + SHARED_LINE_CONFIGS))
+    channel = draw(st.sampled_from(list(Channel)))
+    tips = list(range(layout.num_qubits))
+    if channel is Channel.TIP_CARBON_NUCLEAR_RF:
+        tips.append(None)
+    layout = layout.with_tip(draw(st.sampled_from(tips)))
+    site = addressed_site(channel, layout)
+    # Any configuration's line covers every partner pattern; the offsets land
+    # on it, inside and on the edge of the window, and off it.
+    bits = draw(st.tuples(*[st.integers(0, 1)] * layout.num_sites))
+    line = transition_frequency(bits, site, layout, cfg)
+    tolerance = cfg.selectivity_tolerance
+    offset = draw(st.sampled_from(
+        [0.0, 0.5 * tolerance, -tolerance, 3.0 * tolerance, -3.0 * tolerance, 0.37 * line]
+    ))
+    assume(line + offset > 0)
+    mode, angle, phase = draw(st.one_of(
+        st.just((PulseMode.LOGICAL_X, math.pi, 0.0)),
+        st.tuples(
+            st.just(PulseMode.LOGICAL_X),
+            st.floats(0.01, 2 * math.pi),
+            st.just(0.0),
+        ),
+        st.tuples(
+            st.just(PulseMode.PHASED_ROTATION),
+            st.floats(0.01, 2 * math.pi),
+            st.floats(-math.pi, math.pi),
+        ),
+    ))
+    pulse = Pulse(channel, line + offset, angle, phase, 1e-6, mode)
+    return state, pulse, layout, cfg
+
+
+class TestAgainstIndexArrayOracles:
+    @PROPERTY_SETTINGS
+    @given(pulse_cases())
+    def test_pulse_matches_the_index_array_route(self, case):
+        state, pulse, layout, cfg = case
+        before = state.amplitudes.copy()
+        amps, pairs, population, idle = oracle_pulse(state, pulse, layout, cfg)
+        after, outcome = apply_selective_pulse(state, pulse, layout, cfg)
+        assert np.array_equal(after.amplitudes, amps)
+        assert outcome.resonant_pair_count == pairs
+        assert outcome.no_resonant_transition == idle
+        assert outcome.resonant_population == pytest.approx(population, abs=1e-12)
+        assert np.array_equal(state.amplitudes, before)
+
+    def test_shared_line_configs_drive_several_patterns(self):
+        # The multi-slab path runs: a pulse hits more pairs than one partner
+        # pattern holds.
+        for cfg, channel, expected in [
+            (SHARED_LINE_CONFIGS[0], Channel.TIP_CARBON_NUCLEAR_RF, 4),
+            (SHARED_LINE_CONFIGS[0], Channel.ELECTRON_RF, 2),
+            (SHARED_LINE_CONFIGS[1], Channel.PHOSPHORUS_NUCLEAR_RF, 4),
+        ]:
+            site = addressed_site(channel, LAYOUT)
+            line = transition_frequency((0, 0, 0), site, LAYOUT, cfg)
+            pulse = Pulse(channel, line, math.pi, 0.0, 1e-6)
+            _, outcome = apply_selective_pulse(PureState.ground(LAYOUT), pulse, LAYOUT, cfg)
+            assert outcome.resonant_pair_count == expected
+
+    @PROPERTY_SETTINGS
+    @given(register_states(), st.integers(0, 8), st.integers(0, 2**32 - 1))
+    def test_measurement_matches_the_masked_route(self, case, site_draw, seed):
+        layout, state = case
+        site = site_draw % layout.num_sites
+        before = state.amplitudes.copy()
+        bit, collapsed, probability = oracle_measure(state, site, seed)
+        observed, after, reported = measure_spin(state, site, seed)
+        assert observed == bit
+        assert reported == probability
+        assert np.array_equal(after.amplitudes, collapsed)
+        for value in (0, 1):
+            assert state.population(site, value) == oracle_population(state, site, value)
+        assert np.array_equal(state.amplitudes, before)
+
+    @PROPERTY_SETTINGS
+    @given(register_states(), st.data())
+    def test_purity_matches_the_ancilla_side_gram(self, case, data):
+        layout, state = case
+        ancillas = tuple(layout.electron_site(q) for q in range(layout.num_qubits))
+        ancillas += (layout.tip_site,)
+        subset = data.draw(st.lists(
+            st.sampled_from(range(layout.num_sites)), min_size=1, unique=True
+        ))
+        before = state.amplitudes.copy()
+        for sites in (None, tuple(subset)):
+            report = ancilla_diagnostics(state, layout, sites)
+            expected = oracle_purity(state, ancillas if sites is None else sites)
+            assert report.purity == pytest.approx(expected, abs=1e-12)
+        assert np.array_equal(state.amplitudes, before)
