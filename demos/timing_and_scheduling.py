@@ -19,6 +19,7 @@ from spintip import (
     compile_circuit,
     decoherence_budget,
     execute,
+    expand_tasks,
     parse_circuit,
     schedule_multi_tip,
     validate_assignment,
@@ -60,13 +61,14 @@ print(f"executed wall time matches the static sum: "
 
 # More tips: gates on disjoint qubits can overlap, travel can pipeline.
 print("\nmakespan vs number of tips")
+tasks = expand_tasks(circuit, layout, cfg)
 for tips in (1, 2, 3):
-    assignment = schedule_multi_tip(circuit, tips, layout, cfg)
-    problems = validate_assignment(assignment, circuit, layout, cfg)
+    assignment = schedule_multi_tip(tasks, tips, layout, cfg)
+    problems = validate_assignment(assignment, tasks, layout, cfg)
     print(f"  k={tips}  {assignment.makespan * 1e6:8.1f} us  "
           f"validator problems: {problems or 'none'}")
 
-best = schedule_multi_tip(circuit, 2, layout, cfg)
+best = schedule_multi_tip(tasks, 2, layout, cfg)
 print("\ntwo-tip timeline (tip, start, end, task)")
 for line in best.table().splitlines():
     tip, start, end, *label = line.split()

@@ -15,8 +15,10 @@ several modulation lines), 4 infeasible decoherence budget under
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -136,14 +138,18 @@ def _check_memory(layout):
     """Raise RegisterTooLarge if a dense run of ``layout`` would not fit in memory.
 
     The estimate is ``PEAK_STATE_COPIES`` state vectors of 16-byte amplitudes,
-    against the host's physical memory, before anything is allocated.
+    against the host's physical memory, before anything is allocated. It is an
+    integer byte count, and printed through ``Decimal``, because the dimension
+    of a register a circuit can name exceeds the float range.
     """
-    estimate = PEAK_STATE_COPIES * layout.dimension * np.dtype(np.complex128).itemsize
+    bytes_per_amplitude = math.ceil(PEAK_STATE_COPIES * np.dtype(np.complex128).itemsize)
+    estimate = bytes_per_amplitude * layout.dimension
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if estimate > physical:
         raise RegisterTooLarge(
-            f"a {layout.num_qubits}-qubit register needs about {estimate / 2**30:.3g} GiB "
-            f"at peak, more than the {physical / 2**30:.3g} GiB of physical memory"
+            f"a {layout.num_qubits}-qubit register needs about "
+            f"{Decimal(estimate) / 2**30:.3g} GiB at peak, more than the "
+            f"{physical / 2**30:.3g} GiB of physical memory"
         )
 
 
@@ -152,7 +158,8 @@ def run_circuit_file(path, cfg, args, seed, dump_path):
     circuit = program.parse_circuit(Path(path).read_text(encoding="utf-8"), source=str(path))
     layout = RegisterLayout(circuit.num_qubits)
     _check_memory(layout)
-    compiled = compiler.compile_circuit(circuit, layout, cfg)
+    tasks = compiler.expand_tasks(circuit, layout, cfg)
+    compiled = compiler.link(tasks)
     state = engine.PureState.ground(layout)
     result = compiler.execute(
         compiled, state, layout, cfg, rng=seed, trace_snr=args.trace_snr
@@ -190,8 +197,8 @@ def run_circuit_file(path, cfg, args, seed, dump_path):
 
     schedule = None
     if args.tips:
-        assignment = scheduler.schedule_multi_tip(circuit, args.tips, layout, cfg)
-        problems = scheduler.validate_assignment(assignment, circuit, layout, cfg)
+        assignment = scheduler.schedule_multi_tip(tasks, args.tips, layout, cfg)
+        problems = scheduler.validate_assignment(assignment, tasks, layout, cfg)
         schedule = {
             "tips": args.tips,
             "makespan_s": assignment.makespan,

@@ -1,4 +1,4 @@
-"""Gate-to-pulse compilation and program execution.
+"""Gate-to-pulse compilation, the gate task list, and program execution.
 
 Every pulse frequency a compiled program carries is derived by asking the
 engine for the transition line of the *intended* conditional flip — the same
@@ -210,12 +210,64 @@ def compile_gate(gate, layout, cfg):
     raise TypeError(f"not a gate: {gate!r}")
 
 
+@dataclasses.dataclass(frozen=True)
+class GateTask:
+    """One schedulable unit: a gate's instructions and the qubits it binds.
+
+    ``work`` holds the durations of the instructions after the first MoveTip,
+    entered with the tip at ``first_position``; ``end_position`` is where the
+    task leaves the tip.
+    """
+
+    gate_index: int
+    label: str
+    qubits: tuple
+    instructions: tuple
+    work: tuple
+    end_position: "int | None"
+
+    @property
+    def first_position(self):
+        return self.instructions[0].target
+
+
+def expand_tasks(circuit, layout, cfg):
+    """Per-gate tasks in circuit order; INIT becomes one task per qubit.
+
+    Each gate is compiled once; the serial program (``link``) and the
+    multi-tip schedule are both built from this list.
+    """
+    tasks = []
+    for gate_index, gate in enumerate(circuit.gates):
+        instructions = compile_gate(gate, layout, cfg).instructions
+        if isinstance(gate, InitGate):
+            units = [(f"INIT {qubit}", (qubit,)) for qubit in range(layout.num_qubits)]
+        elif isinstance(gate, CnotGate):
+            qubits = tuple(sorted((gate.control, gate.target)))
+            units = [(f"CNOT {gate.control} {gate.target}", qubits)]
+        else:
+            name = "ROT" if isinstance(gate, RotGate) else "MEASURE"
+            units = [(f"{name} {gate.qubit}", (gate.qubit,))]
+        size = len(instructions) // len(units)
+        for unit, (label, qubits) in enumerate(units):
+            chunk = instructions[unit * size : (unit + 1) * size]
+            entered = layout.with_tip(chunk[0].target)
+            work = timing.analyze_program(PulseProgram(chunk[1:]), entered, cfg)
+            end = [i.target for i in chunk if isinstance(i, MoveTip)][-1]
+            tasks.append(GateTask(gate_index, label, qubits, chunk, work.per_instruction, end))
+    return tasks
+
+
+def link(tasks):
+    """The serial program: every task's instructions in order, then the park."""
+    instructions = [instruction for task in tasks for instruction in task.instructions]
+    instructions.append(MoveTip(PARKED))
+    return PulseProgram(tuple(instructions), gate_count=len(tasks))
+
+
 def compile_circuit(circuit, layout, cfg):
-    """Concatenate per-gate programs and park the tip at the end."""
-    program = PulseProgram(())
-    for gate in circuit.gates:
-        program = program + compile_gate(gate, layout, cfg)
-    return program + PulseProgram((MoveTip(PARKED),), gate_count=0)
+    """The serial program of a circuit: its tasks linked, the tip parked at the end."""
+    return link(expand_tasks(circuit, layout, cfg))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -6,6 +6,7 @@ one to the other; this module only defines the data and the serializations.
 """
 
 import dataclasses
+import math
 
 from .engine import Channel, Pulse
 from .errors import CircuitParseError, IllFormedProgram, SameQubit
@@ -71,9 +72,12 @@ def _parse_qubit(token, where):
 
 def _parse_float(token, what, where):
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise CircuitParseError(f"{where}: {what} {token!r} is not a number") from None
+    if not math.isfinite(value):
+        raise CircuitParseError(f"{where}: {what} {token!r} is not finite")
+    return value
 
 
 def parse_circuit(text, source="circuit"):

@@ -1,7 +1,7 @@
-"""Greedy multi-tip scheduling of compiled circuits.
+"""Greedy multi-tip scheduling of compiled gate tasks.
 
-Each gate becomes one task (INIT expands to a task per qubit — the resets
-commute). Tasks bind their qubits for the duration of their pulses and
+Tasks come from ``compiler.expand_tasks`` (INIT gives a task per qubit — the
+resets commute). Tasks bind their qubits for the duration of their pulses and
 measurements; tip travel happens beforehand with the tip retracted, so it
 never counts as qubit occupancy. Gates are assigned in circuit order to
 whichever tip can start them earliest — list scheduling, deliberately simple,
@@ -14,60 +14,8 @@ last bit, conditional slots included.
 
 import dataclasses
 
-from . import compiler, timing
-from .program import CnotGate, InitGate, MoveTip, PulseProgram, RotGate
+from . import timing
 from .register import PARKED
-
-
-@dataclasses.dataclass(frozen=True)
-class GateTask:
-    """One schedulable unit: a gate's instructions and the qubits it binds.
-
-    ``work`` holds the durations of the instructions after the first MoveTip,
-    entered with the tip at ``first_position``; ``end_position`` is where the
-    task leaves the tip.
-    """
-
-    gate_index: int
-    label: str
-    qubits: tuple
-    instructions: tuple
-    work: tuple
-    end_position: "int | None"
-
-    @property
-    def first_position(self):
-        return self.instructions[0].target
-
-
-def expand_tasks(circuit, layout, cfg):
-    """Per-gate tasks in circuit order; INIT becomes one task per qubit."""
-    units = []
-    for gate_index, gate in enumerate(circuit.gates):
-        if isinstance(gate, InitGate):
-            program = compiler.compile_init(layout, cfg)
-            per_qubit = len(program.instructions) // layout.num_qubits
-            for qubit in range(layout.num_qubits):
-                chunk = program.instructions[qubit * per_qubit : (qubit + 1) * per_qubit]
-                units.append((gate_index, f"INIT {qubit}", (qubit,), chunk))
-        elif isinstance(gate, CnotGate):
-            program = compiler.compile_gate(gate, layout, cfg)
-            label = f"CNOT {gate.control} {gate.target}"
-            qubits = tuple(sorted((gate.control, gate.target)))
-            units.append((gate_index, label, qubits, program.instructions))
-        else:
-            program = compiler.compile_gate(gate, layout, cfg)
-            name = "ROT" if isinstance(gate, RotGate) else "MEASURE"
-            units.append((gate_index, f"{name} {gate.qubit}", (gate.qubit,), program.instructions))
-    tasks = []
-    for gate_index, label, qubits, instructions in units:
-        entered = layout.with_tip(instructions[0].target)
-        work = timing.analyze_program(PulseProgram(instructions[1:]), entered, cfg)
-        end = [i.target for i in instructions if isinstance(i, MoveTip)][-1]
-        tasks.append(
-            GateTask(gate_index, label, qubits, instructions, work.per_instruction, end)
-        )
-    return tasks
 
 
 @dataclasses.dataclass(frozen=True)
@@ -97,26 +45,29 @@ class TipAssignment:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def schedule_multi_tip(circuit, num_tips, layout, cfg):
-    """Assign each gate to the tip that can start it earliest.
+def schedule_multi_tip(tasks, num_tips, layout, cfg):
+    """Assign each task to the tip that can start it earliest.
 
     A task's start is bounded below by its dependencies (earlier gates sharing
     a qubit) and by the chosen tip's travel; ties go to the lowest tip index.
     Every tip that worked parks afterwards, and the makespan includes those
     final retreats — mirroring what serial compilation emits.
+
+    Only the first ``min(num_tips, len(tasks))`` tips are scanned: tips that
+    have not worked are identical, so the tie rule never picks one past them.
     """
     if num_tips < 1:
         raise ValueError(f"need at least one tip, got {num_tips}")
-    tasks = expand_tasks(circuit, layout, cfg)
-    free = [0.0] * num_tips
-    position = [PARKED] * num_tips
+    scanned = min(num_tips, len(tasks))
+    free = [0.0] * scanned
+    position = [PARKED] * scanned
     qubit_release = {}
     assignment = []
     timeline = []
     for task in tasks:
         ready = max((qubit_release.get(q, 0.0) for q in task.qubits), default=0.0)
         best = None
-        for tip in range(num_tips):
+        for tip in range(scanned):
             travel = timing.move_duration(layout, cfg, position[tip], task.first_position)
             arrival = free[tip] + travel
             start = arrival if arrival >= ready else ready
@@ -133,7 +84,7 @@ def schedule_multi_tip(circuit, num_tips, layout, cfg):
         for qubit in task.qubits:
             qubit_release[qubit] = end
     makespan = 0.0
-    for tip in range(num_tips):
+    for tip in range(scanned):
         if position[tip] is PARKED:
             continue
         park = timing.move_duration(layout, cfg, position[tip], PARKED)
@@ -149,15 +100,14 @@ def schedule_multi_tip(circuit, num_tips, layout, cfg):
     )
 
 
-def validate_assignment(assignment, circuit, layout, cfg, slack=1e-9):
+def validate_assignment(assignment, tasks, layout, cfg, slack=1e-9):
     """Independent schedule checks; returns a list of violations (empty = clean).
 
-    Recomputes everything from the circuit: per-tip travel consistency, no
+    Recomputes everything from the tasks: per-tip travel consistency, no
     qubit bound by two tasks at once, circuit order preserved on every qubit,
     task durations honest, makespan correct.
     """
     problems = []
-    tasks = expand_tasks(circuit, layout, cfg)
     entries = [e for e in assignment.timeline if e.gate_index is not None]
     parks = [e for e in assignment.timeline if e.gate_index is None]
     if len(entries) != len(tasks):

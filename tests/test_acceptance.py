@@ -299,12 +299,13 @@ def test_criterion_09_scheduler():
                 if position[tip] is not None:
                     clock[tip] += spintip.move_duration(layout, CFG, position[tip], None)
             brute_best = min(brute_best, max(clock.values()))
-        two_tips = schedule_multi_tip(disjoint, 2, layout, CFG)
+        two_tips = schedule_multi_tip(tasks, 2, layout, CFG)
         assert two_tips.makespan == pytest.approx(brute_best, rel=1e-12)
 
         for index in range(100):
             circuit = random_circuit(np.random.default_rng(9000 + index), 4, 20)
-            serial = schedule_multi_tip(circuit, 1, layout, CFG)
+            tasks = spintip.expand_tasks(circuit, layout, CFG)
+            serial = schedule_multi_tip(tasks, 1, layout, CFG)
             program = compile_circuit(circuit, layout, CFG)
             result = execute(
                 program, PureState.ground(layout), layout, CFG, np.random.default_rng(index)
@@ -312,8 +313,8 @@ def test_criterion_09_scheduler():
             assert serial.makespan == result.timing.total_wall_time
             spans = []
             for k in (1, 2, 3, 4):
-                assignment = schedule_multi_tip(circuit, k, layout, CFG)
-                assert validate_assignment(assignment, circuit, layout, CFG) == []
+                assignment = schedule_multi_tip(tasks, k, layout, CFG)
+                assert validate_assignment(assignment, tasks, layout, CFG) == []
                 spans.append(assignment.makespan)
             for slower, faster in zip(spans, spans[1:]):
                 assert faster <= slower + 1e-12

@@ -1,12 +1,17 @@
 """End-to-end command line behaviour: exit codes, reports, batch runs."""
 
+import contextlib
+import io
 import json
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 DATA = Path(__file__).parent / "data"
 
@@ -87,6 +92,20 @@ class TestSingleRuns:
         assert section["makespan_s"] > 0
         assert section["validator_problems"] == []
         assert len(section["per_task_tip"]) == 6  # 2 init tasks + 4 gates
+
+    def test_a_trillion_tips_schedule_like_enough_tips(self, example_circuit, capsys):
+        import spintip.cli as cli
+
+        argv = ["--circuit", str(example_circuit), "--seed", "2", "--tips"]
+        assert cli.main([*argv, "1000000000000"]) == 0
+        huge = json.loads(capsys.readouterr().out)["scheduler"]
+        assert cli.main([*argv, "6"]) == 0
+        enough = json.loads(capsys.readouterr().out)["scheduler"]
+        assert huge["tips"] == 1000000000000
+        assert huge["validator_problems"] == []
+        assert {k: v for k, v in huge.items() if k != "tips"} == {
+            k: v for k, v in enough.items() if k != "tips"
+        }
 
     def test_verification_payload(self, example_circuit):
         done = run_cli("--circuit", str(example_circuit), "--seed", "1", "--verify-frequencies")
@@ -182,6 +201,42 @@ class TestFailureModes:
         assert "GiB" in done.stderr
         assert done.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("text", ["MEASURE 600\n", "CNOT 0 100000\n"])
+    def test_register_past_the_float_range_exits_two(self, tmp_path, capsys, text):
+        # 2^(2n+1) amplitudes overflow a float estimate for n >= 512.
+        import spintip.cli as cli
+
+        path = tmp_path / "vast.circuit"
+        path.write_text(text, encoding="utf-8")
+        assert cli.main(["--circuit", str(path), "--seed", "0"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: a ")
+        assert "GiB" in out.err
+        assert out.err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", ["angle", "phase"])
+    def test_non_finite_rot_values_exit_two(self, tmp_path, capsys, value, where):
+        import spintip.cli as cli
+
+        angle, phase = (value, "0.0") if where == "angle" else ("1.0", value)
+        path = tmp_path / "bad.circuit"
+        path.write_text(f"ROT 0 {angle} {phase}\n", encoding="utf-8")
+        assert cli.main(["--circuit", str(path), "--seed", "0"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {path}:1: {where} {value!r} is not finite\n"
+
+    def test_largest_finite_rot_values_run(self, tmp_path, capsys):
+        import spintip.cli as cli
+
+        path = tmp_path / "big.circuit"
+        path.write_text("ROT 0 1e308 1e308\n", encoding="utf-8")
+        assert cli.main(["--circuit", str(path), "--seed", "0"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["final_state"]["norm"] == pytest.approx(1.0, abs=1e-12)
+
     def test_aliasing_trace_sample_rate_exits_two(self, example_circuit, tmp_path):
         config = tmp_path / "slow.config"
         config.write_text("trace_sample_rate = 1e3\n", encoding="utf-8")
@@ -266,6 +321,50 @@ class TestBatchRuns:
     def test_empty_batch_directory_exits_two(self, tmp_path):
         done = run_cli("--batch", str(tmp_path))
         assert done.returncode == 2
+
+
+QUBIT = st.sampled_from(["0", "1", "2", "-1", "x", "600"])
+FLOAT = st.sampled_from(["0.5", "nan", "inf", "1e308", "abc"])
+JUNK = st.sampled_from(["INIT", "ROT", "CNOT", "MEASURE", "WOBBLE", "#", "0", "inf", "abc"])
+GATE_LINES = st.lists(
+    st.one_of(
+        st.tuples(st.just("INIT")),
+        st.tuples(st.just("ROT"), QUBIT, FLOAT, FLOAT),
+        st.tuples(st.just("ROT"), QUBIT, FLOAT),
+        st.tuples(st.just("CNOT"), QUBIT, QUBIT),
+        st.tuples(st.just("MEASURE"), QUBIT),
+        st.lists(JUNK, max_size=4),
+    ).map(" ".join),
+    max_size=6,
+)
+
+
+class TestExitCodeFuzz:
+    # Qubit tokens stay below 3 or reach 600: every register either runs in
+    # a few kilobytes or is refused before it is allocated.
+    @settings(deadline=None, max_examples=60)
+    @given(
+        lines=GATE_LINES,
+        tips=st.integers(1, 3),
+        snr=st.sampled_from([None, "1e-3", "10"]),
+    )
+    def test_every_input_ends_in_a_documented_code(self, lines, tips, snr):
+        import spintip.cli as cli
+
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "fuzz.circuit"
+            path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            argv = ["--circuit", str(path), "--seed", "0", "--tips", str(tips)]
+            if snr is not None:
+                argv += ["--trace-snr", snr]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(argv)
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in stderr.getvalue()
+        if code == 2:
+            assert stderr.getvalue().startswith("error: ")
+            assert stderr.getvalue().count("\n") == 1
 
 
 class TestEntryPoints:

@@ -2,14 +2,18 @@
 and structural validation of random schedules."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from spintip import (
+    PARKED,
     MachineConfig,
+    MoveTip,
     PureState,
     RegisterLayout,
+    analyze_program,
     compile_circuit,
     execute,
     expand_tasks,
@@ -18,6 +22,7 @@ from spintip import (
     schedule_multi_tip,
     validate_assignment,
 )
+from spintip import cli, compiler
 from spintip.timing import instruction_duration
 
 CFG = MachineConfig()
@@ -41,7 +46,7 @@ class TestSerialEquivalence:
     def test_one_tip_matches_the_executed_wall_clock(self):
         circuit = parse_circuit("INIT\nROT 0 1.2 0.0\nCNOT 0 1\nMEASURE 1")
         layout = RegisterLayout(2)
-        assignment = schedule_multi_tip(circuit, 1, layout, CFG)
+        assignment = schedule_multi_tip(expand_tasks(circuit, layout, CFG), 1, layout, CFG)
         program = compile_circuit(circuit, layout, CFG)
         result = execute(program, PureState.ground(layout), layout, CFG, np.random.default_rng(0))
         # Identical left-to-right accumulation: the equality is exact.
@@ -51,7 +56,7 @@ class TestSerialEquivalence:
         layout = RegisterLayout(4)
         for seed in range(10):
             circuit = random_circuit(np.random.default_rng(seed))
-            assignment = schedule_multi_tip(circuit, 1, layout, CFG)
+            assignment = schedule_multi_tip(expand_tasks(circuit, layout, CFG), 1, layout, CFG)
             program = compile_circuit(circuit, layout, CFG)
             result = execute(
                 program, PureState.ground(layout), layout, CFG, np.random.default_rng(0)
@@ -86,7 +91,7 @@ class TestKnownOptimum:
     def test_disjoint_cnots_run_fully_parallel(self):
         circuit = parse_circuit("CNOT 0 1\nCNOT 2 3")
         layout = RegisterLayout(4)
-        assignment = schedule_multi_tip(circuit, 2, layout, CFG)
+        assignment = schedule_multi_tip(expand_tasks(circuit, layout, CFG), 2, layout, CFG)
         # Independent tasks on disjoint qubits: the brute-force optimum is
         # one CNOT's serial cost (7.56e-5 plus 1.5e-5 to park).
         assert assignment.makespan == pytest.approx(9.06e-5, abs=1e-12)
@@ -98,10 +103,8 @@ class TestKnownOptimum:
     def test_adding_tips_never_hurts(self):
         layout = RegisterLayout(4)
         for seed in range(20):
-            circuit = random_circuit(np.random.default_rng(100 + seed))
-            spans = [
-                schedule_multi_tip(circuit, k, layout, CFG).makespan for k in (1, 2, 3, 4)
-            ]
+            tasks = expand_tasks(random_circuit(np.random.default_rng(100 + seed)), layout, CFG)
+            spans = [schedule_multi_tip(tasks, k, layout, CFG).makespan for k in (1, 2, 3, 4)]
             for slower, faster in zip(spans, spans[1:]):
                 assert faster <= slower + 1e-12, f"seed {seed}: {spans}"
 
@@ -110,29 +113,29 @@ class TestValidation:
     def test_scheduler_output_is_always_clean(self):
         layout = RegisterLayout(4)
         for seed in range(20):
-            circuit = random_circuit(np.random.default_rng(300 + seed))
+            tasks = expand_tasks(random_circuit(np.random.default_rng(300 + seed)), layout, CFG)
             for k in (1, 2, 3):
-                assignment = schedule_multi_tip(circuit, k, layout, CFG)
-                problems = validate_assignment(assignment, circuit, layout, CFG)
+                assignment = schedule_multi_tip(tasks, k, layout, CFG)
+                problems = validate_assignment(assignment, tasks, layout, CFG)
                 assert problems == [], f"seed {seed} k {k}: {problems}"
 
     def test_validator_catches_a_forged_makespan(self):
-        circuit = parse_circuit("CNOT 0 1")
         layout = RegisterLayout(2)
-        assignment = schedule_multi_tip(circuit, 1, layout, CFG)
+        tasks = expand_tasks(parse_circuit("CNOT 0 1"), layout, CFG)
+        assignment = schedule_multi_tip(tasks, 1, layout, CFG)
         import dataclasses
 
         forged = dataclasses.replace(assignment, makespan=assignment.makespan / 2)
-        problems = validate_assignment(forged, circuit, layout, CFG)
+        problems = validate_assignment(forged, tasks, layout, CFG)
         assert problems
 
     def test_validator_catches_dependency_violations(self):
         # Run two gates on the same qubit: forging overlapping start times
         # must be reported.
-        circuit = parse_circuit("ROT 0 1.0 0.0\nROT 0 2.0 0.0")
         layout = RegisterLayout(1)
-        assignment = schedule_multi_tip(circuit, 2, layout, CFG)
-        assert validate_assignment(assignment, circuit, layout, CFG) == []
+        tasks = expand_tasks(parse_circuit("ROT 0 1.0 0.0\nROT 0 2.0 0.0"), layout, CFG)
+        assignment = schedule_multi_tip(tasks, 2, layout, CFG)
+        assert validate_assignment(assignment, tasks, layout, CFG) == []
         import dataclasses
 
         entries = sorted(assignment.timeline, key=lambda e: e.start)
@@ -141,22 +144,22 @@ class TestValidation:
             for e in assignment.timeline
         ]
         forged = dataclasses.replace(assignment, timeline=tuple(moved))
-        assert validate_assignment(forged, circuit, layout, CFG)
+        assert validate_assignment(forged, tasks, layout, CFG)
         assert entries[0].start <= entries[1].start
 
 
 class TestDeterminismAndShape:
     def test_same_inputs_same_schedule(self):
         layout = RegisterLayout(4)
-        circuit = random_circuit(np.random.default_rng(555))
-        first = schedule_multi_tip(circuit, 3, layout, CFG)
-        second = schedule_multi_tip(circuit, 3, layout, CFG)
+        tasks = expand_tasks(random_circuit(np.random.default_rng(555)), layout, CFG)
+        first = schedule_multi_tip(tasks, 3, layout, CFG)
+        second = schedule_multi_tip(tasks, 3, layout, CFG)
         assert first == second
 
     def test_table_is_tip_start_end_label(self):
-        circuit = parse_circuit("ROT 0 1.0 0.0")
         layout = RegisterLayout(1)
-        assignment = schedule_multi_tip(circuit, 1, layout, CFG)
+        tasks = expand_tasks(parse_circuit("ROT 0 1.0 0.0"), layout, CFG)
+        assignment = schedule_multi_tip(tasks, 1, layout, CFG)
         lines = assignment.table().splitlines()
         assert len(lines) == 2  # the rotation, then the park
         tip, start, end, *label = lines[0].split()
@@ -168,16 +171,17 @@ class TestDeterminismAndShape:
         assert lines[1].split()[3] == "PARK"
 
     def test_unused_tips_do_not_park(self):
-        circuit = parse_circuit("ROT 0 1.0 0.0")
         layout = RegisterLayout(1)
-        assignment = schedule_multi_tip(circuit, 4, layout, CFG)
+        tasks = expand_tasks(parse_circuit("ROT 0 1.0 0.0"), layout, CFG)
+        assignment = schedule_multi_tip(tasks, 4, layout, CFG)
         used_tips = {entry.tip for entry in assignment.timeline}
         assert used_tips == {0}
         assert assignment.num_tips == 4
 
     def test_zero_tips_rejected(self):
         with pytest.raises(ValueError):
-            schedule_multi_tip(parse_circuit("INIT"), 0, RegisterLayout(1), CFG)
+            layout = RegisterLayout(1)
+            schedule_multi_tip(expand_tasks(parse_circuit("INIT"), layout, CFG), 0, layout, CFG)
 
     def test_init_expands_to_one_task_per_qubit(self):
         layout = RegisterLayout(3)
@@ -185,3 +189,47 @@ class TestDeterminismAndShape:
         labels = [task.label for task in tasks]
         assert labels == ["INIT 0", "INIT 1", "INIT 2", "CNOT 2 0"]
         assert tasks[3].qubits == (0, 2)
+
+
+class TestOneTaskList:
+    def test_each_task_works_its_slice_of_the_serial_timing(self):
+        layout = RegisterLayout(4)
+        for seed in range(10):
+            circuit = random_circuit(np.random.default_rng(700 + seed))
+            tasks = expand_tasks(circuit, layout, CFG)
+            program = compile_circuit(circuit, layout, CFG)
+            assert program.gate_count == len(tasks)
+            serial = analyze_program(program, layout, CFG).per_instruction
+            offset = 0
+            for task in tasks:
+                end = offset + len(task.instructions)
+                assert task.instructions == program.instructions[offset:end]
+                assert task.work == serial[offset + 1 : end]
+                offset = end
+            assert program.instructions[offset:] == (MoveTip(PARKED),)
+
+    def test_a_scheduled_run_compiles_each_gate_once(self, monkeypatch, tmp_path, capsys):
+        calls = []
+        original = compiler.compile_gate
+
+        def counting(gate, layout, cfg):
+            calls.append(gate)
+            return original(gate, layout, cfg)
+
+        monkeypatch.setattr(compiler, "compile_gate", counting)
+        path = tmp_path / "job.circuit"
+        path.write_text("INIT\nROT 0 1.2 0.0\nCNOT 0 1\nMEASURE 1\n", encoding="utf-8")
+        assert cli.main(["--circuit", str(path), "--seed", "0", "--tips", "2"]) == 0
+        assert len(calls) == 4
+        assert json.loads(capsys.readouterr().out)["scheduler"]["validator_problems"] == []
+
+    def test_surplus_tips_change_nothing(self):
+        layout = RegisterLayout(4)
+        tasks = expand_tasks(random_circuit(np.random.default_rng(808)), layout, CFG)
+        enough = schedule_multi_tip(tasks, len(tasks), layout, CFG)
+        surplus = schedule_multi_tip(tasks, 10**6, layout, CFG)
+        assert surplus.num_tips == 10**6
+        assert surplus.per_task_tip == enough.per_task_tip
+        assert surplus.timeline == enough.timeline
+        assert surplus.makespan == enough.makespan
+        assert validate_assignment(surplus, tasks, layout, CFG) == []
