@@ -26,6 +26,7 @@ import numpy as np
 from . import compiler, engine, physics, program, scheduler
 from .config import MachineConfig, load_machine_config
 from .errors import (
+    CircuitParseError,
     ConfigError,
     DegenerateState,
     RegisterTooLarge,
@@ -39,11 +40,11 @@ EXIT_USAGE = 2
 EXIT_PHYSICS = 3
 EXIT_BUDGET = 4
 
-#: Peak bytes of a run over the bytes of its state vector: the caller's state,
-#: the working copy in ``execute``, each pulse's new copy and its slab
-#: temporaries. tracemalloc measured 4.0 to 4.5 on n = 8 and 9 circuits of
-#: INIT, ROT, CNOT and MEASURE, exact and traced readout.
-PEAK_STATE_COPIES = 4.5
+#: Peak bytes of a run over the bytes of its state vector: the ground state,
+#: the one buffer ``execute`` works in, and the slab temporaries of a pulse or
+#: a collapse. tracemalloc measured 2.75 to 2.84 on n = 8 and 9 circuits of
+#: INIT, ROT, CNOT and MEASURE, exact and traced readout and ``--tips 2``.
+PEAK_STATE_COPIES = 3.0
 
 
 def build_parser():
@@ -155,7 +156,11 @@ def _check_memory(layout):
 
 def run_circuit_file(path, cfg, args, seed, dump_path):
     """Compile, execute and report one circuit file; returns (report, exit code)."""
-    circuit = program.parse_circuit(Path(path).read_text(encoding="utf-8"), source=str(path))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise CircuitParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    circuit = program.parse_circuit(text, source=str(path))
     layout = RegisterLayout(circuit.num_qubits)
     _check_memory(layout)
     tasks = compiler.expand_tasks(circuit, layout, cfg)

@@ -289,6 +289,10 @@ def execute(program, state, layout, cfg, rng, trace_snr=None):
     stream that all measurements consume in order, so a seed pins the run.
     The timing is the program's static analysis, which charges conditional
     pulses whether or not they fire.
+
+    The caller's state is copied once, and every pulse and readout collapse
+    then mutates that one copy in place (``in_place=True``); it becomes the
+    final state. The input state is left alone.
     """
     validate_program(program, layout)
     if state.num_sites != layout.num_sites:
@@ -304,20 +308,17 @@ def execute(program, state, layout, cfg, rng, trace_snr=None):
     for position, instruction in enumerate(program.instructions):
         if isinstance(instruction, MoveTip):
             current = current.with_tip(instruction.target)
-        elif isinstance(instruction, ApplyPulse):
-            state, outcome = engine.apply_selective_pulse(state, instruction.pulse, current, cfg)
-            pulse_log.append((position, outcome))
-        elif isinstance(instruction, ConditionalPulse):
-            if last_inferred == instruction.on_last_measurement:
+        elif isinstance(instruction, (ApplyPulse, ConditionalPulse)):
+            outcome = None
+            if (isinstance(instruction, ApplyPulse)
+                    or last_inferred == instruction.on_last_measurement):
                 state, outcome = engine.apply_selective_pulse(
-                    state, instruction.pulse, current, cfg
+                    state, instruction.pulse, current, cfg, in_place=True
                 )
-                pulse_log.append((position, outcome))
-            else:
-                pulse_log.append((position, None))
+            pulse_log.append((position, outcome))
         elif isinstance(instruction, MeasureViaCurrent):
             record, state = readout.measure_via_current(
-                state, instruction.qubit, current, cfg, rng, trace_snr
+                state, instruction.qubit, current, cfg, rng, trace_snr, in_place=True
             )
             records.append(record)
             last_inferred = record.inferred_p_bit

@@ -125,26 +125,32 @@ _FIELD_NAMES = {f.name for f in dataclasses.fields(MachineConfig)}
 def load_machine_config(path):
     """Parse a ``key = value`` config file into a validated MachineConfig.
 
-    Blank lines and ``#`` comments are ignored. Unknown keys are an error
-    (silent typos would quietly change the physics); missing keys keep their
-    defaults.
+    Blank lines and ``#`` comments are ignored. Unknown and repeated keys are
+    errors (silent typos would quietly change the physics); missing keys keep
+    their defaults. A file that is not UTF-8 text is a ConfigError too.
     """
     values = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, _, text = line.partition("=")
-            key = key.strip()
-            if key not in _FIELD_NAMES:
-                raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                values[key] = float(text.strip())
-            except ValueError:
-                raise ConfigError(
-                    f"{path}:{lineno}: value for {key!r} is not a number: {text.strip()!r}"
-                ) from None
+    try:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+        key, _, text = line.partition("=")
+        key = key.strip()
+        if key not in _FIELD_NAMES:
+            raise ConfigError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} is set twice")
+        try:
+            values[key] = float(text.strip())
+        except ValueError:
+            raise ConfigError(
+                f"{path}:{lineno}: value for {key!r} is not a number: {text.strip()!r}"
+            ) from None
     return MachineConfig(**values).validate()

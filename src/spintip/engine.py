@@ -12,6 +12,10 @@ the addressed and partner sites pinned, one slab per partner pattern and
 addressed bit. No register-sized frequency or index array is built.
 Populations and measurement read and zero the halves of a site through the
 same kind of view.
+
+``apply_selective_pulse`` and ``measure_spin`` work on a copy of their
+input state by default. ``compiler.execute`` copies its input once and
+passes ``in_place=True``, so a whole program runs in that one buffer.
 """
 
 import dataclasses
@@ -230,7 +234,7 @@ def _pattern_lines(layout, cfg, site):
     return partners, patterns, lines
 
 
-def apply_selective_pulse(state, pulse, layout, cfg):
+def apply_selective_pulse(state, pulse, layout, cfg, *, in_place=False):
     """Drive every basis pair resonant with the pulse; return (state, outcome).
 
     A pair (i, i^flip) of the addressed site is resonant when its flip
@@ -239,8 +243,9 @@ def apply_selective_pulse(state, pulse, layout, cfg):
     once per partner pattern (float64, on one representative index each).
     Every resonant pattern names two slabs of the state, addressed bit 0 and
     1 with the partners pinned; they are swapped (exact pi) or rotated by the
-    pair unitary in place, on a copy. The returned state is a new object; the
-    input is left alone.
+    pair unitary in place. By default that happens on a copy, returned as a
+    new state, and the input is left alone; with ``in_place`` the input's own
+    amplitudes are driven and the input is returned.
     """
     if state.num_sites != layout.num_sites:
         raise MismatchedRegister(
@@ -252,7 +257,9 @@ def apply_selective_pulse(state, pulse, layout, cfg):
     resonant = np.abs(lines - pulse.frequency) <= cfg.selectivity_tolerance
     hits = [bits for bits, hit in zip(patterns, resonant) if hit]
 
-    amps = state.amplitudes.copy()
+    if not in_place:
+        state = state.copy()
+    amps = state.amplitudes
     swap = pulse.mode is PulseMode.LOGICAL_X and pulse.angle == math.pi
     u00, u01, u10, u11 = _pair_unitary(pulse)
     population = 0.0
@@ -274,14 +281,16 @@ def apply_selective_pulse(state, pulse, layout, cfg):
         resonant_population=population,
         no_resonant_transition=population <= IDLE_POPULATION,
     )
-    return PureState(amps, n), outcome
+    return state, outcome
 
 
-def measure_spin(state, site, rng):
+def measure_spin(state, site, rng, *, in_place=False):
     """Projectively measure one site; return (bit, collapsed state, probability).
 
     ``rng`` is a seeded ``numpy.random.Generator`` (or a seed for one); exactly
-    one draw is consumed, so measurement streams are reproducible.
+    one draw is consumed, so measurement streams are reproducible. The
+    collapse happens on a copy, and the input is left alone, unless
+    ``in_place`` is set: then the input itself collapses and is returned.
     """
     rng = np.random.default_rng(rng)
     amps = state.amplitudes
@@ -291,10 +300,12 @@ def measure_spin(state, site, rng):
     p_one = state.population(site, 1) / total
     bit = 1 if rng.random() < p_one else 0
     probability = p_one if bit == 1 else 1.0 - p_one
-    collapsed = amps.copy()
+    if not in_place:
+        state = state.copy()
+    collapsed = state.amplitudes
     _pinned(collapsed, {site: 1 - bit})[...] = 0.0
     collapsed /= np.linalg.norm(collapsed)
-    return bit, PureState(collapsed, state.num_sites), float(probability)
+    return bit, state, float(probability)
 
 
 def thermal_ground_probability(species, cfg):
@@ -333,16 +344,22 @@ def ancilla_diagnostics(state, layout, sites=None):
     ``purity`` is Tr(rho^2) of the reduced state on ``sites`` (default: every
     electron and the tip); 1 means the ancillas are clean and disentangled
     from the data, anything less means a protocol leaked entanglement.
+
+    rho = M M^dagger, where row r of M holds the amplitudes with the ancillas
+    in configuration r. Only rows with a nonzero amplitude contribute, so M
+    is gathered from those rows alone; after a compiled gate there is
+    exactly one.
     """
     if sites is None:
         sites = tuple(layout.electron_site(q) for q in range(layout.num_qubits))
         sites = sites + (layout.tip_site,)
     n = state.num_sites
     populations = {layout.site_name(s): state.population(s, 0) for s in sites}
-    tensor = state.amplitudes.reshape((2,) * n)
     others = [s for s in range(n) if s not in sites]
-    tensor = np.transpose(tensor, tuple(sites) + tuple(others))
-    matrix = tensor.reshape(1 << len(sites), -1)
+    tensor = np.transpose(state.amplitudes.reshape((2,) * n), tuple(sites) + tuple(others))
+    support = np.flatnonzero(np.any((tensor != 0).reshape(1 << len(sites), -1), axis=1))
+    rows = tensor[np.unravel_index(support, (2,) * len(sites))]
+    matrix = rows.reshape(len(support), 1 << len(others))
     if matrix.shape[0] > matrix.shape[1]:
         # Both sides of a pure state share their nonzero spectrum, so the
         # smaller Gram matrix (conjugated, which keeps its norm) has the purity.

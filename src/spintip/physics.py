@@ -9,6 +9,7 @@ negligible against any sane selectivity window. A flip line depends only on
 the bits of the site's partners (``partner_sites``).
 """
 
+import functools
 import itertools
 
 import numpy as np
@@ -277,6 +278,7 @@ def frequency_audit(cfg, tolerance=1e-6):
     return entries
 
 
+@functools.cache
 def min_spectral_gap(cfg):
     """Smallest gap (Hz) between distinct transition lines of a one-qubit register.
 
@@ -284,7 +286,8 @@ def min_spectral_gap(cfg):
     every spectator configuration. Nearly equal values are clustered with a
     relative epsilon before taking gaps, so exactly degenerate lines do not
     report a spurious zero; what remains is the resolution a selective pulse
-    must beat.
+    must beat. Memoised on the frozen config, which ``MachineConfig.validate``
+    checks on every call.
     """
     values = []
     for tip in (0, PARKED):

@@ -12,9 +12,12 @@ import math
 import numpy as np
 
 from . import engine, physics
-from .errors import AliasingError, TipParked, UnclassifiableFrequency
+from .errors import AliasingError, ConfigError, TipParked, UnclassifiableFrequency
 
 _PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
+
+#: Most samples a synthesized trace may hold: 128 MiB per float64 array.
+MAX_TRACE_SAMPLES = 1 << 24
 
 
 @dataclasses.dataclass(frozen=True)
@@ -55,7 +58,8 @@ def modulation_lines(cfg, frequency_scale=1.0):
 def classify_frequency(frequency, cfg, tolerance=None, frequency_scale=1.0):
     """Map an observed line back to (p_bit, a_bit).
 
-    ``tolerance`` defaults to a quarter of the smallest gap between lines;
+    ``tolerance`` defaults to a quarter of the smallest gap between lines
+    (zero when a config makes two lines coincide, so nothing matches);
     passing one wider than half the smallest gap is a caller bug (two lines
     would both match) and raises ValueError up front. No or several matches
     raise UnclassifiableFrequency.
@@ -69,7 +73,7 @@ def classify_frequency(frequency, cfg, tolerance=None, frequency_scale=1.0):
     smallest_gap = min(gaps)
     if tolerance is None:
         tolerance = smallest_gap / 4.0
-    if tolerance >= smallest_gap / 2.0:
+    elif tolerance >= smallest_gap / 2.0:
         raise ValueError(
             f"tolerance {tolerance:g} cannot separate lines {smallest_gap:g} apart"
         )
@@ -81,20 +85,24 @@ def classify_frequency(frequency, cfg, tolerance=None, frequency_scale=1.0):
     return matches[0]
 
 
-def measure_via_current(state, qubit, layout, cfg, rng, trace_snr=None):
+def measure_via_current(state, qubit, layout, cfg, rng, trace_snr=None, *, in_place=False):
     """Read one qubit through the current; return (record, collapsed state).
 
     The nuclear bit collapses first, then the tip carbon bit, both off the
     same RNG stream — so the nuclear marginal matches a direct measure_spin
     with the same stream. Noise-free mode reports the exact modulation line;
     with ``trace_snr`` set, a noisy trace is synthesized and the line is
-    recovered by peak detection before classification.
+    recovered by peak detection before classification. The collapses happen
+    on one copy, and the input is left alone, unless ``in_place`` is set:
+    then the input itself collapses and is returned.
     """
     if layout.tip_position != qubit:
         raise TipParked(f"cannot read qubit {qubit} with tip at {layout.tip_position!r}")
     rng = np.random.default_rng(rng)
-    p_bit, state, probability = engine.measure_spin(state, layout.nucleus_site(qubit), rng)
-    a_bit, state, _ = engine.measure_spin(state, layout.tip_site, rng)
+    p_bit, state, probability = engine.measure_spin(
+        state, layout.nucleus_site(qubit), rng, in_place=in_place
+    )
+    a_bit, state, _ = engine.measure_spin(state, layout.tip_site, rng, in_place=True)
     if trace_snr is None:
         observed = physics.modulation_frequency(p_bit, a_bit, cfg)
         inferred_p, inferred_a = p_bit, a_bit
@@ -128,7 +136,9 @@ def synth_trace(p_bit, a_bit, cfg, snr, duration, sample_rate, rng):
     Frequencies are divided by ``cfg.trace_frequency_scale`` before synthesis —
     sampling the raw 1e11 Hz line would need absurd rates, and peak detection
     is scale-invariant. ``snr`` is signal power over noise power (sigma =
-    sqrt(1/(2 snr))); pass ``math.inf`` for a clean trace.
+    sqrt(1/(2 snr))); pass ``math.inf`` for a clean trace. A trace of fewer
+    than 2 or more than ``MAX_TRACE_SAMPLES`` samples is a ConfigError,
+    raised before anything is allocated.
     """
     if not snr > 0:
         raise ValueError(f"snr must be positive, got {snr!r}")
@@ -140,7 +150,13 @@ def synth_trace(p_bit, a_bit, cfg, snr, duration, sample_rate, rng):
         raise AliasingError(
             f"sample rate {sample_rate:g} cannot represent lines up to {highest:g}"
         )
-    count = int(round(duration * sample_rate))
+    total = duration * sample_rate
+    if not 2 <= total <= MAX_TRACE_SAMPLES:
+        raise ConfigError(
+            f"a {duration:g} s trace at {sample_rate:g} samples/s needs {total:g} "
+            f"samples; traces take 2 to {MAX_TRACE_SAMPLES}"
+        )
+    count = int(round(total))
     times = np.arange(count) / sample_rate
     samples = np.sin(2.0 * math.pi * line * times)
     sigma = math.sqrt(1.0 / (2.0 * snr))

@@ -248,6 +248,41 @@ class TestFailureModes:
         assert done.stderr.startswith("error: sample rate 1000 cannot represent")
         assert done.stderr.count("\n") == 1
 
+    def test_coinciding_readout_lines_exit_three(self, example_circuit, tmp_path):
+        # Without tip coupling the tip bit no longer moves the readout line,
+        # so a traced read cannot tell the lines apart.
+        config = tmp_path / "untipped.config"
+        config.write_text("tip_hyperfine = 0\n", encoding="utf-8")
+        done = run_cli(
+            "--circuit", str(example_circuit), "--config", str(config),
+            "--seed", "0", "--trace-snr", "10",
+        )
+        assert done.returncode == 3
+        assert done.stderr.startswith("error: ")
+        assert done.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("setting", ["trace_duration = 1e-30", "trace_sample_rate = 1e30"])
+    def test_trace_length_out_of_range_exits_two(self, example_circuit, tmp_path, setting):
+        config = tmp_path / "trace.config"
+        config.write_text(setting + "\n", encoding="utf-8")
+        done = run_cli(
+            "--circuit", str(example_circuit), "--config", str(config),
+            "--seed", "0", "--trace-snr", "10",
+        )
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: a ")
+        assert "samples; traces take 2 to" in done.stderr
+        assert done.stderr.count("\n") == 1
+
+    def test_non_utf8_circuit_exits_two(self, tmp_path):
+        path = tmp_path / "latin.circuit"
+        path.write_bytes("MEASURE 0  # \u00b5s\n".encode("latin-1"))
+        done = run_cli("--circuit", str(path), "--seed", "0")
+        assert done.returncode == 2
+        assert done.stderr.startswith("error: ")
+        assert "not UTF-8" in done.stderr
+        assert done.stderr.count("\n") == 1
+
     def test_unclassifiable_readout_exits_three(self, tmp_path):
         # At this SNR the noise peak of seed 7 lands on no modulation line.
         path = tmp_path / "noisy.circuit"
@@ -365,6 +400,64 @@ class TestExitCodeFuzz:
         if code == 2:
             assert stderr.getvalue().startswith("error: ")
             assert stderr.getvalue().count("\n") == 1
+
+
+CONFIG_KEY = st.sampled_from([
+    "magnetic_field", "selectivity_tolerance", "temperature", "lattice_spacing",
+    "tip_hyperfine", "hyperfine_bare", "trace_sample_rate", "nuclear_pi_duration",
+    "coherence_time", "trace_duration", "magnetic_feild", "", "=",
+])
+CONFIG_VALUE = st.sampled_from([
+    "5.0", "0", "-1", "1e-300", "1e300", "1e400", "nan", "inf", "-inf",
+    "5 T", "120e6 Hz", "1_000", "abc", "",
+])
+CONFIG_LINES = st.lists(
+    st.one_of(
+        st.tuples(CONFIG_KEY, CONFIG_VALUE).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+        st.sampled_from(["", "# comment", "magnetic_field", "= 5", "==", "key value"]),
+    ),
+    max_size=5,
+)
+
+
+class TestConfigFuzz:
+    # Config files of known and junk keys, repeated keys, unit suffixes,
+    # non-finite and extreme values, and files that are empty, missing, a
+    # directory or not UTF-8, under a two-qubit circuit.
+    @settings(deadline=None, max_examples=80)
+    @given(
+        lines=CONFIG_LINES,
+        kind=st.sampled_from(["text", "text", "text", "empty", "missing", "directory",
+                              "latin-1"]),
+        flags=st.sampled_from([[], ["--tips", "2"], ["--verify-frequencies"],
+                               ["--enforce-budget"], ["--trace-snr", "10"]]),
+    )
+    def test_every_config_ends_in_a_documented_code(self, lines, kind, flags):
+        import spintip.cli as cli
+
+        with tempfile.TemporaryDirectory() as directory:
+            circuit = Path(directory) / "fuzz.circuit"
+            circuit.write_text(EXAMPLE, encoding="utf-8")
+            config = Path(directory) / "fuzz.cfg"
+            if kind == "text":
+                config.write_text("\n".join(lines) + "\n", encoding="utf-8")
+            elif kind == "empty":
+                config.write_text("", encoding="utf-8")
+            elif kind == "directory":
+                config.mkdir()
+            elif kind == "latin-1":
+                config.write_bytes("temperature = 1.0 # \u00b0K\n".encode("latin-1"))
+            argv = ["--config", str(config), "--circuit", str(circuit), "--seed", "0", *flags]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(argv)
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in stderr.getvalue()
+        if code == 2:
+            assert stderr.getvalue().startswith("error: ")
+            assert stderr.getvalue().count("\n") == 1
+        if kind == "empty":
+            assert code == 0
 
 
 class TestEntryPoints:

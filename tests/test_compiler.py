@@ -8,9 +8,12 @@ being told what a CNOT matrix looks like.
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spintip import (
     ApplyPulse,
@@ -25,6 +28,7 @@ from spintip import (
     PureState,
     RegisterLayout,
     ancilla_diagnostics,
+    apply_selective_pulse,
     compile_circuit,
     compile_cnot,
     compile_gate,
@@ -32,6 +36,7 @@ from spintip import (
     compile_rotation,
     drive_lines,
     execute,
+    measure_via_current,
     parse_circuit,
     thermal_sample,
     transition_frequency,
@@ -406,3 +411,103 @@ class TestExecution:
         assert [r.inferred_p_bit for r in first.records] == [
             r.inferred_p_bit for r in second.records
         ]
+
+
+# -- One owned buffer ----------------------------------------------------------
+
+
+def stepwise_execute(program, state, layout, cfg, rng, trace_snr):
+    """``execute`` unrolled into one public copy-returning call per instruction."""
+    current, records, pulse_log, last_inferred = layout, [], [], None
+    for position, instruction in enumerate(program.instructions):
+        if isinstance(instruction, MoveTip):
+            current = current.with_tip(instruction.target)
+        elif isinstance(instruction, MeasureViaCurrent):
+            record, state = measure_via_current(
+                state, instruction.qubit, current, cfg, rng, trace_snr
+            )
+            records.append(record)
+            last_inferred = record.inferred_p_bit
+        elif (isinstance(instruction, ApplyPulse)
+              or last_inferred == instruction.on_last_measurement):
+            state, outcome = apply_selective_pulse(state, instruction.pulse, current, cfg)
+            pulse_log.append((position, outcome))
+        else:
+            pulse_log.append((position, None))
+    return state, tuple(records), tuple(pulse_log)
+
+
+@st.composite
+def circuit_runs(draw):
+    """A random circuit of 1..4 qubits, a random input state, a seed and an SNR.
+
+    Input states have some excited ancillas, so INIT's conditional pulses
+    both fire and skip, on either correction line.
+    """
+    num_qubits = draw(st.integers(1, 4))
+    layout = RegisterLayout(num_qubits)
+    qubit = st.integers(0, num_qubits - 1)
+    gate = st.one_of(
+        st.just("INIT"),
+        st.tuples(qubit, st.floats(0.05, 7.0), st.floats(-4.0, 4.0)).map(
+            lambda g: f"ROT {g[0]} {g[1]!r} {g[2]!r}"
+        ),
+        st.builds("MEASURE {}".format, qubit),
+    )
+    if num_qubits > 1:
+        pair = st.lists(qubit, min_size=2, max_size=2, unique=True)
+        gate = st.one_of(gate, pair.map(lambda p: f"CNOT {p[0]} {p[1]}"))
+    lines = draw(st.lists(gate, min_size=1, max_size=5))
+    program = compile_circuit(parse_circuit("\n".join(lines)), layout, CFG)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=layout.dimension) + 1j * rng.normal(size=layout.dimension)
+    amps[rng.random(layout.dimension) < draw(st.sampled_from([0.0, 0.5, 0.9]))] = 0.0
+    if not np.any(amps):
+        amps[0] = 1.0
+    state = PureState(amps / np.linalg.norm(amps), layout.num_sites)
+    seed = draw(st.integers(0, 2**32 - 1))
+    trace_snr = draw(st.sampled_from([None, 0.1, 10.0]))
+    return layout, program, state, seed, trace_snr
+
+
+class TestOwnedBuffer:
+    @settings(deadline=None, max_examples=60)
+    @given(circuit_runs())
+    def test_execute_equals_the_stepwise_public_route(self, case):
+        layout, program, state, seed, trace_snr = case
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        result = execute(program, state, layout, CFG, ours, trace_snr)
+        final, records, pulse_log = stepwise_execute(
+            program, state, layout, CFG, theirs, trace_snr
+        )
+        assert np.array_equal(result.final_state.amplitudes, final.amplitudes)
+        assert result.pulse_log == pulse_log
+        assert result.records == records
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @settings(deadline=None, max_examples=30)
+    @given(circuit_runs())
+    def test_execute_leaves_the_input_state_alone(self, case):
+        layout, program, state, seed, trace_snr = case
+        before = state.amplitudes.copy()
+        result = execute(program, state, layout, CFG, seed, trace_snr)
+        assert np.array_equal(state.amplitudes, before)
+        assert not np.shares_memory(result.final_state.amplitudes, state.amplitudes)
+
+    def test_peak_memory_stays_within_two_and_a_quarter_states(self):
+        # The one working buffer and at most three quarter-state slab
+        # temporaries of a rotation. Exact readout: a synthesized trace has a
+        # fixed size, not a share of the state.
+        layout = RegisterLayout(7)
+        state = random_product(layout, np.random.default_rng(5))
+        circuit = parse_circuit("INIT\nROT 0 1.1 0.3\nCNOT 0 6\nCNOT 5 1\nMEASURE 5\nMEASURE 1")
+        program = compile_circuit(circuit, layout, CFG)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            execute(program, state, layout, CFG, 0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * state.amplitudes.nbytes

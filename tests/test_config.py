@@ -80,6 +80,19 @@ def test_non_numeric_value_rejected(tmp_path):
         load_machine_config(path)
 
 
+def test_repeated_key_rejected_with_location(tmp_path):
+    path = write_config(tmp_path, "magnetic_field = 5\ntemperature = 1\nmagnetic_field = 2\n")
+    with pytest.raises(ConfigError, match=r":3.*magnetic_field.*twice"):
+        load_machine_config(path)
+
+
+def test_non_utf8_file_rejected(tmp_path):
+    path = tmp_path / "machine.cfg"
+    path.write_bytes("temperature = 1.0  # \u00b0K\n".encode("latin-1"))
+    with pytest.raises(ConfigError, match="not UTF-8"):
+        load_machine_config(path)
+
+
 def test_missing_equals_rejected(tmp_path):
     path = write_config(tmp_path, "magnetic_field 5\n")
     with pytest.raises(ConfigError, match="key = value"):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -525,3 +526,90 @@ class TestAgainstIndexArrayOracles:
             expected = oracle_purity(state, ancillas if sites is None else sites)
             assert report.purity == pytest.approx(expected, abs=1e-12)
         assert np.array_equal(state.amplitudes, before)
+
+
+# -- Purity over the ancillas' support ----------------------------------------
+
+
+@st.composite
+def few_row_states(draw):
+    """A state whose ancillas sit in 1..3 configurations, each with random data.
+
+    One configuration is a clean-ancilla state, whether ground or not; more
+    are leaked ones. Some data amplitudes are zero.
+    """
+    num_qubits = draw(st.integers(1, 4))
+    layout = RegisterLayout(num_qubits)
+    n = layout.num_sites
+    ancillas = [layout.electron_site(q) for q in range(num_qubits)] + [layout.tip_site]
+    rows = draw(st.lists(
+        st.tuples(*[st.integers(0, 1)] * len(ancillas)), min_size=1, max_size=3, unique=True
+    ))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tensor = np.zeros((2,) * n, dtype=complex)
+    for row in rows:
+        index = [slice(None)] * n
+        for site, bit in zip(ancillas, row):
+            index[site] = bit
+        data = rng.normal(size=(2,) * num_qubits) + 1j * rng.normal(size=(2,) * num_qubits)
+        data[rng.random(data.shape) < 0.3] = 0.0
+        tensor[tuple(index)] = data
+    amps = tensor.reshape(-1)
+    if not np.any(amps):
+        amps[0] = 1.0
+    return layout, PureState(amps / np.linalg.norm(amps), n), ancillas
+
+
+class TestSupportPrunedPurity:
+    @PROPERTY_SETTINGS
+    @given(few_row_states(), st.data())
+    def test_purity_matches_the_full_gram_oracle(self, case, data):
+        layout, state, ancillas = case
+        unsorted = data.draw(st.permutations(ancillas))
+        subset = data.draw(st.lists(
+            st.sampled_from(range(layout.num_sites)), min_size=1, unique=True
+        ))
+        for sites in (None, tuple(unsorted), tuple(subset)):
+            chosen = ancillas if sites is None else sites
+            report = ancilla_diagnostics(state, layout, sites)
+            assert report.purity == pytest.approx(oracle_purity(state, chosen), abs=1e-12)
+
+    def test_clean_ancillas_cost_less_than_one_state(self):
+        layout = RegisterLayout(7)
+        rng = np.random.default_rng(3)
+        state = PureState.product(
+            layout, {q: tuple(rng.normal(size=2) + 1j * rng.normal(size=2)) for q in range(7)}
+        )
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            report = ancilla_diagnostics(state, layout)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert report.purity == pytest.approx(1.0, abs=1e-12)
+        assert peak <= state.amplitudes.nbytes
+
+
+class TestInPlace:
+    @PROPERTY_SETTINGS
+    @given(pulse_cases())
+    def test_pulse_in_place_equals_the_copy(self, case):
+        state, pulse, layout, cfg = case
+        copied, expected = apply_selective_pulse(state, pulse, layout, cfg)
+        owned = state.copy()
+        driven, outcome = apply_selective_pulse(owned, pulse, layout, cfg, in_place=True)
+        assert driven is owned
+        assert np.array_equal(owned.amplitudes, copied.amplitudes)
+        assert outcome == expected
+
+    @PROPERTY_SETTINGS
+    @given(register_states(), st.integers(0, 8), st.integers(0, 2**32 - 1))
+    def test_collapse_in_place_equals_the_copy(self, case, site_draw, seed):
+        layout, state = case
+        site = site_draw % layout.num_sites
+        bit, copied, probability = measure_spin(state, site, seed)
+        owned = state.copy()
+        assert measure_spin(owned, site, seed, in_place=True) == (bit, owned, probability)
+        assert np.array_equal(owned.amplitudes, copied.amplitudes)
