@@ -291,8 +291,9 @@ def execute(program, state, layout, cfg, rng, trace_snr=None):
     pulses whether or not they fire.
 
     The caller's state is copied once, and every pulse and readout collapse
-    then mutates that one copy in place (``in_place=True``); it becomes the
-    final state. The input state is left alone.
+    then works on that one state object in place (``in_place=True``), which
+    replaces its tensor when a site wakes or drops; it becomes the final
+    state. The input state is left alone.
     """
     validate_program(program, layout)
     if state.num_sites != layout.num_sites:

@@ -1,23 +1,36 @@
-"""Dense state-vector engine: selective pulses, measurement, thermal sampling.
+"""State-vector engine: selective pulses, measurement, thermal sampling.
 
-States live in the full 2^(2n+1)-dimensional register space. A pulse drives
-exactly the basis-index pairs whose single-spin flip lies within the machine's
-selectivity window of the drive frequency — everything else is untouched, which
-is the whole trick behind tip-conditional logic.
+A state is exact over the 2^(2n+1)-dimensional register space, but it stores
+only its *live* sites: a tensor over those, with every other (dormant) site
+exactly |0>. In the paper's scheme the electrons and the tip carbon are
+ancillas that every compiled gate hands back in |0>, so a run stores at most
+the n nuclei plus the three ancillas a CNOT has in flight: 2^(n+3)
+amplitudes, not 2^(2n+1). A pulse that moves amplitude onto a dormant site
+wakes it (its axis is inserted with a zero |1> half); a pulse or collapse
+that leaves a site's |1> half exactly zero drops it again. Electron and tip
+pulses are exact pi swaps, so that is a zero test, not a tolerance. A state
+built from a full vector has every site live and runs as a plain dense
+engine; ``PureState.amplitudes`` materialises the dense vector for callers
+that want one.
 
+A pulse drives exactly the basis-index pairs whose single-spin flip lies
+within the machine's selectivity window of the drive frequency — everything
+else is untouched, which is the whole trick behind tip-conditional logic.
 A flip line depends only on the bits of the addressed spin's one or two
 partners (``physics.partner_sites``), so a pulse evaluates at most four lines
-and moves whole slabs of amplitudes: basic-slice views of the state, with
-the addressed and partner sites pinned, one slab per partner pattern and
+and moves whole slabs of amplitudes: basic-slice views of the live tensor,
+with the addressed and partner sites pinned, one slab per partner pattern and
 addressed bit. No register-sized frequency or index array is built.
 Populations and measurement read and zero the halves of a site through the
 same kind of view.
 
 ``apply_selective_pulse`` and ``measure_spin`` work on a copy of their
 input state by default. ``compiler.execute`` copies its input once and
-passes ``in_place=True``, so a whole program runs in that one buffer.
+passes ``in_place=True``, so a whole program runs on that one state object,
+whose tensor is replaced when a site wakes or drops.
 """
 
+import bisect
 import dataclasses
 import enum
 import functools
@@ -28,7 +41,7 @@ import numpy as np
 
 from . import physics
 from .errors import DegenerateState, MismatchedRegister, TipParked
-from .register import PARKED, index_of_bits
+from .register import PARKED
 
 #: Resonant-subspace weight below which a pulse counts as having done nothing.
 IDLE_POPULATION = 1e-12
@@ -94,68 +107,84 @@ class PulseOutcome:
     no_resonant_transition: bool
 
 
-@dataclasses.dataclass
 class PureState:
-    """Normalized complex amplitudes over the register's basis states."""
+    """A normalized pure state of the register, stored over its live sites.
 
-    amplitudes: np.ndarray
-    num_sites: int
+    ``sites`` is the sorted tuple of live sites and ``tensor`` the flat
+    complex amplitudes over them, the first live site most significant.
+    Every other site is exactly |0>. ``PureState(amplitudes, num_sites)``
+    takes a full register vector, so every site starts live; ``ground``,
+    ``from_bits`` and ``product`` keep only the sites that need an axis.
+    """
 
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=np.complex128)
-        if amps.shape != (1 << self.num_sites,):
-            raise MismatchedRegister(
-                f"{amps.shape} amplitudes for a {self.num_sites}-site register"
-            )
-        self.amplitudes = amps
+    def __init__(self, amplitudes, num_sites):
+        amps = np.asarray(amplitudes, dtype=np.complex128)
+        if amps.shape != (1 << num_sites,):
+            raise MismatchedRegister(f"{amps.shape} amplitudes for a {num_sites}-site register")
+        self.num_sites = num_sites
+        self.sites = tuple(range(num_sites))
+        self.tensor = amps
+
+    @classmethod
+    def _over(cls, num_sites, sites, tensor):
+        """A state whose live ``sites`` (sorted) hold ``tensor``, taken as is."""
+        state = cls.__new__(cls)
+        state.num_sites, state.sites, state.tensor = num_sites, tuple(sites), tensor
+        return state
 
     @classmethod
     def ground(cls, layout):
         """Every spin in its species ground orientation."""
-        amps = np.zeros(layout.dimension, dtype=np.complex128)
-        amps[0] = 1.0
-        return cls(amps, layout.num_sites)
+        return cls._over(layout.num_sites, (), np.ones(1, dtype=np.complex128))
 
     @classmethod
     def from_bits(cls, bits):
         """Basis state |bits> in site order."""
-        n = len(bits)
-        amps = np.zeros(1 << n, dtype=np.complex128)
-        amps[index_of_bits(bits)] = 1.0
-        return cls(amps, n)
+        sites = [site for site, bit in enumerate(bits) if bit & 1]
+        tensor = np.zeros(1 << len(sites), dtype=np.complex128)
+        tensor[-1] = 1.0
+        return cls._over(len(bits), sites, tensor)
 
     @classmethod
     def product(cls, layout, nuclear_amplitudes):
         """Product state with chosen qubit-nucleus amplitudes, ancillas ground.
 
         ``nuclear_amplitudes`` maps qubit index to an (a0, a1) pair; omitted
-        qubits, all electrons and the tip start in bit 0.
+        qubits, all electrons and the tip start in bit 0 and stay dormant.
         """
-        ground = np.array([1.0, 0.0], dtype=np.complex128)
-        factors = []
-        for site in range(layout.num_sites):
-            qubit = layout.qubit_of(site)
-            if site % 2 == 0 and qubit is not None and qubit in nuclear_amplitudes:
-                a0, a1 = nuclear_amplitudes[qubit]
-                factor = np.array([a0, a1], dtype=np.complex128)
-                factor = factor / np.linalg.norm(factor)
-            else:
-                factor = ground
-            factors.append(factor)
-        amps = factors[0]
-        for factor in factors[1:]:
-            amps = np.kron(amps, factor)
-        return cls(amps, layout.num_sites)
+        sites, tensor = [], np.ones(1, dtype=np.complex128)
+        for qubit in range(layout.num_qubits):
+            if qubit in nuclear_amplitudes:
+                factor = np.array(nuclear_amplitudes[qubit], dtype=np.complex128)
+                sites.append(layout.nucleus_site(qubit))
+                tensor = np.kron(tensor, factor / np.linalg.norm(factor))
+        return cls._over(layout.num_sites, sites, tensor)
+
+    @property
+    def amplitudes(self):
+        """The dense 2^num_sites vector, read-only; dormant sites read |0>."""
+        if len(self.sites) == self.num_sites:
+            dense = self.tensor.view()
+        else:
+            dense = np.zeros(1 << self.num_sites, dtype=np.complex128)
+            live = set(self.sites)
+            index = tuple(slice(None) if s in live else 0 for s in range(self.num_sites))
+            dense.reshape((2,) * self.num_sites)[index] = self.tensor.reshape(
+                (2,) * len(self.sites)
+            )
+        dense.flags.writeable = False
+        return dense
 
     def copy(self):
-        return PureState(self.amplitudes.copy(), self.num_sites)
+        return PureState._over(self.num_sites, self.sites, self.tensor.copy())
 
     def norm(self):
-        return float(np.linalg.norm(self.amplitudes))
+        return float(np.linalg.norm(self.tensor))
 
     def population(self, site, bit):
         """Total weight with ``site`` in ``bit``."""
-        return float(np.sum(np.abs(_pinned(self.amplitudes, {site: bit})) ** 2))
+        slab = self._slab({site: bit})
+        return 0.0 if slab is None else float(np.sum(np.abs(slab) ** 2))
 
     def fidelity(self, other):
         """|<self|other>|^2."""
@@ -164,25 +193,63 @@ class PureState:
     def dump_text(self, threshold=1e-12):
         """One ``bitstring re im`` line per amplitude above ``threshold``."""
         lines = []
-        for index, amp in enumerate(self.amplitudes):
+        bits = ["0"] * self.num_sites
+        for index, amp in enumerate(self.tensor):
             if abs(amp) > threshold:
-                bits = format(index, f"0{self.num_sites}b")
-                lines.append(f"{bits} {float(amp.real)!r} {float(amp.imag)!r}")
+                for site, bit in zip(self.sites, format(index, f"0{len(self.sites)}b")):
+                    bits[site] = bit
+                lines.append(f"{''.join(bits)} {float(amp.real)!r} {float(amp.imag)!r}")
         return "\n".join(lines) + "\n"
+
+    def _axis(self, site):
+        """Position of ``site`` among the live sites, or None if it is dormant."""
+        axis = bisect.bisect_left(self.sites, site)
+        return axis if axis < len(self.sites) and self.sites[axis] == site else None
+
+    def _slab(self, fixed):
+        """View of the tensor with each site of ``fixed`` pinned to its bit.
+
+        A dormant site pinned to 0 selects everything and one pinned to 1
+        selects nothing, so the slab is then None.
+        """
+        axes = {}
+        for site, bit in fixed.items():
+            axis = self._axis(site)
+            if axis is not None:
+                axes[axis] = bit
+            elif bit:
+                return None
+        return _pinned(self.tensor, axes)
+
+    def _wake(self, site):
+        """Give a dormant site its axis, with an all-zero |1> half."""
+        axis = bisect.bisect_left(self.sites, site)
+        woken = np.zeros(2 * self.tensor.size, dtype=np.complex128)
+        half = _pinned(woken, {axis: 0})
+        half[...] = self.tensor.reshape(half.shape)
+        self.sites = self.sites[:axis] + (site,) + self.sites[axis:]
+        self.tensor = woken
+
+    def _drop(self, site):
+        """Make a live site whose |1> half is zero dormant: keep its |0> half."""
+        axis = self._axis(site)
+        self.tensor = _pinned(self.tensor, {axis: 0}).reshape(-1)
+        self.sites = self.sites[:axis] + self.sites[axis + 1 :]
 
 
 def _pinned(amplitudes, fixed):
-    """View of the amplitudes with each site of ``fixed`` pinned to its bit.
+    """View of a flat 2^k vector with each axis of ``fixed`` pinned to its bit.
 
-    Free sites between pinned ones share one axis, so k pinned sites give at
-    most 2k + 1 axes. Length-1 slices rather than integers keep the result a
-    view even when every site is pinned.
+    Axis 0 is the most significant bit. Free axes between pinned ones share
+    one dimension, so k pinned axes give at most 2k + 1 dimensions.
+    Length-1 slices rather than integers keep the result a view even when
+    every axis is pinned.
     """
     shape, index, start = [], [], 0
-    for site, bit in sorted(fixed.items()):
-        shape += [1 << (site - start), 2]
+    for axis, bit in sorted(fixed.items()):
+        shape += [1 << (axis - start), 2]
         index += [slice(None), slice(bit, bit + 1)]
-        start = site + 1
+        start = axis + 1
     return amplitudes.reshape(shape + [-1])[tuple(index)]
 
 
@@ -241,11 +308,17 @@ def apply_selective_pulse(state, pulse, layout, cfg, *, in_place=False):
     frequency lies within ``cfg.selectivity_tolerance`` of the drive. That
     frequency is a function of the partner bits alone, so it is evaluated
     once per partner pattern (float64, on one representative index each).
-    Every resonant pattern names two slabs of the state, addressed bit 0 and
-    1 with the partners pinned; they are swapped (exact pi) or rotated by the
-    pair unitary in place. By default that happens on a copy, returned as a
-    new state, and the input is left alone; with ``in_place`` the input's own
-    amplitudes are driven and the input is returned.
+    Every resonant pattern names two slabs of the live tensor, addressed bit
+    0 and 1 with the partners pinned; they are swapped (exact pi) or rotated
+    by the pair unitary in place. A dormant partner is |0>, so its bit-1
+    patterns hold nothing and are skipped; ``resonant_pair_count`` still
+    counts them, as the dense register would. A dormant addressed site is
+    woken only when a resonant pattern carries amplitude, and the addressed
+    site drops out again when its |1> half ends exactly zero.
+
+    By default the pulse drives a copy, returned as a new state, and the
+    input is left alone; with ``in_place`` the input object itself is driven
+    (its tensor may be replaced) and returned.
     """
     if state.num_sites != layout.num_sites:
         raise MismatchedRegister(
@@ -259,23 +332,28 @@ def apply_selective_pulse(state, pulse, layout, cfg, *, in_place=False):
 
     if not in_place:
         state = state.copy()
-    amps = state.amplitudes
+    occupied = [fixed for fixed in (dict(zip(partners, bits)) for bits in hits)
+                if state._slab(fixed) is not None]
+    if state._axis(site) is None and any(np.any(state._slab(fixed)) for fixed in occupied):
+        state._wake(site)
     swap = pulse.mode is PulseMode.LOGICAL_X and pulse.angle == math.pi
     u00, u01, u10, u11 = _pair_unitary(pulse)
     population = 0.0
-    for bits in hits:
-        fixed = dict(zip(partners, bits))
-        a0 = _pinned(amps, {**fixed, site: 0})
-        a1 = _pinned(amps, {**fixed, site: 1})
-        population += float(np.sum(np.abs(a0) ** 2) + np.sum(np.abs(a1) ** 2))
-        if swap:  # exact swap, no rounding
-            held = a0.copy()
-            a0[...] = a1
-            a1[...] = held
-        else:
-            rotated0 = u00 * a0 + u01 * a1
-            a1[...] = u10 * a0 + u11 * a1
-            a0[...] = rotated0
+    if state._axis(site) is not None:
+        for fixed in occupied:
+            a0 = state._slab({**fixed, site: 0})
+            a1 = state._slab({**fixed, site: 1})
+            population += float(np.sum(np.abs(a0) ** 2) + np.sum(np.abs(a1) ** 2))
+            if swap:  # exact swap, no rounding
+                held = a0.copy()
+                a0[...] = a1
+                a1[...] = held
+            else:
+                rotated0 = u00 * a0 + u01 * a1
+                a1[...] = u10 * a0 + u11 * a1
+                a0[...] = rotated0
+        if not np.any(state._slab({site: 1})):
+            state._drop(site)
     outcome = PulseOutcome(
         resonant_pair_count=len(hits) << (n - 1 - len(partners)),
         resonant_population=population,
@@ -288,13 +366,15 @@ def measure_spin(state, site, rng, *, in_place=False):
     """Projectively measure one site; return (bit, collapsed state, probability).
 
     ``rng`` is a seeded ``numpy.random.Generator`` (or a seed for one); exactly
-    one draw is consumed, so measurement streams are reproducible. The
-    collapse happens on a copy, and the input is left alone, unless
-    ``in_place`` is set: then the input itself collapses and is returned.
+    one draw is consumed, so measurement streams are reproducible. A dormant
+    site reads 0 with probability 1. The losing half is zeroed and the tensor
+    renormalised; a site that keeps bit 0 then drops out, keeping half the
+    tensor. The collapse happens on a copy, and the input is left alone,
+    unless ``in_place`` is set: then the input object itself collapses (its
+    tensor may be replaced) and is returned.
     """
     rng = np.random.default_rng(rng)
-    amps = state.amplitudes
-    total = float(np.sum(np.abs(amps) ** 2))
+    total = float(np.sum(np.abs(state.tensor) ** 2))
     if math.sqrt(total) < 1e-9:
         raise DegenerateState(f"state norm {math.sqrt(total):.3e} is too small to measure")
     p_one = state.population(site, 1) / total
@@ -302,9 +382,13 @@ def measure_spin(state, site, rng, *, in_place=False):
     probability = p_one if bit == 1 else 1.0 - p_one
     if not in_place:
         state = state.copy()
-    collapsed = state.amplitudes
-    _pinned(collapsed, {site: 1 - bit})[...] = 0.0
-    collapsed /= np.linalg.norm(collapsed)
+    lost = state._slab({site: 1 - bit})
+    if lost is not None:
+        lost[...] = 0.0
+    norm = np.linalg.norm(state.tensor)
+    if bit == 0 and state._axis(site) is not None:
+        state._drop(site)
+    state.tensor /= norm
     return bit, state, float(probability)
 
 
@@ -345,20 +429,23 @@ def ancilla_diagnostics(state, layout, sites=None):
     electron and the tip); 1 means the ancillas are clean and disentangled
     from the data, anything less means a protocol leaked entanglement.
 
-    rho = M M^dagger, where row r of M holds the amplitudes with the ancillas
-    in configuration r. Only rows with a nonzero amplitude contribute, so M
-    is gathered from those rows alone; after a compiled gate there is
-    exactly one.
+    Dormant sites are |0> factors and leave the purity alone, so it is taken
+    over the live ones: rho = M M^dagger, where row r of M holds the live
+    tensor's amplitudes with those sites in configuration r. Only rows with a
+    nonzero amplitude contribute, so M is gathered from those rows alone;
+    after a compiled gate every ancilla is dormant and M is one row.
     """
     if sites is None:
         sites = tuple(layout.electron_site(q) for q in range(layout.num_qubits))
         sites = sites + (layout.tip_site,)
-    n = state.num_sites
     populations = {layout.site_name(s): state.population(s, 0) for s in sites}
-    others = [s for s in range(n) if s not in sites]
-    tensor = np.transpose(state.amplitudes.reshape((2,) * n), tuple(sites) + tuple(others))
-    support = np.flatnonzero(np.any((tensor != 0).reshape(1 << len(sites), -1), axis=1))
-    rows = tensor[np.unravel_index(support, (2,) * len(sites))]
+    k = len(state.sites)
+    axes = tuple(axis for axis in map(state._axis, sites) if axis is not None)
+    others = tuple(axis for axis in range(k) if axis not in axes)
+    # A leading length-1 axis keeps the row index valid with no live ancilla.
+    tensor = np.transpose(state.tensor.reshape((2,) * k), axes + others)[np.newaxis]
+    support = np.flatnonzero(np.any((tensor != 0).reshape(1 << len(axes), -1), axis=1))
+    rows = tensor[np.unravel_index(support, (1,) + (2,) * len(axes))]
     matrix = rows.reshape(len(support), 1 << len(others))
     if matrix.shape[0] > matrix.shape[1]:
         # Both sides of a pure state share their nonzero spectrum, so the

@@ -7,6 +7,7 @@ detection on a synthesized noisy trace.
 """
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -94,7 +95,8 @@ def measure_via_current(state, qubit, layout, cfg, rng, trace_snr=None, *, in_pl
     with ``trace_snr`` set, a noisy trace is synthesized and the line is
     recovered by peak detection before classification. The collapses happen
     on one copy, and the input is left alone, unless ``in_place`` is set:
-    then the input itself collapses and is returned.
+    then the input object itself collapses (its tensor may be replaced) and
+    is returned.
     """
     if layout.tip_position != qubit:
         raise TipParked(f"cannot read qubit {qubit} with tip at {layout.tip_position!r}")
@@ -136,9 +138,10 @@ def synth_trace(p_bit, a_bit, cfg, snr, duration, sample_rate, rng):
     Frequencies are divided by ``cfg.trace_frequency_scale`` before synthesis —
     sampling the raw 1e11 Hz line would need absurd rates, and peak detection
     is scale-invariant. ``snr`` is signal power over noise power (sigma =
-    sqrt(1/(2 snr))); pass ``math.inf`` for a clean trace. A trace of fewer
-    than 2 or more than ``MAX_TRACE_SAMPLES`` samples is a ConfigError,
-    raised before anything is allocated.
+    sqrt(1/(2 snr))); pass ``math.inf`` for a clean trace, whose samples are
+    then the shared read-only tone. A trace of fewer than 2 or more than
+    ``MAX_TRACE_SAMPLES`` samples is a ConfigError, raised before anything
+    is allocated.
     """
     if not snr > 0:
         raise ValueError(f"snr must be positive, got {snr!r}")
@@ -157,12 +160,28 @@ def synth_trace(p_bit, a_bit, cfg, snr, duration, sample_rate, rng):
             f"samples; traces take 2 to {MAX_TRACE_SAMPLES}"
         )
     count = int(round(total))
-    times = np.arange(count) / sample_rate
-    samples = np.sin(2.0 * math.pi * line * times)
+    samples = _tone(line, count, sample_rate)
     sigma = math.sqrt(1.0 / (2.0 * snr))
     if sigma > 0:
         samples = samples + rng.normal(0.0, sigma, count)
     return CurrentTrace(sample_rate=sample_rate, samples=samples, duration=count / sample_rate)
+
+
+@functools.lru_cache(maxsize=4)
+def _tone(line, count, sample_rate):
+    """Read-only clean unit sinusoid at ``line``; a config has four lines."""
+    times = np.arange(count) / sample_rate
+    tone = np.sin(2.0 * math.pi * line * times)
+    tone.flags.writeable = False
+    return tone
+
+
+@functools.lru_cache(maxsize=1)
+def _window(count):
+    """Read-only Hann window of ``count`` samples; a config has one trace length."""
+    window = np.hanning(count)
+    window.flags.writeable = False
+    return window
 
 
 def detect_peak(trace):
@@ -173,7 +192,7 @@ def detect_peak(trace):
     SNRs the readout cares about.
     """
     samples = np.asarray(trace.samples, dtype=np.float64)
-    window = np.hanning(len(samples))
+    window = _window(len(samples))
     spectrum = np.abs(np.fft.rfft(samples * window))
     if len(spectrum) < 2:
         raise ValueError("trace too short for peak detection")

@@ -305,6 +305,49 @@ class TestFailureModes:
         assert report["timing"]["feasible"] is False
         assert any("coherence" in reason for reason in report["status"]["reasons"])
 
+    def test_report_failures_print_their_error_line(self, example_circuit, tmp_path):
+        config = tmp_path / "short.config"
+        config.write_text("coherence_time = 1e-6\n", encoding="utf-8")
+        done = run_cli(
+            "--circuit", str(example_circuit), "--config", str(config),
+            "--seed", "0", "--enforce-budget",
+        )
+        assert done.returncode == 4
+        assert json.loads(done.stdout)["status"]["exit_code"] == 4
+        assert done.stderr == "error: program exceeds the coherence time\n"
+
+    def test_spectral_misses_print_their_error_line(self, monkeypatch, tmp_path, capsys):
+        import spintip.cli as cli
+        import spintip.compiler as compiler
+        from spintip import MachineConfig
+
+        detuned = {**compiler.drive_lines(MachineConfig()), "rotation": 1.0}
+        monkeypatch.setattr(compiler, "drive_lines", lambda cfg: detuned)
+        path = tmp_path / "detuned.circuit"
+        path.write_text("ROT 0 1.0 0.0\n", encoding="utf-8")
+        assert cli.main(["--circuit", str(path), "--seed", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: pulses at instructions [1] hit no transition line\n"
+
+    def test_dump_state_to_a_directory_exits_two(self, example_circuit, tmp_path):
+        done = run_cli("--circuit", str(example_circuit), "--seed", "0", "--dump-state", str(tmp_path))
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ")
+        assert done.stderr.count("\n") == 1
+
+    def test_twenty_qubit_register_runs(self, tmp_path, capsys):
+        # Compiled gates keep at most n + 3 sites live, so the memory cap
+        # admits a register whose dense vector (2^41 amplitudes) never exists.
+        import spintip.cli as cli
+
+        path = tmp_path / "long.circuit"
+        path.write_text("ROT 0 1.0 0.0\nCNOT 0 19\nMEASURE 19\n", encoding="utf-8")
+        assert cli.main(["--circuit", str(path), "--seed", "0"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["register"]["num_qubits"] == 20
+        assert report["final_state"]["norm"] == pytest.approx(1.0, abs=1e-12)
+
     def test_budget_not_enforced_by_default(self, example_circuit, tmp_path):
         config = tmp_path / "short.config"
         config.write_text("coherence_time = 1e-6\n", encoding="utf-8")
@@ -352,6 +395,41 @@ class TestBatchRuns:
         assert (tmp_path / "c.report.json").exists()
         assert not (tmp_path / "a.report.json").exists()
         assert not (tmp_path / "b.report.json").exists()
+
+    def test_report_failures_print_their_error_line(self, tmp_path):
+        config = tmp_path / "short.config"
+        config.write_text("coherence_time = 1e-6\n", encoding="utf-8")
+        circuits = tmp_path / "circuits"
+        circuits.mkdir()
+        (circuits / "a.circuit").write_text(EXAMPLE, encoding="utf-8")
+        done = run_cli(
+            "--batch", str(circuits), "--config", str(config), "--seed", "0", "--enforce-budget"
+        )
+        assert done.returncode == 4
+        assert done.stdout.splitlines() == ["a.circuit: exit 4"]
+        assert done.stderr == "error: program exceeds the coherence time\n"
+        assert (circuits / "a.report.json").exists()
+
+    def test_unwritable_report_exits_two_and_the_batch_goes_on(self, tmp_path):
+        (tmp_path / "a.circuit").write_text("MEASURE 0\n", encoding="utf-8")
+        (tmp_path / "a.report.json").mkdir()
+        (tmp_path / "b.circuit").write_text("MEASURE 0\n", encoding="utf-8")
+        done = run_cli("--batch", str(tmp_path), "--seed", "0")
+        assert done.returncode == 2
+        assert done.stdout.splitlines() == ["a.circuit: exit 2", "b.circuit: exit 0"]
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error: ")
+        assert done.stderr.count("\n") == 1
+        assert (tmp_path / "b.report.json").is_file()
+
+    def test_a_directory_named_like_a_circuit_exits_two(self, tmp_path):
+        (tmp_path / "x.circuit").mkdir()
+        (tmp_path / "y.circuit").write_text("MEASURE 0\n", encoding="utf-8")
+        done = run_cli("--batch", str(tmp_path), "--seed", "0")
+        assert done.returncode == 2
+        assert done.stdout.splitlines() == ["x.circuit: exit 2", "y.circuit: exit 0"]
+        assert "Traceback" not in done.stderr
+        assert done.stderr.count("\n") == 1
 
     def test_empty_batch_directory_exits_two(self, tmp_path):
         done = run_cli("--batch", str(tmp_path))

@@ -10,8 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spintip import (
+    ApplyPulse,
     Channel,
+    ConditionalPulse,
     MachineConfig,
+    MeasureViaCurrent,
+    MoveTip,
     Pulse,
     PulseMode,
     PureState,
@@ -19,14 +23,23 @@ from spintip import (
     Species,
     ancilla_diagnostics,
     apply_selective_pulse,
+    classify_frequency,
+    compile_circuit,
+    detect_peak,
+    execute,
     measure_spin,
+    modulation_frequency,
+    parse_circuit,
     site_flip_frequency_array,
+    synth_trace,
     thermal_ground_probability,
     thermal_sample,
     transition_frequency,
 )
+from spintip import engine
 from spintip.engine import IDLE_POPULATION
 from spintip.errors import DegenerateState, TipParked
+from spintip.readout import MeasurementRecord
 
 CFG = MachineConfig()
 LAYOUT = RegisterLayout(1, tip_position=0)
@@ -613,3 +626,188 @@ class TestInPlace:
         owned = state.copy()
         assert measure_spin(owned, site, seed, in_place=True) == (bit, owned, probability)
         assert np.array_equal(owned.amplitudes, copied.amplitudes)
+
+
+# -- Live sites against a dense replay ----------------------------------------
+#
+# The engine stores only the sites that carry amplitude. The replay below runs
+# a compiled program on the dense register vector through the index-array
+# oracles above, consuming the same RNG stream, so the two can be compared
+# instruction by instruction. Sums over the live tensor add the same nonzero
+# terms as sums over the dense vector, but in another order, so populations,
+# probabilities and collapsed amplitudes may differ in the last ulps; bits,
+# lines, pair counts and idle flags may not.
+
+
+def dense_listing(amplitudes, num_sites, threshold=1e-12):
+    """``dump_text`` of a dense vector: one line per amplitude above ``threshold``."""
+    lines = []
+    for index, amp in enumerate(amplitudes):
+        if abs(amp) > threshold:
+            bits = format(index, f"0{num_sites}b")
+            lines.append(f"{bits} {float(amp.real)!r} {float(amp.imag)!r}")
+    return "\n".join(lines) + "\n"
+
+
+def dense_replay(program, amplitudes, layout, cfg, rng, trace_snr):
+    """``execute`` on a dense vector: (final amplitudes, records, pulse log).
+
+    Pulse log entries are (position, pair count, population, idle), or
+    (position, None) for a conditional pulse that did not fire.
+    """
+    n = layout.num_sites
+    current, records, pulse_log, last_inferred = layout, [], [], None
+    for position, instruction in enumerate(program.instructions):
+        if isinstance(instruction, MoveTip):
+            current = current.with_tip(instruction.target)
+        elif isinstance(instruction, MeasureViaCurrent):
+            qubit = instruction.qubit
+            p_bit, amplitudes, probability = oracle_measure(
+                PureState(amplitudes, n), current.nucleus_site(qubit), rng
+            )
+            a_bit, amplitudes, _ = oracle_measure(PureState(amplitudes, n), current.tip_site, rng)
+            observed, inferred = modulation_frequency(p_bit, a_bit, cfg), (p_bit, a_bit)
+            if trace_snr is not None:
+                scale = cfg.trace_frequency_scale
+                trace = synth_trace(p_bit, a_bit, cfg, trace_snr, cfg.trace_duration,
+                                    cfg.trace_sample_rate, rng)
+                detected = detect_peak(trace)
+                observed = detected * scale
+                inferred = classify_frequency(detected, cfg, frequency_scale=scale)
+            records.append(MeasurementRecord(qubit, float(observed), *inferred, probability))
+            last_inferred = inferred[0]
+        elif (isinstance(instruction, ApplyPulse)
+              or last_inferred == instruction.on_last_measurement):
+            amplitudes, pairs, population, idle = oracle_pulse(
+                PureState(amplitudes, n), instruction.pulse, current, cfg
+            )
+            pulse_log.append((position, pairs, population, idle))
+        else:
+            assert isinstance(instruction, ConditionalPulse)
+            pulse_log.append((position, None))
+    return amplitudes, records, pulse_log
+
+
+@st.composite
+def live_site_runs(draw):
+    """A random circuit of 1..7 qubits, a start state, a seed and an SNR.
+
+    Starts: ground; a product with random nuclei; a basis state with random
+    bits, excited ancillas included, so INIT's corrections both fire and
+    skip; and, on up to 3 qubits, a random dense vector with every site live.
+    """
+    num_qubits = draw(st.integers(1, 7))
+    layout = RegisterLayout(num_qubits)
+    qubit = st.integers(0, num_qubits - 1)
+    gate = st.one_of(
+        st.just("INIT"),
+        st.tuples(qubit, st.floats(0.05, 7.0), st.floats(-4.0, 4.0)).map(
+            lambda g: f"ROT {g[0]} {g[1]!r} {g[2]!r}"
+        ),
+        st.builds("MEASURE {}".format, qubit),
+    )
+    if num_qubits > 1:
+        pair = st.lists(qubit, min_size=2, max_size=2, unique=True)
+        gate = st.one_of(gate, pair.map(lambda p: f"CNOT {p[0]} {p[1]}"))
+    lines = draw(st.lists(gate, min_size=1, max_size=5))
+    program = compile_circuit(parse_circuit("\n".join(lines)), layout, CFG)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    starts = ["ground", "product", "bits"] + (["dense"] if num_qubits <= 3 else [])
+    start = draw(st.sampled_from(starts))
+    if start == "ground":
+        state = PureState.ground(layout)
+    elif start == "product":
+        chosen = [q for q in range(num_qubits) if rng.random() < 0.7]
+        state = PureState.product(layout, {
+            q: tuple(rng.normal(size=2) + 1j * rng.normal(size=2)) for q in chosen
+        })
+    elif start == "bits":
+        state = PureState.from_bits(tuple(int(b) for b in rng.random(layout.num_sites) < 0.3))
+    else:
+        amps = rng.normal(size=layout.dimension) + 1j * rng.normal(size=layout.dimension)
+        state = PureState(amps / np.linalg.norm(amps), layout.num_sites)
+    seed = draw(st.integers(0, 2**32 - 1))
+    trace_snr = draw(st.sampled_from([None, 0.1, 10.0]))
+    return layout, program, state, start, seed, trace_snr
+
+
+def without_probability(record):
+    return dataclasses.replace(record, pre_measurement_probability=None)
+
+
+class TestLiveSitesAgainstTheDenseReplay:
+    @settings(deadline=None, max_examples=100)
+    @given(live_site_runs())
+    def test_execute_matches_the_dense_replay(self, case):
+        layout, program, state, start, seed, trace_snr = case
+        result = execute(program, state, layout, CFG, np.random.default_rng(seed), trace_snr)
+        amps, records, pulse_log = dense_replay(
+            program, state.amplitudes.copy(), layout, CFG, np.random.default_rng(seed), trace_snr
+        )
+        assert list(map(without_probability, result.records)) == list(
+            map(without_probability, records)
+        )
+        for ours, theirs in zip(result.records, records):
+            assert ours.pre_measurement_probability == pytest.approx(
+                theirs.pre_measurement_probability, abs=1e-12
+            )
+        assert len(result.pulse_log) == len(pulse_log)
+        for (position, outcome), replayed in zip(result.pulse_log, pulse_log):
+            if outcome is None:
+                assert replayed == (position, None)
+                continue
+            assert (position, outcome.resonant_pair_count, outcome.no_resonant_transition) == (
+                replayed[0], replayed[1], replayed[3]
+            )
+            assert outcome.resonant_population == pytest.approx(replayed[2], abs=1e-12)
+        final = result.final_state
+        np.testing.assert_allclose(final.amplitudes, amps, rtol=0, atol=1e-12)
+        assert final.dump_text() == dense_listing(final.amplitudes, layout.num_sites)
+        if start in ("ground", "product"):
+            # Compiled gates hand every ancilla back in |0>, so only nuclei stay live.
+            assert all(site % 2 == 0 and site != layout.tip_site for site in final.sites)
+
+
+class TestLiveSites:
+    def test_dormant_partner_keeps_the_dense_pair_count(self):
+        # The electron's partners are its nucleus and the tip carbon, both
+        # dormant in the ground state. The (nucleus 1, tip 0) line hits a
+        # pattern that holds nothing here, yet its pairs still count.
+        layout = RegisterLayout(3, tip_position=1)
+        state = PureState.ground(layout)
+        electron = layout.electron_site(1)
+        bits = [0] * layout.num_sites
+        bits[layout.nucleus_site(1)] = 1
+        line = transition_frequency(tuple(bits), electron, layout, CFG)
+        pulse = Pulse(Channel.ELECTRON_RF, line, math.pi, 0.0, 1e-7)
+        _, pairs, _, _ = oracle_pulse(state, pulse, layout, CFG)
+        after, outcome = apply_selective_pulse(state, pulse, layout, CFG)
+        assert outcome.resonant_pair_count == pairs == 1 << (layout.num_sites - 3)
+        assert outcome.no_resonant_transition
+        assert after.sites == ()
+        assert np.array_equal(after.amplitudes, state.amplitudes)
+
+    def test_compiled_gates_keep_at_most_three_ancillas_live(self, monkeypatch):
+        layout = RegisterLayout(5)
+        rng = np.random.default_rng(4)
+        state = PureState.product(
+            layout, {q: tuple(rng.normal(size=2) + 1j * rng.normal(size=2)) for q in range(5)}
+        )
+        circuit = parse_circuit("ROT 2 1.1 0.3\nCNOT 0 4\nCNOT 3 1\nMEASURE 2\nINIT")
+        live = []
+        pulse = engine.apply_selective_pulse
+
+        def counted(*args, **kwargs):
+            driven, outcome = pulse(*args, **kwargs)
+            live.append(len(driven.sites))
+            return driven, outcome
+
+        monkeypatch.setattr(engine, "apply_selective_pulse", counted)
+        result = execute(compile_circuit(circuit, layout, CFG), state, layout, CFG, 0)
+        assert max(live) == layout.num_qubits + 3
+        assert result.final_state.sites == ()  # INIT leaves every nucleus in |0>
+
+    def test_dense_vector_is_read_only(self):
+        state = PureState.product(RegisterLayout(2), {0: (0.6, 0.8)})
+        with pytest.raises(ValueError):
+            state.amplitudes[0] = 1.0
