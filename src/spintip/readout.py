@@ -4,6 +4,9 @@ The current under the tip is modulated at the local electron resonance, whose
 position encodes the qubit-nucleus bit and the tip-carbon bit. Reading a qubit
 means finding that line — here either exactly (noise-free mode) or by peak
 detection on a synthesized noisy trace.
+
+Peak detection reuses one module-level workspace per trace length, so it is
+not reentrant: two threads must not detect peaks at the same time.
 """
 
 import dataclasses
@@ -50,10 +53,26 @@ class CurrentTrace:
 
 def modulation_lines(cfg, frequency_scale=1.0):
     """The four possible readout lines, keyed by (p_bit, a_bit)."""
-    return {
+    return dict(_line_table(cfg, frequency_scale)[0])
+
+
+@functools.lru_cache(maxsize=8)
+def _line_table(cfg, frequency_scale):
+    """The four readout lines and their smallest gap, memoised on the frozen config.
+
+    The lines are evaluated in extended precision, which a traced read would
+    otherwise repeat for every line on every read. Callers must not mutate
+    the returned dict; ``modulation_lines`` hands out copies.
+    """
+    lines = {
         pair: physics.modulation_frequency(*pair, cfg) / frequency_scale
         for pair in _PAIRS
     }
+    values = list(lines.values())
+    smallest_gap = min(
+        abs(a - b) for i, a in enumerate(values) for b in values[i + 1 :]
+    )
+    return lines, smallest_gap
 
 
 def classify_frequency(frequency, cfg, tolerance=None, frequency_scale=1.0):
@@ -65,13 +84,7 @@ def classify_frequency(frequency, cfg, tolerance=None, frequency_scale=1.0):
     would both match) and raises ValueError up front. No or several matches
     raise UnclassifiableFrequency.
     """
-    lines = modulation_lines(cfg, frequency_scale)
-    gaps = [
-        abs(a - b)
-        for i, a in enumerate(lines.values())
-        for b in list(lines.values())[i + 1 :]
-    ]
-    smallest_gap = min(gaps)
+    lines, smallest_gap = _line_table(cfg, frequency_scale)
     if tolerance is None:
         tolerance = smallest_gap / 4.0
     elif tolerance >= smallest_gap / 2.0:
@@ -139,16 +152,16 @@ def synth_trace(p_bit, a_bit, cfg, snr, duration, sample_rate, rng):
     sampling the raw 1e11 Hz line would need absurd rates, and peak detection
     is scale-invariant. ``snr`` is signal power over noise power (sigma =
     sqrt(1/(2 snr))); pass ``math.inf`` for a clean trace, whose samples are
-    then the shared read-only tone. A trace of fewer than 2 or more than
-    ``MAX_TRACE_SAMPLES`` samples is a ConfigError, raised before anything
-    is allocated.
+    then the shared read-only tone; a noisy trace allocates one array, its
+    own samples. A trace of fewer than 2 or more than ``MAX_TRACE_SAMPLES``
+    samples is a ConfigError, raised before anything is allocated.
     """
     if not snr > 0:
         raise ValueError(f"snr must be positive, got {snr!r}")
     rng = np.random.default_rng(rng)
     scale = cfg.trace_frequency_scale
     line = physics.modulation_frequency(p_bit, a_bit, cfg) / scale
-    highest = max(modulation_lines(cfg, scale).values())
+    highest = max(_line_table(cfg, scale)[0].values())
     if sample_rate <= 2.0 * highest:
         raise AliasingError(
             f"sample rate {sample_rate:g} cannot represent lines up to {highest:g}"
@@ -163,7 +176,9 @@ def synth_trace(p_bit, a_bit, cfg, snr, duration, sample_rate, rng):
     samples = _tone(line, count, sample_rate)
     sigma = math.sqrt(1.0 / (2.0 * snr))
     if sigma > 0:
-        samples = samples + rng.normal(0.0, sigma, count)
+        noise = rng.normal(0.0, sigma, count)
+        noise += samples  # the noise array becomes the trace
+        samples = noise
     return CurrentTrace(sample_rate=sample_rate, samples=samples, duration=count / sample_rate)
 
 
@@ -184,16 +199,27 @@ def _window(count):
     return window
 
 
+@functools.lru_cache(maxsize=1)
+def _workspace(count):
+    """Scratch for ``detect_peak``: windowed samples, rFFT bins and their magnitudes."""
+    bins = count // 2 + 1
+    return np.empty(count), np.empty(bins, dtype=np.complex128), np.empty(bins)
+
+
 def detect_peak(trace):
     """Strongest spectral line of a trace, in Hz at the trace's scale.
 
     Hann-windowed rFFT, then a three-point parabolic refinement around the
     peak bin; good to a fraction of a bin on clean traces and robust at the
-    SNRs the readout cares about.
+    SNRs the readout cares about. The windowed samples, spectrum and
+    magnitudes live in one workspace per trace length, reused from read to
+    read, so a read allocates no trace-sized array and is not reentrant.
     """
     samples = np.asarray(trace.samples, dtype=np.float64)
-    window = _window(len(samples))
-    spectrum = np.abs(np.fft.rfft(samples * window))
+    windowed, bins, spectrum = _workspace(len(samples))
+    np.multiply(samples, _window(len(samples)), out=windowed)
+    np.fft.rfft(windowed, out=bins)
+    np.abs(bins, out=spectrum)
     if len(spectrum) < 2:
         raise ValueError("trace too short for peak detection")
     peak = 1 + int(np.argmax(spectrum[1:]))  # skip the DC bin

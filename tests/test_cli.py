@@ -538,6 +538,69 @@ class TestConfigFuzz:
             assert code == 0
 
 
+BATCH_FILES = st.lists(
+    st.one_of(
+        GATE_LINES.map(lambda lines: ("text", lines)),
+        st.sampled_from(["latin-1", "directory", "dangling", "loop", "unreadable"]).map(
+            lambda kind: (kind, [])
+        ),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+class TestBatchFuzz:
+    # Batches of fuzzed circuits and of files that cannot be read (not UTF-8,
+    # a directory, a dangling or looping symlink, no read permission) under
+    # --tips and --trace-snr. Traced reads cost about a millisecond each, so
+    # the example count stays small.
+    @settings(deadline=None, max_examples=25)
+    @given(
+        files=BATCH_FILES,
+        tips=st.sampled_from([None, "1", "2"]),
+        snr=st.sampled_from([None, "1e-3", "10"]),
+    )
+    def test_every_file_ends_in_one_documented_code(self, files, tips, snr):
+        import spintip.cli as cli
+
+        with tempfile.TemporaryDirectory() as directory:
+            root = Path(directory)
+            names = []
+            for index, (kind, lines) in enumerate(files):
+                path = root / f"f{index}.circuit"
+                names.append(path.name)
+                if kind == "text":
+                    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+                elif kind == "latin-1":
+                    path.write_bytes("MEASURE 0 # \u00b0\n".encode("latin-1"))
+                elif kind == "directory":
+                    path.mkdir()
+                elif kind == "dangling":
+                    path.symlink_to(root / "missing")
+                elif kind == "loop":
+                    path.symlink_to(path)
+                else:
+                    path.write_text("MEASURE 0\n", encoding="utf-8")
+                    path.chmod(0)
+            argv = ["--batch", directory, "--seed", "0"]
+            if tips is not None:
+                argv += ["--tips", tips]
+            if snr is not None:
+                argv += ["--trace-snr", snr]
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = cli.main(argv)
+        lines = stdout.getvalue().splitlines()
+        assert [line.rpartition(": exit ")[0] for line in lines] == names
+        codes = [int(line.rpartition(": exit ")[2]) for line in lines]
+        assert set(codes) <= {0, 2, 3, 4}
+        assert code == max(codes)
+        errors = stderr.getvalue().splitlines()
+        assert all(line.startswith("error: ") for line in errors)
+        assert len(errors) == sum(c != 0 for c in codes)
+
+
 class TestEntryPoints:
     def test_console_script_is_installed(self):
         script = shutil.which("spintip")
@@ -559,3 +622,15 @@ class TestGoldenReport:
         produced = json.loads(capsys.readouterr().out)
         golden = json.loads((DATA / "golden_report.json").read_text(encoding="utf-8"))
         assert produced == golden
+
+    def test_traced_report_matches_the_checked_in_golden_bytes(self, capsys):
+        # The traced route (--trace-snr: synthesis, rFFT peak, classification)
+        # under a two-tip schedule, pinned byte for byte: every observed
+        # frequency depends on the exact bits of the noise and the spectrum.
+        import spintip.cli as cli
+
+        argv = ["--circuit", str(DATA / "golden.circuit"), "--seed", "42",
+                "--trace-snr", "1.0", "--tips", "2"]
+        assert cli.main(argv) == 0
+        produced = capsys.readouterr().out.encode("utf-8")
+        assert produced == (DATA / "golden_traced_report.json").read_bytes()

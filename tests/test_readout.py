@@ -1,9 +1,12 @@
 """Current-based readout: line classification, traces, and peak detection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spintip import (
     CurrentTrace,
@@ -18,7 +21,7 @@ from spintip import (
     modulation_lines,
     synth_trace,
 )
-from spintip.errors import AliasingError, TipParked, UnclassifiableFrequency
+from spintip.errors import AliasingError, ConfigError, TipParked, UnclassifiableFrequency
 
 CFG = MachineConfig()
 LAYOUT = RegisterLayout(1, tip_position=0)
@@ -39,6 +42,11 @@ class TestClassification:
         for pair, value in lines.items():
             assert value == modulation_frequency(*pair, CFG)
 
+    def test_line_map_is_a_fresh_dict_each_call(self):
+        # The lines are memoised; mutating one caller's dict must not leak.
+        modulation_lines(CFG).clear()
+        assert modulation_lines(CFG) == {pair: modulation_frequency(*pair, CFG) for pair in PAIRS}
+
     def test_midway_frequency_is_unclassifiable(self):
         lines = modulation_lines(CFG)
         midway = (lines[(0, 0)] + lines[(1, 0)]) / 2.0  # 60 MHz from each
@@ -57,7 +65,8 @@ class TestClassification:
         classify_frequency(modulation_frequency(0, 0, CFG), CFG, tolerance=59e6)
 
     def test_scale_invariance(self):
-        for scale in (1e5, 1e6):
+        # Alternating scales: the memoised lines are keyed by scale too.
+        for scale in (1e5, 1e6, 1.0, 1e6):
             for pair in PAIRS:
                 scaled = modulation_frequency(*pair, CFG) / scale
                 assert classify_frequency(scaled, CFG, frequency_scale=scale) == pair
@@ -170,3 +179,125 @@ class TestTraces:
     def test_to_text_is_two_plain_columns(self):
         trace = CurrentTrace(sample_rate=4.0, samples=np.array([0.5, -0.25]), duration=0.5)
         assert trace.to_text() == "0.0 0.5\n0.25 -0.25\n"
+
+
+# In-test oracles for the traced route: the plain expressions, with no
+# in-place noise, reused rFFT workspace or memoised lines.
+RATE = 2.0**20  # above twice the highest scaled line; N / RATE is exact
+
+
+def oracle_samples(p_bit, a_bit, snr, count, seed):
+    line = modulation_frequency(p_bit, a_bit, CFG) / CFG.trace_frequency_scale
+    tone = np.sin(2.0 * math.pi * line * (np.arange(count) / RATE))
+    sigma = math.sqrt(1.0 / (2.0 * snr))
+    if sigma > 0:
+        return tone + np.random.default_rng(seed).normal(0.0, sigma, count)
+    return tone
+
+
+def oracle_peak(samples, sample_rate):
+    spectrum = np.abs(np.fft.rfft(samples * np.hanning(len(samples))))
+    if len(spectrum) < 2:
+        raise ValueError("trace too short for peak detection")
+    peak = 1 + int(np.argmax(spectrum[1:]))
+    offset = 0.0
+    if 1 <= peak < len(spectrum) - 1:
+        left, mid, right = spectrum[peak - 1], spectrum[peak], spectrum[peak + 1]
+        denominator = left - 2.0 * mid + right
+        if denominator != 0.0:
+            offset = float(np.clip(0.5 * (left - right) / denominator, -0.5, 0.5))
+    return (peak + offset) * sample_rate / len(samples)
+
+
+def traced(p_bit, a_bit, snr, count, seed):
+    return synth_trace(
+        p_bit, a_bit, CFG, snr=snr, duration=count / RATE, sample_rate=RATE,
+        rng=np.random.default_rng(seed),
+    )
+
+
+BITS = st.sampled_from(PAIRS)
+SNRS = st.one_of(st.floats(1e-3, 1e3), st.just(math.inf))
+COUNTS = st.one_of(st.sampled_from([2, 3, 50_000]), st.integers(2, 5_000))
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestTracedRouteOracles:
+    @settings(deadline=None, max_examples=60)
+    @given(bits=BITS, snr=SNRS, count=COUNTS, seed=SEEDS)
+    def test_samples_match_the_plain_tone_plus_noise(self, bits, snr, count, seed):
+        trace = traced(*bits, snr, count, seed)
+        expected = oracle_samples(*bits, snr, count, seed)
+        assert trace.samples.dtype == np.float64
+        assert trace.samples.tobytes() == expected.tobytes()
+        # A clean trace is the shared read-only tone; a noisy one is its own array.
+        assert trace.samples.flags.writeable == (snr != math.inf)
+
+    @settings(deadline=None, max_examples=60)
+    @given(bits=BITS, snr=SNRS, count=COUNTS, seed=SEEDS)
+    def test_peak_matches_the_plain_expression_and_leaves_samples_alone(
+        self, bits, snr, count, seed
+    ):
+        trace = traced(*bits, snr, count, seed)
+        before = trace.samples.copy()
+        assert detect_peak(trace) == oracle_peak(before, RATE)
+        assert trace.samples.tobytes() == before.tobytes()
+
+    @settings(deadline=None, max_examples=30)
+    @given(
+        first=st.tuples(BITS, SNRS, COUNTS, SEEDS),
+        second=st.tuples(BITS, SNRS, COUNTS, SEEDS),
+    )
+    def test_interleaved_lengths_give_the_same_peaks(self, first, second):
+        traces = [traced(*bits, snr, count, seed) for bits, snr, count, seed in (first, second)]
+        expected = [oracle_peak(t.samples, RATE) for t in traces]
+        for index in (0, 1, 0, 1, 1, 0):
+            assert detect_peak(traces[index]) == expected[index]
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_short_traces_raise_what_the_plain_expression_raises(self, count):
+        samples = np.zeros(count)
+        with pytest.raises(ValueError) as expected:
+            oracle_peak(samples, RATE)
+        trace = CurrentTrace(sample_rate=RATE, samples=samples, duration=count / RATE)
+        with pytest.raises(ValueError) as raised:
+            detect_peak(trace)
+        assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_traces_under_two_samples_are_refused(self, count):
+        with pytest.raises(ConfigError):
+            traced(0, 0, 1.0, count, 0)
+
+
+def traced_peak(call):
+    """Peak traced bytes of ``call()`` and the value it returned."""
+    tracemalloc.start()
+    try:
+        value = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, value
+
+
+class TestTracedReadAllocations:
+    # Bounds that hold by construction: after one warm-up read (which fills
+    # the window, tone and workspace caches), a read allocates the trace's
+    # samples and nothing else of trace size.
+    def make(self):
+        return synth_trace(
+            1, 0, CFG, snr=1.0, duration=0.05, sample_rate=1e6,
+            rng=np.random.default_rng(3),
+        )
+
+    def test_peak_detection_allocates_less_than_one_trace(self):
+        trace = self.make()
+        detect_peak(trace)
+        peak, _ = traced_peak(lambda: detect_peak(trace))
+        assert peak < trace.samples.nbytes
+
+    def test_synthesis_allocates_one_samples_array(self):
+        detect_peak(self.make())
+        peak, trace = traced_peak(self.make)
+        assert trace.samples.nbytes <= peak < 2 * trace.samples.nbytes
