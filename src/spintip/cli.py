@@ -95,14 +95,14 @@ def _cnot_reference(amplitudes, layout, control, target):
     return expected
 
 
-def run_verification(cfg, tolerance=1e-6):
+def run_verification(cfg):
     """The --verify-frequencies payload: formula audit plus a CNOT self-test.
 
     The audit compares every closed-form line against engine transitions; the
     self-test entangles a superposed control with a ground target and checks
     fidelity against the ideal gate and the cleanliness of the ancillas.
     """
-    audit = physics.frequency_audit(cfg, tolerance)
+    audit = physics.frequency_audit(cfg)
     layout = RegisterLayout(2)
     state = engine.PureState.product(layout, {0: (0.6, 0.8)})
     result = compiler.execute(

@@ -25,7 +25,6 @@ from .engine import Channel, Pulse, PulseMode
 from .errors import MismatchedRegister, SameQubit
 from .program import (
     ApplyPulse,
-    Barrier,
     CnotGate,
     ConditionalPulse,
     InitGate,
@@ -108,7 +107,7 @@ def _electron_pulse(cfg, frequency):
     )
 
 
-def compile_rotation(qubit, angle, phase, layout, cfg, mode=PulseMode.PHASED_ROTATION):
+def compile_rotation(qubit, angle, phase, layout, cfg):
     """Rotate one qubit nucleus: park the tip on it, drive its shifted line.
 
     The drive sits on the nuclear line with the local electron in its ground
@@ -124,11 +123,10 @@ def compile_rotation(qubit, angle, phase, layout, cfg, mode=PulseMode.PHASED_ROT
         folded = 2.0 * _PI
     instructions = [MoveTip(qubit)]
     if folded > 0.0:
-        instructions.append(
-            ApplyPulse(
-                _nuclear_pulse(cfg, drive_lines(cfg)["rotation"], folded, phase, mode)
-            )
+        pulse = _nuclear_pulse(
+            cfg, drive_lines(cfg)["rotation"], folded, phase, PulseMode.PHASED_ROTATION
         )
+        instructions.append(ApplyPulse(pulse))
     return PulseProgram(tuple(instructions), gate_count=1)
 
 
@@ -323,7 +321,6 @@ def execute(program, state, layout, cfg, rng, trace_snr=None):
             )
             records.append(record)
             last_inferred = record.inferred_p_bit
-        # Barrier: nothing to do
     return ExecutionResult(
         final_state=state,
         records=tuple(records),

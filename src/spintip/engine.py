@@ -186,16 +186,12 @@ class PureState:
         slab = self._slab({site: bit})
         return 0.0 if slab is None else float(np.sum(np.abs(slab) ** 2))
 
-    def fidelity(self, other):
-        """|<self|other>|^2."""
-        return float(np.abs(np.vdot(self.amplitudes, other.amplitudes)) ** 2)
-
-    def dump_text(self, threshold=1e-12):
-        """One ``bitstring re im`` line per amplitude above ``threshold``."""
+    def dump_text(self):
+        """One ``bitstring re im`` line per amplitude of modulus above 1e-12."""
         lines = []
         bits = ["0"] * self.num_sites
         for index, amp in enumerate(self.tensor):
-            if abs(amp) > threshold:
+            if abs(amp) > 1e-12:
                 for site, bit in zip(self.sites, format(index, f"0{len(self.sites)}b")):
                     bits[site] = bit
                 lines.append(f"{''.join(bits)} {float(amp.real)!r} {float(amp.imag)!r}")

@@ -227,16 +227,16 @@ _AUDIT_ADDRESSED = {
 }
 
 
-def frequency_audit(cfg, tolerance=1e-6):
+def frequency_audit(cfg):
     """Compare every closed form against engine flips on a one-qubit register.
 
     For each formula the addressed spin is flipped with every spectator
     configuration of the other two spins (tip parked on the qubit); the entry
-    lists which spectator assignments reproduce the formula within
-    ``tolerance`` Hz. Residuals are evaluated in extended precision so the
-    comparison stays meaningful at 1e11 Hz line positions. A formula with an
-    empty match list means the two routes disagree everywhere — a genuine
-    physics bug on one side.
+    lists which spectator assignments reproduce the formula within 1e-6 Hz.
+    Residuals are evaluated in extended precision so the comparison stays
+    meaningful at 1e11 Hz line positions. A formula with an empty match list
+    means the two routes disagree everywhere — a genuine physics bug on one
+    side.
     """
     layout = RegisterLayout(1, tip_position=0)
     sites = {
@@ -263,7 +263,7 @@ def frequency_audit(cfg, tolerance=1e-6):
             }
             if best_residual is None or residual < best_residual:
                 best_residual = residual
-            if residual <= tolerance:
+            if residual <= 1e-6:
                 matches.append(record)
         entries.append(
             {

@@ -174,22 +174,11 @@ class MeasureViaCurrent:
 
 
 @dataclasses.dataclass(frozen=True)
-class Barrier:
-    """Scheduling fence; zero duration, no physical effect."""
-
-
-@dataclasses.dataclass(frozen=True)
 class PulseProgram:
     """Machine instructions plus the logical gate count they implement."""
 
     instructions: tuple
     gate_count: int = 0
-
-    def __add__(self, other):
-        return PulseProgram(
-            self.instructions + other.instructions,
-            self.gate_count + other.gate_count,
-        )
 
 
 _CHANNEL_NAMES = {
@@ -217,8 +206,6 @@ def program_to_text(program):
             lines.append(_pulse_text("CONDPULSE", instruction.pulse))
         elif isinstance(instruction, MeasureViaCurrent):
             lines.append(f"MEASURE {instruction.qubit}")
-        elif isinstance(instruction, Barrier):
-            lines.append("BARRIER")
         else:
             raise TypeError(f"not an instruction: {instruction!r}")
     return "\n".join(lines) + ("\n" if lines else "")
@@ -253,6 +240,6 @@ def validate_program(program, layout):
                     f"{where}: measuring qubit {instruction.qubit} with tip at {tip!r}"
                 )
             measured = True
-        elif not isinstance(instruction, Barrier):
+        else:
             raise IllFormedProgram(f"{where}: unknown instruction {instruction!r}")
     return program

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import engine, physics
 from .errors import AliasingError, ConfigError, TipParked, UnclassifiableFrequency
+from .register import RegisterLayout
 
 _PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -43,30 +44,23 @@ class CurrentTrace:
     samples: np.ndarray
     duration: float
 
-    def to_text(self):
-        """Two-column ``time amplitude`` listing for external plotting."""
-        times = np.arange(len(self.samples)) / self.sample_rate
-        return "\n".join(
-            f"{float(t)!r} {float(v)!r}" for t, v in zip(times, self.samples)
-        ) + "\n"
-
-
-def modulation_lines(cfg, frequency_scale=1.0):
-    """The four possible readout lines, keyed by (p_bit, a_bit)."""
-    return dict(_line_table(cfg, frequency_scale)[0])
-
 
 @functools.lru_cache(maxsize=8)
 def _line_table(cfg, frequency_scale):
-    """The four readout lines and their smallest gap, memoised on the frozen config.
+    """The four readout lines, keyed by (p_bit, a_bit), and their smallest gap.
 
-    The lines are evaluated in extended precision, which a traced read would
-    otherwise repeat for every line on every read. Callers must not mutate
-    the returned dict; ``modulation_lines`` hands out copies.
+    Each line is the engine's transition of the electron under the tip, on a
+    one-qubit register (nucleus, electron, tip carbon) with the tip engaged —
+    the route ``compiler.drive_lines`` takes; ``physics.modulation_frequency``
+    stays a closed-form cross-check. Memoised on the frozen config, because a
+    traced read would otherwise repeat the extended-precision evaluation for
+    every line on every read. Callers must not mutate the returned dict.
     """
+    layout = RegisterLayout(1, tip_position=0)
+    electron = layout.electron_site(0)
     lines = {
-        pair: physics.modulation_frequency(*pair, cfg) / frequency_scale
-        for pair in _PAIRS
+        (p, a): physics.transition_frequency((p, 0, a), electron, layout, cfg) / frequency_scale
+        for p, a in _PAIRS
     }
     values = list(lines.values())
     smallest_gap = min(
@@ -75,22 +69,15 @@ def _line_table(cfg, frequency_scale):
     return lines, smallest_gap
 
 
-def classify_frequency(frequency, cfg, tolerance=None, frequency_scale=1.0):
+def classify_frequency(frequency, cfg, frequency_scale=1.0):
     """Map an observed line back to (p_bit, a_bit).
 
-    ``tolerance`` defaults to a quarter of the smallest gap between lines
-    (zero when a config makes two lines coincide, so nothing matches);
-    passing one wider than half the smallest gap is a caller bug (two lines
-    would both match) and raises ValueError up front. No or several matches
-    raise UnclassifiableFrequency.
+    A line matches within a quarter of the smallest gap between lines (zero
+    when a config makes two lines coincide, so nothing matches). No or
+    several matches raise UnclassifiableFrequency.
     """
     lines, smallest_gap = _line_table(cfg, frequency_scale)
-    if tolerance is None:
-        tolerance = smallest_gap / 4.0
-    elif tolerance >= smallest_gap / 2.0:
-        raise ValueError(
-            f"tolerance {tolerance:g} cannot separate lines {smallest_gap:g} apart"
-        )
+    tolerance = smallest_gap / 4.0
     matches = [pair for pair, line in lines.items() if abs(frequency - line) <= tolerance]
     if len(matches) != 1:
         raise UnclassifiableFrequency(
@@ -119,7 +106,7 @@ def measure_via_current(state, qubit, layout, cfg, rng, trace_snr=None, *, in_pl
     )
     a_bit, state, _ = engine.measure_spin(state, layout.tip_site, rng, in_place=True)
     if trace_snr is None:
-        observed = physics.modulation_frequency(p_bit, a_bit, cfg)
+        observed = _line_table(cfg, 1.0)[0][(p_bit, a_bit)]
         inferred_p, inferred_a = p_bit, a_bit
     else:
         scale = cfg.trace_frequency_scale
@@ -158,10 +145,12 @@ def synth_trace(p_bit, a_bit, cfg, snr, duration, sample_rate, rng):
     """
     if not snr > 0:
         raise ValueError(f"snr must be positive, got {snr!r}")
+    if (p_bit, a_bit) not in _PAIRS:
+        raise ValueError(f"bits must be 0 or 1, got {p_bit!r}, {a_bit!r}")
     rng = np.random.default_rng(rng)
-    scale = cfg.trace_frequency_scale
-    line = physics.modulation_frequency(p_bit, a_bit, cfg) / scale
-    highest = max(_line_table(cfg, scale)[0].values())
+    lines = _line_table(cfg, cfg.trace_frequency_scale)[0]
+    line = lines[(p_bit, a_bit)]
+    highest = max(lines.values())
     if sample_rate <= 2.0 * highest:
         raise AliasingError(
             f"sample rate {sample_rate:g} cannot represent lines up to {highest:g}"

@@ -121,7 +121,3 @@ class RegisterLayout:
             return 1
         (ra, ca), (rb, cb) = self.coordinates[a], self.coordinates[b]
         return abs(ra - rb) + abs(ca - cb)
-
-    def ground_configuration(self):
-        """All spins in their per-species ground orientation (bit 0)."""
-        return (0,) * self.num_sites

@@ -5,7 +5,8 @@ resets commute). Tasks bind their qubits for the duration of their pulses and
 measurements; tip travel happens beforehand with the tip retracted, so it
 never counts as qubit occupancy. Gates are assigned in circuit order to
 whichever tip can start them earliest — list scheduling, deliberately simple,
-checked by an independent validator rather than trusted.
+run for each tip count up to the one asked for, so that more tips never give a
+longer plan, and checked by an independent validator rather than trusted.
 
 The clock arithmetic accumulates durations left to right exactly as serial
 execution does, so a one-tip schedule reproduces the serial wall time to the
@@ -16,6 +17,9 @@ import dataclasses
 
 from . import timing
 from .register import PARKED
+
+#: Seconds of clock rounding the validator forgives.
+_SLACK = 1e-9
 
 
 @dataclasses.dataclass(frozen=True)
@@ -46,28 +50,46 @@ class TipAssignment:
 
 
 def schedule_multi_tip(tasks, num_tips, layout, cfg):
+    """The shortest greedy plan on at most ``num_tips`` tips.
+
+    Greedy list scheduling can get longer with more tips (Graham, SIAM J.
+    Appl. Math. 17, 416 (1969)), so the plan on each k = 1, 2, ... tips is
+    tried and the shortest kept. A tie keeps the plan on more tips, so the
+    result is the plain ``num_tips`` plan unless fewer tips are strictly
+    shorter. The search stops at the first plan that leaves a tip idle: idle
+    tips are identical and ties go to the lowest index, so every larger k
+    gives that same plan.
+    """
+    if num_tips < 1:
+        raise ValueError(f"need at least one tip, got {num_tips}")
+    best = None
+    for tips in range(1, max(1, min(num_tips, len(tasks))) + 1):
+        plan = _list_schedule(tasks, tips, layout, cfg)  # (per-task tips, timeline, makespan)
+        if best is None or plan[2] <= best[2]:
+            best = plan
+        if len(set(plan[0])) < tips:
+            break
+    return TipAssignment(num_tips, *best)
+
+
+def _list_schedule(tasks, num_tips, layout, cfg):
     """Assign each task to the tip that can start it earliest.
 
     A task's start is bounded below by its dependencies (earlier gates sharing
     a qubit) and by the chosen tip's travel; ties go to the lowest tip index.
     Every tip that worked parks afterwards, and the makespan includes those
-    final retreats — mirroring what serial compilation emits.
-
-    Only the first ``min(num_tips, len(tasks))`` tips are scanned: tips that
-    have not worked are identical, so the tie rule never picks one past them.
+    final retreats — mirroring what serial compilation emits. Returns the
+    per-task tips, the timeline and the makespan.
     """
-    if num_tips < 1:
-        raise ValueError(f"need at least one tip, got {num_tips}")
-    scanned = min(num_tips, len(tasks))
-    free = [0.0] * scanned
-    position = [PARKED] * scanned
+    free = [0.0] * num_tips
+    position = [PARKED] * num_tips
     qubit_release = {}
     assignment = []
     timeline = []
     for task in tasks:
         ready = max((qubit_release.get(q, 0.0) for q in task.qubits), default=0.0)
         best = None
-        for tip in range(scanned):
+        for tip in range(num_tips):
             travel = timing.move_duration(layout, cfg, position[tip], task.first_position)
             arrival = free[tip] + travel
             start = arrival if arrival >= ready else ready
@@ -83,24 +105,16 @@ def schedule_multi_tip(tasks, num_tips, layout, cfg):
         position[tip] = task.end_position
         for qubit in task.qubits:
             qubit_release[qubit] = end
-    makespan = 0.0
-    for tip in range(scanned):
+    for tip in range(num_tips):
         if position[tip] is PARKED:
             continue
         park = timing.move_duration(layout, cfg, position[tip], PARKED)
         timeline.append(TimelineEntry(tip, free[tip], free[tip] + park, "PARK", None))
         free[tip] += park
-    for clock in free:
-        makespan = max(makespan, clock)
-    return TipAssignment(
-        num_tips=num_tips,
-        per_task_tip=tuple(assignment),
-        timeline=tuple(timeline),
-        makespan=makespan,
-    )
+    return tuple(assignment), tuple(timeline), max(free)
 
 
-def validate_assignment(assignment, tasks, layout, cfg, slack=1e-9):
+def validate_assignment(assignment, tasks, layout, cfg):
     """Independent schedule checks; returns a list of violations (empty = clean).
 
     Recomputes everything from the tasks: per-tip travel consistency, no
@@ -125,14 +139,14 @@ def validate_assignment(assignment, tasks, layout, cfg, slack=1e-9):
         previous_end, previous_position = 0.0, PARKED
         for entry, task in items:
             travel = timing.move_duration(layout, cfg, previous_position, task.first_position)
-            if entry.start + slack < previous_end + travel:
+            if entry.start + _SLACK < previous_end + travel:
                 problems.append(
                     f"tip {tip} cannot reach {task.label!r} by {entry.start!r}"
                 )
             work = 0.0
             for duration in task.work:
                 work += duration
-            if abs((entry.end - entry.start) - work) > slack:
+            if abs((entry.end - entry.start) - work) > _SLACK:
                 problems.append(
                     f"task {task.label!r} lasts {entry.end - entry.start!r}, needs {work!r}"
                 )
@@ -145,7 +159,7 @@ def validate_assignment(assignment, tasks, layout, cfg, slack=1e-9):
             by_qubit.setdefault(qubit, []).append((task_order, entry, task))
     for qubit, items in sorted(by_qubit.items()):
         for (_, earlier, a), (_, later, b) in zip(items, items[1:]):
-            if later.start + slack < earlier.end:
+            if later.start + _SLACK < earlier.end:
                 problems.append(
                     f"qubit {qubit}: {b.label!r} starts before {a.label!r} ends"
                 )
@@ -154,6 +168,6 @@ def validate_assignment(assignment, tasks, layout, cfg, slack=1e-9):
     latest = 0.0
     for entry in entries + parks:
         latest = max(latest, entry.end)
-    if abs(assignment.makespan - latest) > slack:
+    if abs(assignment.makespan - latest) > _SLACK:
         problems.append(f"makespan {assignment.makespan!r} but latest end {latest!r}")
     return problems

@@ -4,7 +4,7 @@ import dataclasses
 import math
 
 from .engine import Channel
-from .program import ApplyPulse, Barrier, ConditionalPulse, MeasureViaCurrent, MoveTip
+from .program import ApplyPulse, ConditionalPulse, MeasureViaCurrent, MoveTip
 
 
 def move_duration(layout, cfg, origin, destination):
@@ -25,8 +25,6 @@ def instruction_duration(instruction, layout, cfg, tip_position):
         return instruction.pulse.duration
     if isinstance(instruction, MeasureViaCurrent):
         return cfg.measurement_dwell_time
-    if isinstance(instruction, Barrier):
-        return 0.0
     raise TypeError(f"not an instruction: {instruction!r}")
 
 
@@ -40,7 +38,7 @@ def duration_category(instruction):
         return "nuclear_pulses"
     if isinstance(instruction, MeasureViaCurrent):
         return "measurement"
-    return "barriers"
+    raise TypeError(f"not an instruction: {instruction!r}")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -76,7 +74,6 @@ def analyze_program(program, layout, cfg):
         "nuclear_pulses": 0.0,
         "electron_pulses": 0.0,
         "measurement": 0.0,
-        "barriers": 0.0,
     }
     total = 0.0
     for instruction in program.instructions:

@@ -177,7 +177,7 @@ def test_criterion_07_readout_round_trip():
     with criterion(7, "line classification and noisy-trace readout"):
         for pair in ((0, 0), (0, 1), (1, 0), (1, 1)):
             line = modulation_frequency(*pair, CFG)
-            assert classify_frequency(line, CFG, tolerance=1e6) == pair
+            assert classify_frequency(line, CFG) == pair
         for a_bit in (0, 1):
             gap = modulation_frequency(0, a_bit, CFG) - modulation_frequency(1, a_bit, CFG)
             assert gap == pytest.approx(120e6, abs=1e-3)

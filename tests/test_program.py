@@ -6,7 +6,6 @@ import pytest
 
 from spintip import (
     ApplyPulse,
-    Barrier,
     Channel,
     Circuit,
     CnotGate,
@@ -104,7 +103,6 @@ class TestProgramText:
                     Pulse(Channel.ELECTRON_RF, 1.41e11, math.pi, 0.0, 1e-7),
                     on_last_measurement=1,
                 ),
-                Barrier(),
                 MoveTip(None),
             )
         )
@@ -114,16 +112,8 @@ class TestProgramText:
             "PULSE PHOSPHORUS 25000000.0 3.141592653589793 0.5",
             "MEASURE 1",
             "CONDPULSE ELECTRON 141000000000.0 3.141592653589793 0.0",
-            "BARRIER",
             "MOVE PARK",
         ]
-
-    def test_programs_concatenate(self):
-        first = PulseProgram((MoveTip(0),), gate_count=1)
-        second = PulseProgram((MoveTip(None),), gate_count=2)
-        combined = first + second
-        assert combined.instructions == (MoveTip(0), MoveTip(None))
-        assert combined.gate_count == 3
 
 
 class TestProgramValidation:

@@ -18,8 +18,8 @@ from spintip import (
     measure_spin,
     measure_via_current,
     modulation_frequency,
-    modulation_lines,
     synth_trace,
+    transition_frequency,
 )
 from spintip.errors import AliasingError, ConfigError, TipParked, UnclassifiableFrequency
 
@@ -32,37 +32,19 @@ class TestClassification:
     @pytest.mark.parametrize("pair", PAIRS)
     def test_classify_inverts_the_line_map(self, pair):
         line = modulation_frequency(*pair, CFG)
-        assert classify_frequency(line, CFG, tolerance=1e6) == pair
-        # A few hundred kHz of drift must not change the verdict.
-        assert classify_frequency(line + 3e5, CFG, tolerance=1e6) == pair
-
-    def test_line_map_matches_scalar_route(self):
-        lines = modulation_lines(CFG)
-        assert set(lines) == set(PAIRS)
-        for pair, value in lines.items():
-            assert value == modulation_frequency(*pair, CFG)
-
-    def test_line_map_is_a_fresh_dict_each_call(self):
-        # The lines are memoised; mutating one caller's dict must not leak.
-        modulation_lines(CFG).clear()
-        assert modulation_lines(CFG) == {pair: modulation_frequency(*pair, CFG) for pair in PAIRS}
+        assert classify_frequency(line, CFG) == pair
+        # A few hundred kHz of drift must not change the verdict; the window
+        # is a quarter of the smallest gap, 120 MHz, so 30 MHz.
+        assert classify_frequency(line + 3e5, CFG) == pair
 
     def test_midway_frequency_is_unclassifiable(self):
-        lines = modulation_lines(CFG)
-        midway = (lines[(0, 0)] + lines[(1, 0)]) / 2.0  # 60 MHz from each
-        with pytest.raises(UnclassifiableFrequency):
-            classify_frequency(midway, CFG, tolerance=1e6)
+        midway = (modulation_frequency(0, 0, CFG) + modulation_frequency(1, 0, CFG)) / 2.0
+        with pytest.raises(UnclassifiableFrequency):  # 60 MHz from each
+            classify_frequency(midway, CFG)
 
     def test_far_off_frequency_is_unclassifiable(self):
         with pytest.raises(UnclassifiableFrequency):
-            classify_frequency(1.0, CFG, tolerance=1e6)
-
-    def test_overly_wide_tolerance_is_a_caller_bug(self):
-        # The closest pair of lines sits one bare-vs-modified coupling apart
-        # (120 MHz); any tolerance past half of that could match both.
-        with pytest.raises(ValueError):
-            classify_frequency(1.41e11, CFG, tolerance=60e6)
-        classify_frequency(modulation_frequency(0, 0, CFG), CFG, tolerance=59e6)
+            classify_frequency(1.0, CFG)
 
     def test_scale_invariance(self):
         # Alternating scales: the memoised lines are keyed by scale too.
@@ -83,6 +65,10 @@ class TestMeasureViaCurrent:
                 assert record.qubit == 0
                 assert record.inferred_p_bit == p_bit
                 assert record.inferred_a_bit == a_bit
+                # The line is the engine's; the closed form is the cross-check.
+                assert record.observed_frequency == transition_frequency(
+                    (p_bit, 0, a_bit), LAYOUT.electron_site(0), LAYOUT, CFG
+                )
                 assert record.observed_frequency == modulation_frequency(p_bit, a_bit, CFG)
                 assert record.pre_measurement_probability == pytest.approx(1.0, abs=1e-15)
                 assert after.population(0, p_bit) == pytest.approx(1.0, abs=1e-15)
@@ -175,10 +161,6 @@ class TestTraces:
         )
         assert len(trace.samples) == 13000
         assert trace.duration == pytest.approx(0.013, rel=1e-12)
-
-    def test_to_text_is_two_plain_columns(self):
-        trace = CurrentTrace(sample_rate=4.0, samples=np.array([0.5, -0.25]), duration=0.5)
-        assert trace.to_text() == "0.0 0.5\n0.25 -0.25\n"
 
 
 # In-test oracles for the traced route: the plain expressions, with no

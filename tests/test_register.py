@@ -55,10 +55,6 @@ def test_tip_position_is_immutable_state():
     assert moved.with_tip(PARKED).tip_position is PARKED
 
 
-def test_ground_configuration():
-    assert RegisterLayout(2).ground_configuration() == (0,) * 5
-
-
 @pytest.mark.parametrize(
     "bad",
     [

@@ -1,11 +1,14 @@
 """Multi-tip scheduling: serial equivalence, optimality on a known case,
-and structural validation of random schedules."""
+makespans that never rise with more tips, and structural validation of
+random schedules."""
 
 import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spintip import (
     PARKED,
@@ -107,6 +110,62 @@ class TestKnownOptimum:
             spans = [schedule_multi_tip(tasks, k, layout, CFG).makespan for k in (1, 2, 3, 4)]
             for slower, faster in zip(spans, spans[1:]):
                 assert faster <= slower + 1e-12, f"seed {seed}: {spans}"
+
+
+# Greedy list scheduling can lengthen with more tips (Graham 1969); this
+# 6-qubit circuit did, 496.8 us on 3 tips against 505.6 us on 4.
+ANOMALY = """INIT
+CNOT 4 5
+CNOT 2 5
+ROT 1 1.0 0.0
+MEASURE 1
+ROT 2 1.0 0.0
+INIT
+ROT 1 1.0 0.0
+MEASURE 0
+CNOT 5 4
+"""
+
+
+@st.composite
+def small_circuits(draw):
+    num_qubits = draw(st.integers(2, 6))
+    qubit = st.integers(0, num_qubits - 1)
+    gate = st.one_of(
+        st.just("INIT"),
+        st.builds("ROT {} {!r} 0.0".format, qubit, st.floats(0.1, 3.0)),
+        st.builds("MEASURE {}".format, qubit),
+        st.tuples(qubit, qubit).filter(lambda pair: pair[0] != pair[1]).map(
+            lambda pair: f"CNOT {pair[0]} {pair[1]}"
+        ),
+    )
+    lines = draw(st.lists(gate, min_size=1, max_size=12))
+    return num_qubits, parse_circuit("\n".join(lines))
+
+
+class TestMoreTipsNeverHurt:
+    def test_the_anomaly_keeps_its_three_tip_makespan(self):
+        layout = RegisterLayout(6)
+        tasks = expand_tasks(parse_circuit(ANOMALY), layout, CFG)
+        three = schedule_multi_tip(tasks, 3, layout, CFG)
+        four = schedule_multi_tip(tasks, 4, layout, CFG)
+        assert three.makespan == pytest.approx(496.8e-6, abs=1e-12)
+        assert four.makespan == three.makespan
+        assert four.num_tips == 4
+        assert validate_assignment(four, tasks, layout, CFG) == []
+
+    @settings(deadline=None, max_examples=60)
+    @given(case=small_circuits())
+    def test_makespan_never_rises_with_more_tips(self, case):
+        num_qubits, circuit = case
+        layout = RegisterLayout(num_qubits)
+        tasks = expand_tasks(circuit, layout, CFG)
+        spans = []
+        for tips in range(1, 6):
+            assignment = schedule_multi_tip(tasks, tips, layout, CFG)
+            assert validate_assignment(assignment, tasks, layout, CFG) == []
+            spans.append(assignment.makespan)
+        assert all(later <= earlier for earlier, later in zip(spans, spans[1:])), spans
 
 
 class TestValidation:

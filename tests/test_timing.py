@@ -8,7 +8,6 @@ import pytest
 
 from spintip import (
     ApplyPulse,
-    Barrier,
     Channel,
     MachineConfig,
     MeasureViaCurrent,
@@ -45,12 +44,11 @@ class TestInstructionDurations:
     def test_measurement_uses_the_dwell_time(self):
         assert instruction_duration(MeasureViaCurrent(0), CHAIN, CFG, 0) == 15e-6
 
-    def test_barriers_are_free(self):
-        assert instruction_duration(Barrier(), CHAIN, CFG, 0) == 0.0
-
     def test_unknown_objects_are_rejected(self):
         with pytest.raises(TypeError):
             instruction_duration("PULSE", CHAIN, CFG, 0)
+        with pytest.raises(TypeError):
+            duration_category("PULSE")
 
     def test_categories(self):
         electron = Pulse(Channel.ELECTRON_RF, 1.4e11, math.pi, 0.0, 1e-7)
@@ -59,7 +57,6 @@ class TestInstructionDurations:
         assert duration_category(ApplyPulse(electron)) == "electron_pulses"
         assert duration_category(ApplyPulse(nuclear)) == "nuclear_pulses"
         assert duration_category(MeasureViaCurrent(0)) == "measurement"
-        assert duration_category(Barrier()) == "barriers"
 
 
 class TestBudget:
