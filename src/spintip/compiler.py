@@ -1,16 +1,16 @@
 """Gate-to-pulse compilation, the gate task list, and program execution.
 
-Every pulse frequency a compiled program carries is derived by asking the
-engine for the transition line of the *intended* conditional flip — the same
-formula the executor will use to test resonance — so compiled programs cannot
-silently drift off their own machine model. The closed forms in ``physics``
-stay an independent cross-check route, never a compilation input.
+Every pulse frequency a compiled program carries is the ``physics.pattern_lines``
+entry of the *intended* conditional flip — the very float the executor tests
+resonance against — so compiled programs cannot silently drift off their own
+machine model. The closed forms in ``physics`` stay an independent cross-check
+route, never a compilation input.
 
 The lines are derived once per config on a one-qubit register (``drive_lines``)
 and reused for every qubit of every register. That holds because couplings are
-uniform across qubits: each flip's line depends only on the config and on the
-bits of the addressed spin's partners (its own nucleus or electron, and the tip
-carbon while the tip sits on its qubit), never on which qubit or how many.
+uniform across qubits: a site's ``pattern_lines`` depend only on the config and
+on the bits of its partners (its own nucleus or electron, and the tip carbon
+while the tip sits on its qubit), never on which qubit or how many.
 """
 
 import dataclasses
@@ -44,8 +44,8 @@ _PI = math.pi
 def drive_lines(cfg):
     """The six distinct drive lines of the gate set, as a read-only mapping.
 
-    Each is the engine line of the intended flip on a one-qubit register with
-    the tip engaged, keyed by role:
+    Each is the ``physics.pattern_lines`` entry of the intended flip on a
+    one-qubit register with the tip engaged, keyed by role:
 
     - rotation: the qubit nucleus with its electron ground (Rot, and INIT's
       first correction)
@@ -58,22 +58,19 @@ def drive_lines(cfg):
       conditional flip, and INIT's second correction)
     """
     layout = RegisterLayout(1, tip_position=0)
-    nucleus, electron, tip = layout.nucleus_site(0), layout.electron_site(0), layout.tip_site
-
-    def line(site, *excited):
-        config = [0] * layout.num_sites
-        for excited_site in excited:
-            config[excited_site] = 1
-        return physics.transition_frequency(tuple(config), site, layout, cfg)
-
+    # Partners: nucleus -> (electron,), electron -> (nucleus, tip), tip -> (electron,).
+    nucleus, electron, tip = (
+        physics.pattern_lines(layout, cfg, site)[1]
+        for site in (layout.nucleus_site(0), layout.electron_site(0), layout.tip_site)
+    )
     return types.MappingProxyType(
         {
-            "rotation": line(nucleus),
-            "control_electron": line(electron, nucleus),
-            "tip_nucleus": line(tip, electron),
-            "target_electron_n1": line(electron, nucleus, tip),
-            "target_electron_n0": line(electron, tip),
-            "target_nucleus": line(nucleus, electron, tip),
+            "rotation": nucleus[0],
+            "control_electron": electron[0b10],
+            "tip_nucleus": tip[1],
+            "target_electron_n1": electron[0b11],
+            "target_electron_n0": electron[0b01],
+            "target_nucleus": nucleus[1],
         }
     )
 
@@ -113,9 +110,13 @@ def compile_rotation(qubit, angle, phase, layout, cfg):
     The drive sits on the nuclear line with the local electron in its ground
     state, so the rotation is implicitly conditioned on the ancilla being
     clean — which compiled sequences guarantee. The angle is folded into
-    (0, 2*pi]; a zero rotation compiles to just the tip move.
+    (0, 2*pi]; a zero rotation compiles to just the tip move. A non-finite
+    angle or phase is a ValueError.
     """
     layout.check_qubit(qubit)
+    for name, value in (("angle", angle), ("phase", phase)):
+        if not math.isfinite(value):
+            raise ValueError(f"rotation {name} must be finite, got {value!r}")
     folded = math.fmod(angle, 2.0 * _PI)
     if folded < 0:
         folded += 2.0 * _PI

@@ -17,12 +17,12 @@ A pulse drives exactly the basis-index pairs whose single-spin flip lies
 within the machine's selectivity window of the drive frequency — everything
 else is untouched, which is the whole trick behind tip-conditional logic.
 A flip line depends only on the bits of the addressed spin's one or two
-partners (``physics.partner_sites``), so a pulse evaluates at most four lines
-and moves whole slabs of amplitudes: basic-slice views of the live tensor,
-with the addressed and partner sites pinned, one slab per partner pattern and
-addressed bit. No register-sized frequency or index array is built.
-Populations and measurement read and zero the halves of a site through the
-same kind of view.
+partners, so a pulse compares its drive with at most four lines
+(``physics.pattern_lines``) and moves whole slabs of amplitudes: basic-slice
+views of the live tensor, with the addressed and partner sites pinned, one
+slab per partner pattern and addressed bit. No register-sized frequency or
+index array is built. Populations and measurement read and zero the halves
+of a site through the same kind of view.
 
 ``apply_selective_pulse`` and ``measure_spin`` work on a copy of their
 input state by default. ``compiler.execute`` copies its input once and
@@ -33,7 +33,6 @@ whose tensor is replaced when a site wakes or drops.
 import bisect
 import dataclasses
 import enum
-import functools
 import itertools
 import math
 
@@ -87,6 +86,8 @@ class Pulse:
             raise ValueError(f"pulse frequency must be positive, got {self.frequency!r}")
         if not 0 < self.angle <= _TWO_PI:
             raise ValueError(f"pulse angle must lie in (0, 2*pi], got {self.angle!r}")
+        if not math.isfinite(self.phase):
+            raise ValueError(f"pulse phase must be finite, got {self.phase!r}")
         if not self.duration > 0:
             raise ValueError(f"pulse duration must be positive, got {self.duration!r}")
 
@@ -277,33 +278,13 @@ def _addressed_site(channel, layout):
     return layout.nucleus_site(layout.tip_position)
 
 
-@functools.lru_cache(maxsize=1024)
-def _pattern_lines(layout, cfg, site):
-    """(partners, partner bit patterns, float64 flip line of each pattern).
-
-    Each line is evaluated on one representative basis index of its pattern.
-    Layouts and configs are frozen, so a circuit's pulses share the entries
-    of each tip position and addressed site; the lines are read-only.
-    """
-    n = layout.num_sites
-    partners = physics.partner_sites(layout, site)
-    patterns = tuple(itertools.product((0, 1), repeat=len(partners)))
-    representatives = np.array(
-        [sum(bit << (n - 1 - p) for p, bit in zip(partners, bits)) for bits in patterns],
-        dtype=np.int64,
-    )
-    lines = physics._flip_magnitudes(layout, cfg, site, representatives, np.float64)
-    lines.flags.writeable = False
-    return partners, patterns, lines
-
-
 def apply_selective_pulse(state, pulse, layout, cfg, *, in_place=False):
     """Drive every basis pair resonant with the pulse; return (state, outcome).
 
     A pair (i, i^flip) of the addressed site is resonant when its flip
     frequency lies within ``cfg.selectivity_tolerance`` of the drive. That
-    frequency is a function of the partner bits alone, so it is evaluated
-    once per partner pattern (float64, on one representative index each).
+    frequency is a function of the partner bits alone, so the test compares
+    the drive with the at most four ``physics.pattern_lines`` of the site.
     Every resonant pattern names two slabs of the live tensor, addressed bit
     0 and 1 with the partners pinned; they are swapped (exact pi) or rotated
     by the pair unitary in place. A dormant partner is |0>, so its bit-1
@@ -322,9 +303,10 @@ def apply_selective_pulse(state, pulse, layout, cfg, *, in_place=False):
         )
     site = _addressed_site(pulse.channel, layout)
     n = layout.num_sites
-    partners, patterns, lines = _pattern_lines(layout, cfg, site)
-    resonant = np.abs(lines - pulse.frequency) <= cfg.selectivity_tolerance
-    hits = [bits for bits, hit in zip(patterns, resonant) if hit]
+    partners, lines = physics.pattern_lines(layout, cfg, site)
+    patterns = itertools.product((0, 1), repeat=len(partners))
+    hits = [bits for bits, line in zip(patterns, lines)
+            if abs(line - pulse.frequency) <= cfg.selectivity_tolerance]
 
     if not in_place:
         state = state.copy()
@@ -371,7 +353,7 @@ def measure_spin(state, site, rng, *, in_place=False):
     """
     rng = np.random.default_rng(rng)
     total = float(np.sum(np.abs(state.tensor) ** 2))
-    if math.sqrt(total) < 1e-9:
+    if not math.sqrt(total) >= 1e-9:
         raise DegenerateState(f"state norm {math.sqrt(total):.3e} is too small to measure")
     p_one = state.population(site, 1) / total
     bit = 1 if rng.random() < p_one else 0

@@ -1,21 +1,21 @@
 """Diagonal spin Hamiltonian: energies, transition lines, reference formulas.
 
 Basis states are energy eigenstates here, so every configuration has a sharp
-energy (in Hz) and every single-spin flip a sharp transition frequency. Scalar
-entry points evaluate in extended precision and round once to float64; the
-float64 route (used by pulse application on one representative index per
-partner pattern, and by ``site_flip_frequency_array``) has ~1e-5 Hz rounding,
-negligible against any sane selectivity window. A flip line depends only on
-the bits of the site's partners (``partner_sites``).
+energy (in Hz) and every single-spin flip a sharp transition frequency,
+evaluated in extended precision and rounded once to float64. A flip line
+depends only on the bits of the site's partners (``partner_sites``), so a site
+has at most four: ``pattern_lines``, the one memoised table that pulses, drive
+lines, readout lines and the spectral-gap scan all read.
 """
 
 import functools
 import itertools
+import math
 
 import numpy as np
 
 from .config import SPECIES_INFO, Species
-from .errors import MismatchedRegister
+from .errors import ConfigError, MismatchedRegister
 from .register import PARKED, RegisterLayout, index_of_bits
 
 _EXACT = np.longdouble
@@ -102,29 +102,43 @@ def _coupling(layout, cfg, site, partner):
     return cfg.hyperfine_bare
 
 
-def _flip_magnitudes(layout, cfg, site, indices, dtype):
-    """|dE| for flipping ``site`` out of each basis index in ``indices``.
+def _flip_magnitudes(layout, cfg, site, indices):
+    """|dE| for flipping ``site`` out of each basis index, in extended precision.
 
-    Single implementation behind both the scalar (extended-precision) and the
-    vectorized (float64) entry points, so the two routes cannot drift apart.
     Because the energy is bilinear, the flip magnitude is the site's Zeeman
     coefficient plus its coupling terms evaluated at the partner spins.
     """
     n = layout.num_sites
-    delta = np.zeros(np.shape(indices), dtype=dtype)
-    delta = delta + _zeeman_coefficient(layout.species_of(site), cfg, dtype)
+    zeeman = _zeeman_coefficient(layout.species_of(site), cfg, _EXACT)
+    delta = np.full(np.shape(indices), zeeman, dtype=_EXACT)
     for partner in partner_sites(layout, site):
         info = SPECIES_INFO[layout.species_of(partner)]
         bits = (indices >> (n - 1 - partner)) & 1
-        m_ground = dtype(0.5) if info.ground_orientation == "up" else dtype(-0.5)
-        m = np.where(bits == 0, m_ground, -m_ground)
-        delta = delta + dtype(_coupling(layout, cfg, site, partner)) * m
+        m = np.where(bits == 0, _EXACT(info.m_of_bit(0)), _EXACT(info.m_of_bit(1)))
+        delta = delta + _EXACT(_coupling(layout, cfg, site, partner)) * m
     return np.abs(delta)
 
 
 def _transition_exact(config, site, layout, cfg):
     indices = np.array([index_of_bits(config)], dtype=np.int64)
-    return _flip_magnitudes(layout, cfg, site, indices, _EXACT)[0]
+    return _flip_magnitudes(layout, cfg, site, indices)[0]
+
+
+@functools.lru_cache(maxsize=1024)
+def pattern_lines(layout, cfg, site):
+    """(partners, flip line of ``site`` per partner bit pattern), memoised.
+
+    Patterns run in ``itertools.product((0, 1), repeat=len(partners))`` order;
+    each line is evaluated on one representative basis index.
+    """
+    n = layout.num_sites
+    partners = partner_sites(layout, site)
+    representatives = np.array(
+        [sum(bit << (n - 1 - p) for p, bit in zip(partners, bits))
+         for bits in itertools.product((0, 1), repeat=len(partners))],
+        dtype=np.int64,
+    )
+    return partners, tuple(map(float, _flip_magnitudes(layout, cfg, site, representatives)))
 
 
 def transition_frequency(config, spin_site, layout, cfg):
@@ -144,11 +158,10 @@ def site_flip_frequency_array(layout, cfg, site):
     """Flip frequency of ``site`` for every basis index, as a float64 array.
 
     Index ``i`` and its flipped partner get identical values (the partner
-    spins are what the frequency depends on), which is what lets pulse
-    application test resonance once per index pair.
+    spins are what the frequency depends on); a vectorised reference route.
     """
     indices = np.arange(layout.dimension, dtype=np.int64)
-    return _flip_magnitudes(layout, cfg, site, indices, np.float64)
+    return _flip_magnitudes(layout, cfg, site, indices).astype(np.float64)
 
 
 def closed_form_frequencies(cfg):
@@ -282,22 +295,22 @@ def frequency_audit(cfg):
 def min_spectral_gap(cfg):
     """Smallest gap (Hz) between distinct transition lines of a one-qubit register.
 
-    Scans both tip situations (engaged on the qubit, parked), every site and
-    every spectator configuration. Nearly equal values are clustered with a
-    relative epsilon before taking gaps, so exactly degenerate lines do not
-    report a spurious zero; what remains is the resolution a selective pulse
-    must beat. Memoised on the frozen config, which ``MachineConfig.validate``
-    checks on every call.
+    Scans both tip situations (engaged on the qubit, parked) and every site's
+    ``pattern_lines``. Nearly equal values are clustered with a relative
+    epsilon before taking gaps, so exactly degenerate lines do not report a
+    spurious zero; what remains is the resolution a selective pulse must
+    beat. A line that overflows float64 is a ConfigError. Memoised on the
+    frozen config, which ``MachineConfig.validate`` checks on every call.
     """
     values = []
     for tip in (0, PARKED):
         layout = RegisterLayout(1, tip_position=tip)
         for site in range(layout.num_sites):
-            for bits in itertools.product((0, 1), repeat=layout.num_sites):
-                values.append(float(_transition_exact(bits, site, layout, cfg)))
+            values += pattern_lines(layout, cfg, site)[1]
+    if not all(map(math.isfinite, values)):
+        raise ConfigError("transition lines overflow float64 (above 1.8e308 Hz)")
     values.sort()
-    span = max(abs(values[0]), abs(values[-1]))
-    atol = span * 1e-9
+    atol = values[-1] * 1e-9  # lines are magnitudes, so the last is the span
     clusters = [values[0]]
     for value in values[1:]:
         if value - clusters[-1] > atol:

@@ -11,6 +11,7 @@ not reentrant: two threads must not detect peaks at the same time.
 
 import dataclasses
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -49,23 +50,18 @@ class CurrentTrace:
 def _line_table(cfg, frequency_scale):
     """The four readout lines, keyed by (p_bit, a_bit), and their smallest gap.
 
-    Each line is the engine's transition of the electron under the tip, on a
-    one-qubit register (nucleus, electron, tip carbon) with the tip engaged —
-    the route ``compiler.drive_lines`` takes; ``physics.modulation_frequency``
-    stays a closed-form cross-check. Memoised on the frozen config, because a
-    traced read would otherwise repeat the extended-precision evaluation for
-    every line on every read. Callers must not mutate the returned dict.
+    Each line is the ``physics.pattern_lines`` entry of the electron under the
+    tip on a one-qubit register (nucleus, electron, tip carbon) with the tip
+    engaged — the table ``compiler.drive_lines`` and the engine read — divided
+    by ``frequency_scale``; ``physics.modulation_frequency`` stays a
+    closed-form cross-check. Memoised per (config, scale), so a traced read
+    looks its line up. Callers must not mutate the returned dict.
     """
     layout = RegisterLayout(1, tip_position=0)
-    electron = layout.electron_site(0)
-    lines = {
-        (p, a): physics.transition_frequency((p, 0, a), electron, layout, cfg) / frequency_scale
-        for p, a in _PAIRS
-    }
-    values = list(lines.values())
-    smallest_gap = min(
-        abs(a - b) for i, a in enumerate(values) for b in values[i + 1 :]
-    )
+    # The electron's partners are (nucleus, tip), so pattern 2p + a is (p, a).
+    electron = physics.pattern_lines(layout, cfg, layout.electron_site(0))[1]
+    lines = {(p, a): electron[2 * p + a] / frequency_scale for p, a in _PAIRS}
+    smallest_gap = min(abs(a - b) for a, b in itertools.combinations(lines.values(), 2))
     return lines, smallest_gap
 
 

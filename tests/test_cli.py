@@ -190,6 +190,31 @@ class TestFailureModes:
         assert report["pulses"]["spectral_misses"] == [1]
         assert any("no transition line" in reason for reason in report["status"]["reasons"])
 
+    def test_golden_circuit_runs_under_a_sub_ulp_window(self, tmp_path):
+        # Every drive equals its engine line bit for bit, so a window of 1e-9
+        # Hz (below one ulp of the 1.4e11 Hz electron lines) still hits.
+        config = tmp_path / "tight.config"
+        config.write_text("selectivity_tolerance = 1e-9\n", encoding="utf-8")
+        done = run_cli("--circuit", str(DATA / "golden.circuit"), "--seed", "42",
+                       "--config", str(config))
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout)
+        golden = json.loads((DATA / "golden_report.json").read_text(encoding="utf-8"))
+        assert report["pulses"]["spectral_misses"] == []
+        assert report["measurements"] == golden["measurements"]
+
+    @pytest.mark.parametrize("field", ["magnetic_field", "bohr_magneton"])
+    def test_lines_beyond_float64_exit_two(self, example_circuit, tmp_path, field):
+        config = tmp_path / "huge.config"
+        config.write_text(f"{field} = 1e300\n", encoding="utf-8")
+        done = run_cli("--circuit", str(example_circuit), "--seed", "0",
+                       "--config", str(config))
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: ")
+        assert "overflow float64" in done.stderr
+        assert done.stderr.count("\n") == 1
+
     def test_register_too_large_for_memory_exits_two(self, tmp_path):
         # 41 qubits is 2^83 amplitudes: the run must refuse before allocating.
         path = tmp_path / "huge.circuit"

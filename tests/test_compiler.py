@@ -42,6 +42,7 @@ from spintip import (
     transition_frequency,
 )
 from spintip.errors import IllFormedProgram, MismatchedRegister, SameQubit
+from spintip.physics import pattern_lines
 
 CFG = MachineConfig()
 PAIR = RegisterLayout(2)
@@ -107,6 +108,17 @@ class TestRotationCompilation:
         program = compile_rotation(0, angle, 0.0, SOLO, CFG)
         assert program.instructions[1].pulse.angle == pytest.approx(folded, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "angle, phase",
+        [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0), (1.0, math.nan), (1.0, math.inf)],
+    )
+    def test_non_finite_angle_or_phase_rejected(self, angle, phase):
+        # A nan angle used to compile to a bare move, an infinite one to fail
+        # in fmod, and a nan phase to run into a state of norm nan.
+        bad = angle if not math.isfinite(angle) else phase
+        with pytest.raises(ValueError, match=f"must be finite, got {bad!r}"):
+            compile_rotation(0, angle, phase, SOLO, CFG)
+
     def test_executed_rotation_matches_the_two_level_formula(self):
         theta, phi = 1.1, -0.6
         program = compile_rotation(0, theta, phi, SOLO, CFG)
@@ -158,6 +170,41 @@ class TestDriveLineTable:
             assert line(t, e_t, n_t, tip) == table["target_electron_n1"]
             assert line(t, e_t, tip) == table["target_electron_n0"]
             assert line(t, n_t, e_t, tip) == table["target_nucleus"]
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [CFG, dataclasses.replace(CFG, hyperfine_bare=90e6, hyperfine_tip_modified=130e6)],
+        ids=["default", "distinct_couplings"],
+    )
+    def test_every_compiled_pulse_sits_exactly_on_a_line(self, cfg):
+        # A drive must equal a line of its addressed site bit for bit, so it
+        # stays resonant under a window far below one ulp of the line.
+        tight = dataclasses.replace(cfg, selectivity_tolerance=1e-300).validate()
+        layout = RegisterLayout(3)
+        programs = [compile_init(layout, cfg)]
+        programs += [compile_rotation(q, 1.1, 0.3, layout, cfg) for q in range(3)]
+        programs += [compile_cnot(c, t, layout, cfg)
+                     for c, t in itertools.permutations(range(3), 2)]
+        sites = {
+            Channel.PHOSPHORUS_NUCLEAR_RF: lambda at: at.nucleus_site(at.tip_position),
+            Channel.ELECTRON_RF: lambda at: at.electron_site(at.tip_position),
+            Channel.TIP_CARBON_NUCLEAR_RF: lambda at: at.tip_site,
+        }
+        pulses = 0
+        for program in programs:
+            at = layout
+            for instruction in program.instructions:
+                if isinstance(instruction, MoveTip):
+                    at = at.with_tip(instruction.target)
+                elif isinstance(instruction, (ApplyPulse, ConditionalPulse)):
+                    pulse = instruction.pulse
+                    site = sites[pulse.channel](at)
+                    assert pulse.frequency in pattern_lines(at, cfg, site)[1]
+                    state = PureState.ground(layout)
+                    _, outcome = apply_selective_pulse(state, pulse, at, tight)
+                    assert outcome.resonant_pair_count > 0
+                    pulses += 1
+        assert pulses == 3 * 2 + 3 + 6 * 9
 
     def test_table_is_read_only(self):
         with pytest.raises(TypeError):

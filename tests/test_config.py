@@ -129,6 +129,15 @@ def test_negative_coupling_rejected():
         cfg.validate()
 
 
+@pytest.mark.parametrize("field", ["magnetic_field", "bohr_magneton"])
+def test_lines_beyond_float64_rejected(field):
+    # Finite inputs whose electron lines round to inf would compile pulses
+    # that hit nothing and print Infinity into the report.
+    cfg = dataclasses.replace(MachineConfig(), **{field: 1e300})
+    with pytest.raises(ConfigError, match="overflow float64"):
+        cfg.validate()
+
+
 def test_tight_spacing_warns_but_validates():
     cfg = dataclasses.replace(MachineConfig(), lattice_spacing=20e-9)
     with pytest.warns(UserWarning, match="30 nm"):

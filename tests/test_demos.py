@@ -1,4 +1,4 @@
-"""Smoke tests: every narrative demo runs to the end and prints something,
+"""Smoke tests: every narrative demo runs to the end, warning-clean, and prints something,
 and the README quick tour prints what its comments say."""
 
 import os
@@ -22,7 +22,8 @@ def run_python(*args):
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
     done = subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=ROOT
+        [sys.executable, "-W", "error", *args],
+        capture_output=True, text=True, env=env, cwd=ROOT,
     )
     assert done.returncode == 0, done.stderr
     return done.stdout

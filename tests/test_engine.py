@@ -79,6 +79,11 @@ class TestPulseValidation:
         with pytest.raises(ValueError):
             Pulse(**base)
 
+    @pytest.mark.parametrize("phase", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_rejected(self, phase):
+        with pytest.raises(ValueError, match="phase must be finite"):
+            Pulse(Channel.ELECTRON_RF, 1e9, math.pi, phase, 1e-7)
+
     def test_full_turn_allowed(self):
         Pulse(Channel.ELECTRON_RF, 1e9, 2 * math.pi, 0.0, 1e-7)
 
@@ -238,6 +243,14 @@ class TestMeasurement:
             observed, collapsed, _ = measure_spin(state, 0, np.random.default_rng(seed))
             partner, _, _ = measure_spin(collapsed, 1, np.random.default_rng(seed + 99))
             assert partner == observed
+
+    def test_measuring_a_nan_state_raises(self):
+        # nan fails every comparison, so the guard must be written to let
+        # only a norm known to be large enough through.
+        amplitudes = np.zeros(8, dtype=complex)
+        amplitudes[0], amplitudes[5] = 1.0, math.nan
+        with pytest.raises(DegenerateState):
+            measure_spin(PureState(amplitudes, 3), 0, np.random.default_rng(0))
 
     def test_measuring_nothing_raises(self):
         empty = PureState(np.zeros(8, dtype=complex), 3)

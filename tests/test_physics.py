@@ -26,6 +26,7 @@ from spintip import (
     zeeman_splitting,
 )
 from spintip.errors import MismatchedRegister
+from spintip.physics import pattern_lines
 
 CFG = MachineConfig()
 # Distinct couplings so tip-present and tip-absent cases cannot be confused.
@@ -220,6 +221,26 @@ def test_vectorized_lines_agree_with_the_scalar_route():
         # Flipping the addressed site itself never changes its own line.
         partners = np.arange(32) ^ (1 << (4 - site))
         assert np.array_equal(lines, lines[partners])
+
+
+@pytest.mark.parametrize("cfg", [CFG, SPLIT_CFG], ids=["default", "split"])
+@pytest.mark.parametrize("num_qubits", [1, 2, 3])
+def test_pattern_lines_are_the_scalar_route_bit_for_bit(num_qubits, cfg):
+    # The one line table the engine, compiler, readout and gap scan read must
+    # be the extended-precision scalar line rounded once, whatever the
+    # spectator bits, for every tip position (parked too) and every site.
+    for tip in [*range(num_qubits), PARKED]:
+        layout = RegisterLayout(num_qubits, tip_position=tip)
+        for site in range(layout.num_sites):
+            partners, lines = pattern_lines(layout, cfg, site)
+            patterns = list(itertools.product((0, 1), repeat=len(partners)))
+            assert len(lines) == len(patterns)
+            for line, bits in zip(lines, patterns):
+                for spectator in (0, 1):
+                    config = [spectator] * layout.num_sites
+                    for partner, bit in zip(partners, bits):
+                        config[partner] = bit
+                    assert line == transition_frequency(config, site, layout, cfg)
 
 
 def test_modulation_lines_are_the_under_tip_electron_transitions():
