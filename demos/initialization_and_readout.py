@@ -68,21 +68,16 @@ for pair in ((0, 0), (0, 1), (1, 0), (1, 1)):
 
 print("\nnoisy-trace readout at SNR 10")
 for seed, pair in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-    trace = synth_trace(
-        *pair, cfg, snr=10.0, duration=cfg.trace_duration,
-        sample_rate=cfg.trace_sample_rate, rng=np.random.default_rng(seed),
-    )
-    detected = detect_peak(trace)
+    samples = synth_trace(*pair, cfg, snr=10.0, rng=np.random.default_rng(seed))
+    detected = detect_peak(samples, cfg.trace_sample_rate)
     truth = modulation_frequency(*pair, cfg) / cfg.trace_frequency_scale
-    inferred = classify_frequency(detected, cfg, frequency_scale=cfg.trace_frequency_scale)
+    inferred = classify_frequency(detected * cfg.trace_frequency_scale, cfg)
     print(f"  true {truth:12.3f}  detected {detected:12.3f}  -> bits {inferred}"
           f"  ({'correct' if inferred == pair else 'WRONG'})")
 
 # A clean trace pins the line to a fraction of an FFT bin.
-clean = synth_trace(
-    1, 0, cfg, snr=math.inf, duration=cfg.trace_duration,
-    sample_rate=cfg.trace_sample_rate, rng=np.random.default_rng(0),
-)
-bin_width = clean.sample_rate / len(clean.samples)
-error = abs(detect_peak(clean) - modulation_frequency(1, 0, cfg) / cfg.trace_frequency_scale)
+clean = synth_trace(1, 0, cfg, snr=math.inf, rng=np.random.default_rng(0))
+bin_width = cfg.trace_sample_rate / len(clean)
+detected = detect_peak(clean, cfg.trace_sample_rate)
+error = abs(detected - modulation_frequency(1, 0, cfg) / cfg.trace_frequency_scale)
 print(f"\nclean-trace peak error {error:.4f} of a {bin_width:.1f}-wide bin")

@@ -4,12 +4,13 @@ Reports are deterministic by construction — sorted keys, no timestamps, float
 repr — so the same inputs and seed produce byte-identical output, which is
 what makes them diffable regression artifacts.
 
-Exit codes: 0 success, 2 unusable input (flags, config, circuit, a register
-too large for the host's memory, a trace sample rate that aliases the readout
-lines), 3 physics failure (a compiled pulse that hits no transition line, a
-failed --verify-frequencies check, or a readout line that matches no or
-several modulation lines), 4 infeasible decoherence budget under
---enforce-budget. Every failure prints one ``error:`` line to stderr.
+Exit codes: 0 success, 2 unusable input (flags, a negative seed, config,
+circuit, a register too large for memory, a trace sample rate that aliases the
+readout lines, a non-finite report number), 3 physics failure (a compiled
+pulse that hits no transition line, a failed --verify-frequencies check, or a
+readout line that matches no or several modulation lines), 4 infeasible
+decoherence budget under --enforce-budget. Every failure prints one
+``error:`` line to stderr.
 """
 
 import argparse
@@ -260,6 +261,14 @@ def _print_reasons(report):
         print(f"error: {'; '.join(report['status']['reasons'])}", file=sys.stderr)
 
 
+def _report_json(report):
+    """The report as JSON text; a non-finite number in it is a ConfigError."""
+    try:
+        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise ConfigError("the report would hold a non-finite number") from None
+
+
 def _fresh_seed():
     return int(np.random.SeedSequence().entropy)
 
@@ -277,7 +286,7 @@ def _run_batch(args, cfg):
         try:
             report, code = run_circuit_file(path, cfg, args, seed, dump_path=None)
             out = path.with_suffix(".report.json")
-            out.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+            out.write_text(_report_json(report) + "\n", encoding="utf-8")
         except (SimulationError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             code = _failure_code(exc)
@@ -293,6 +302,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if bool(args.circuit) == bool(args.batch):
         parser.error("exactly one of --circuit or --batch is required")
+    if args.seed is not None and args.seed < 0:
+        parser.error("--seed must be non-negative")
     if args.tips is not None and args.tips < 1:
         parser.error("--tips must be at least 1")
     if args.trace_snr is not None and not args.trace_snr > 0:
@@ -311,10 +322,11 @@ def main(argv=None):
         print(f"seed: {seed}", file=sys.stderr)
     try:
         report, code = run_circuit_file(args.circuit, cfg, args, seed, args.dump_state)
+        text = _report_json(report)
     except (SimulationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _failure_code(exc)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(text)
     _print_reasons(report)
     return code
 

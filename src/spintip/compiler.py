@@ -110,8 +110,9 @@ def compile_rotation(qubit, angle, phase, layout, cfg):
     The drive sits on the nuclear line with the local electron in its ground
     state, so the rotation is implicitly conditioned on the ancilla being
     clean — which compiled sequences guarantee. The angle is folded into
-    (0, 2*pi]; a zero rotation compiles to just the tip move. A non-finite
-    angle or phase is a ValueError.
+    (0, 2*pi]; a zero rotation, or one too small for its pulse duration to
+    stay above 0.0 s, compiles to just the tip move. A non-finite angle or
+    phase is a ValueError.
     """
     layout.check_qubit(qubit)
     for name, value in (("angle", angle), ("phase", phase)):
@@ -123,7 +124,7 @@ def compile_rotation(qubit, angle, phase, layout, cfg):
     if folded == 0.0 and angle != 0.0:
         folded = 2.0 * _PI
     instructions = [MoveTip(qubit)]
-    if folded > 0.0:
+    if cfg.nuclear_pi_duration * folded / _PI > 0.0:  # the duration _nuclear_pulse gives
         pulse = _nuclear_pulse(
             cfg, drive_lines(cfg)["rotation"], folded, phase, PulseMode.PHASED_ROTATION
         )
@@ -186,9 +187,9 @@ def compile_init(layout, cfg):
         instructions += [
             MoveTip(qubit),
             MeasureViaCurrent(qubit),
-            ConditionalPulse(ground_pulse, on_last_measurement=1),
+            ConditionalPulse(ground_pulse),
             MeasureViaCurrent(qubit),
-            ConditionalPulse(shifted_pulse, on_last_measurement=1),
+            ConditionalPulse(shifted_pulse),
         ]
     return PulseProgram(tuple(instructions), gate_count=layout.num_qubits)
 
@@ -284,7 +285,7 @@ def execute(program, state, layout, cfg, rng, trace_snr=None):
     """Run a pulse program against a state; return an ExecutionResult.
 
     Instructions run in order; moves update the tip, conditional pulses fire
-    on the inferred p-bit of the most recent measurement. ``rng`` seeds one
+    when the most recent measurement inferred p-bit 1. ``rng`` seeds one
     stream that all measurements consume in order, so a seed pins the run.
     The timing is the program's static analysis, which charges conditional
     pulses whether or not they fire.
@@ -310,8 +311,7 @@ def execute(program, state, layout, cfg, rng, trace_snr=None):
             current = current.with_tip(instruction.target)
         elif isinstance(instruction, (ApplyPulse, ConditionalPulse)):
             outcome = None
-            if (isinstance(instruction, ApplyPulse)
-                    or last_inferred == instruction.on_last_measurement):
+            if isinstance(instruction, ApplyPulse) or last_inferred == 1:
                 state, outcome = engine.apply_selective_pulse(
                     state, instruction.pulse, current, cfg, in_place=True
                 )

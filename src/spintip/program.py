@@ -162,10 +162,9 @@ class ApplyPulse:
 
 @dataclasses.dataclass(frozen=True)
 class ConditionalPulse:
-    """Fire ``pulse`` only if the last current measurement inferred this p-bit."""
+    """Fire ``pulse`` only if the last current measurement inferred p-bit 1."""
 
     pulse: Pulse
-    on_last_measurement: int = 1
 
 
 @dataclasses.dataclass(frozen=True)

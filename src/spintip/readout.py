@@ -3,7 +3,9 @@
 The current under the tip is modulated at the local electron resonance, whose
 position encodes the qubit-nucleus bit and the tip-carbon bit. Reading a qubit
 means finding that line — here either exactly (noise-free mode) or by peak
-detection on a synthesized noisy trace.
+detection on a synthesized noisy trace. Both routes read one line table in Hz;
+a trace is set up by the config alone, and its frequency scale divides the
+lines in ``synth_trace`` and multiplies the detected peak back to Hz once.
 
 Peak detection reuses one module-level workspace per trace length, so it is
 not reentrant: two threads must not detect peaks at the same time.
@@ -37,42 +39,33 @@ class MeasurementRecord:
     pre_measurement_probability: float
 
 
-@dataclasses.dataclass(frozen=True)
-class CurrentTrace:
-    """Synthesized current samples at a fixed rate."""
-
-    sample_rate: float
-    samples: np.ndarray
-    duration: float
-
-
 @functools.lru_cache(maxsize=8)
-def _line_table(cfg, frequency_scale):
-    """The four readout lines, keyed by (p_bit, a_bit), and their smallest gap.
+def _line_table(cfg):
+    """The four readout lines in Hz, keyed by (p_bit, a_bit), and their smallest gap.
 
     Each line is the ``physics.pattern_lines`` entry of the electron under the
     tip on a one-qubit register (nucleus, electron, tip carbon) with the tip
-    engaged — the table ``compiler.drive_lines`` and the engine read — divided
-    by ``frequency_scale``; ``physics.modulation_frequency`` stays a
-    closed-form cross-check. Memoised per (config, scale), so a traced read
-    looks its line up. Callers must not mutate the returned dict.
+    engaged — the table ``compiler.drive_lines`` and the engine read;
+    ``physics.modulation_frequency`` stays a closed-form cross-check. Both
+    readout routes read it, memoised per config. Callers must not mutate the
+    returned dict.
     """
     layout = RegisterLayout(1, tip_position=0)
     # The electron's partners are (nucleus, tip), so pattern 2p + a is (p, a).
     electron = physics.pattern_lines(layout, cfg, layout.electron_site(0))[1]
-    lines = {(p, a): electron[2 * p + a] / frequency_scale for p, a in _PAIRS}
+    lines = {(p, a): electron[2 * p + a] for p, a in _PAIRS}
     smallest_gap = min(abs(a - b) for a, b in itertools.combinations(lines.values(), 2))
     return lines, smallest_gap
 
 
-def classify_frequency(frequency, cfg, frequency_scale=1.0):
-    """Map an observed line back to (p_bit, a_bit).
+def classify_frequency(frequency, cfg):
+    """Map an observed line in Hz back to (p_bit, a_bit).
 
     A line matches within a quarter of the smallest gap between lines (zero
     when a config makes two lines coincide, so nothing matches). No or
     several matches raise UnclassifiableFrequency.
     """
-    lines, smallest_gap = _line_table(cfg, frequency_scale)
+    lines, smallest_gap = _line_table(cfg)
     tolerance = smallest_gap / 4.0
     matches = [pair for pair, line in lines.items() if abs(frequency - line) <= tolerance]
     if len(matches) != 1:
@@ -102,22 +95,12 @@ def measure_via_current(state, qubit, layout, cfg, rng, trace_snr=None, *, in_pl
     )
     a_bit, state, _ = engine.measure_spin(state, layout.tip_site, rng, in_place=True)
     if trace_snr is None:
-        observed = _line_table(cfg, 1.0)[0][(p_bit, a_bit)]
+        observed = _line_table(cfg)[0][(p_bit, a_bit)]
         inferred_p, inferred_a = p_bit, a_bit
     else:
-        scale = cfg.trace_frequency_scale
-        trace = synth_trace(
-            p_bit,
-            a_bit,
-            cfg,
-            snr=trace_snr,
-            duration=cfg.trace_duration,
-            sample_rate=cfg.trace_sample_rate,
-            rng=rng,
-        )
-        detected = detect_peak(trace)
-        observed = detected * scale
-        inferred_p, inferred_a = classify_frequency(detected, cfg, frequency_scale=scale)
+        samples = synth_trace(p_bit, a_bit, cfg, trace_snr, rng)
+        observed = detect_peak(samples, cfg.trace_sample_rate) * cfg.trace_frequency_scale
+        inferred_p, inferred_a = classify_frequency(observed, cfg)
     record = MeasurementRecord(
         qubit=qubit,
         observed_frequency=float(observed),
@@ -128,33 +111,34 @@ def measure_via_current(state, qubit, layout, cfg, rng, trace_snr=None, *, in_pl
     return record, state
 
 
-def synth_trace(p_bit, a_bit, cfg, snr, duration, sample_rate, rng):
-    """Unit sinusoid at the (scaled) modulation line plus white Gaussian noise.
+def synth_trace(p_bit, a_bit, cfg, snr, rng):
+    """Samples of a unit sinusoid at the (scaled) modulation line plus white noise.
 
-    Frequencies are divided by ``cfg.trace_frequency_scale`` before synthesis —
-    sampling the raw 1e11 Hz line would need absurd rates, and peak detection
-    is scale-invariant. ``snr`` is signal power over noise power (sigma =
-    sqrt(1/(2 snr))); pass ``math.inf`` for a clean trace, whose samples are
-    then the shared read-only tone; a noisy trace allocates one array, its
-    own samples. A trace of fewer than 2 or more than ``MAX_TRACE_SAMPLES``
-    samples is a ConfigError, raised before anything is allocated.
+    ``cfg`` sets the trace: ``trace_duration`` s at ``trace_sample_rate``, with
+    lines divided by ``trace_frequency_scale`` — sampling the raw 1e11 Hz line
+    would need absurd rates, and peak detection is scale-invariant. ``snr`` is
+    signal power over noise power (sigma = sqrt(1/(2 snr))); pass ``math.inf``
+    for a clean trace, whose samples are then the shared read-only tone; a
+    noisy trace allocates one array, its own samples. A trace of fewer than 2
+    or more than ``MAX_TRACE_SAMPLES`` samples is a ConfigError, raised first.
     """
     if not snr > 0:
         raise ValueError(f"snr must be positive, got {snr!r}")
     if (p_bit, a_bit) not in _PAIRS:
         raise ValueError(f"bits must be 0 or 1, got {p_bit!r}, {a_bit!r}")
     rng = np.random.default_rng(rng)
-    lines = _line_table(cfg, cfg.trace_frequency_scale)[0]
-    line = lines[(p_bit, a_bit)]
-    highest = max(lines.values())
+    lines = _line_table(cfg)[0]
+    scale, sample_rate = cfg.trace_frequency_scale, cfg.trace_sample_rate
+    line = lines[(p_bit, a_bit)] / scale
+    highest = max(lines.values()) / scale
     if sample_rate <= 2.0 * highest:
         raise AliasingError(
             f"sample rate {sample_rate:g} cannot represent lines up to {highest:g}"
         )
-    total = duration * sample_rate
+    total = cfg.trace_duration * sample_rate
     if not 2 <= total <= MAX_TRACE_SAMPLES:
         raise ConfigError(
-            f"a {duration:g} s trace at {sample_rate:g} samples/s needs {total:g} "
+            f"a {cfg.trace_duration:g} s trace at {sample_rate:g} samples/s needs {total:g} "
             f"samples; traces take 2 to {MAX_TRACE_SAMPLES}"
         )
     count = int(round(total))
@@ -164,7 +148,7 @@ def synth_trace(p_bit, a_bit, cfg, snr, duration, sample_rate, rng):
         noise = rng.normal(0.0, sigma, count)
         noise += samples  # the noise array becomes the trace
         samples = noise
-    return CurrentTrace(sample_rate=sample_rate, samples=samples, duration=count / sample_rate)
+    return samples
 
 
 @functools.lru_cache(maxsize=4)
@@ -191,8 +175,8 @@ def _workspace(count):
     return np.empty(count), np.empty(bins, dtype=np.complex128), np.empty(bins)
 
 
-def detect_peak(trace):
-    """Strongest spectral line of a trace, in Hz at the trace's scale.
+def detect_peak(samples, sample_rate):
+    """Strongest spectral line of a trace sampled at ``sample_rate``, in Hz at its scale.
 
     Hann-windowed rFFT, then a three-point parabolic refinement around the
     peak bin; good to a fraction of a bin on clean traces and robust at the
@@ -200,7 +184,7 @@ def detect_peak(trace):
     magnitudes live in one workspace per trace length, reused from read to
     read, so a read allocates no trace-sized array and is not reentrant.
     """
-    samples = np.asarray(trace.samples, dtype=np.float64)
+    samples = np.asarray(samples, dtype=np.float64)
     windowed, bins, spectrum = _workspace(len(samples))
     np.multiply(samples, _window(len(samples)), out=windowed)
     np.fft.rfft(windowed, out=bins)
@@ -215,4 +199,4 @@ def detect_peak(trace):
         if denominator != 0.0:
             offset = 0.5 * (left - right) / denominator
             offset = float(np.clip(offset, -0.5, 0.5))
-    return (peak + offset) * trace.sample_rate / len(samples)
+    return (peak + offset) * sample_rate / len(samples)

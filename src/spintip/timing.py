@@ -4,6 +4,7 @@ import dataclasses
 import math
 
 from .engine import Channel
+from .errors import ConfigError
 from .program import ApplyPulse, ConditionalPulse, MeasureViaCurrent, MoveTip
 
 
@@ -97,7 +98,10 @@ def analyze_program(program, layout, cfg):
 
 
 def decoherence_budget(cfg, mean_gate_time):
-    """How many gates of this mean duration fit inside the coherence time."""
+    """How many gates of this mean duration fit inside the coherence time (a finite count)."""
     if not mean_gate_time > 0:
         raise ValueError(f"mean gate time must be positive, got {mean_gate_time!r}")
-    return math.floor(cfg.coherence_time / mean_gate_time)
+    ratio = cfg.coherence_time / mean_gate_time
+    if not math.isfinite(ratio):
+        raise ConfigError(f"coherence_time over a {mean_gate_time:g} s gate is not a finite count")
+    return math.floor(ratio)

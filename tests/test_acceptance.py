@@ -191,13 +191,10 @@ def test_criterion_07_readout_round_trip():
         correct = 0
         for seed in range(100):
             pair = ((0, 0), (0, 1), (1, 0), (1, 1))[seed % 4]
-            trace = synth_trace(
-                *pair, CFG, snr=10.0, duration=CFG.trace_duration,
-                sample_rate=CFG.trace_sample_rate, rng=np.random.default_rng(seed),
-            )
-            detected = detect_peak(trace)
+            samples = synth_trace(*pair, CFG, snr=10.0, rng=np.random.default_rng(seed))
+            detected = detect_peak(samples, CFG.trace_sample_rate) * scale
             try:
-                inferred = classify_frequency(detected, CFG, frequency_scale=scale)
+                inferred = classify_frequency(detected, CFG)
             except spintip.errors.UnclassifiableFrequency:
                 continue
             correct += inferred == pair

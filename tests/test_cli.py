@@ -27,6 +27,15 @@ def run_cli(*args):
     )
 
 
+def strict_json(text):
+    """Parse ``text`` as JSON, refusing the NaN and Infinity that JSON lacks."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 @pytest.fixture
 def example_circuit(tmp_path):
     path = tmp_path / "example.circuit"
@@ -159,6 +168,15 @@ class TestFailureModes:
         done = run_cli("--circuit", str(example_circuit), "--tips", "0")
         assert done.returncode == 2
 
+    @pytest.mark.parametrize("mode", ["--circuit", "--batch"])
+    def test_negative_seed_exits_two(self, example_circuit, mode):
+        target = example_circuit if mode == "--circuit" else example_circuit.parent
+        done = run_cli(mode, str(target), "--seed", "-1")
+        assert done.returncode == 2
+        assert "Traceback" not in done.stderr
+        assert "--seed must be non-negative" in done.stderr
+        assert done.stdout == ""
+
     @pytest.mark.parametrize("snr", ["0", "-1", "nan"])
     def test_non_positive_trace_snr_exits_two(self, example_circuit, snr):
         done = run_cli("--circuit", str(example_circuit), f"--trace-snr={snr}")
@@ -261,6 +279,40 @@ class TestFailureModes:
         assert cli.main(["--circuit", str(path), "--seed", "0"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["final_state"]["norm"] == pytest.approx(1.0, abs=1e-12)
+
+    def test_sub_resolution_rot_angle_runs(self, tmp_path, capsys):
+        import spintip.cli as cli
+
+        path = tmp_path / "tiny.circuit"
+        path.write_text("ROT 0 1e-320\n", encoding="utf-8")
+        assert cli.main(["--circuit", str(path), "--seed", "0"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["program"] == ["MOVE 0", "MOVE PARK"]
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ("tip_move_time = 1e308\n", "non-finite number"),
+            (
+                "coherence_time = 1e308\ntip_move_time = 1e-300\n"
+                "measurement_dwell_time = 1e-300\n",
+                "not a finite count",
+            ),
+        ],
+    )
+    def test_reports_that_would_not_be_json_exit_two(self, tmp_path, capsys, config, message):
+        import spintip.cli as cli
+
+        path = tmp_path / "extreme.config"
+        path.write_text(config, encoding="utf-8")
+        circuit = tmp_path / "read.circuit"
+        circuit.write_text("MEASURE 0\n", encoding="utf-8")
+        assert cli.main(["--circuit", str(circuit), "--config", str(path), "--seed", "0"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: ")
+        assert message in out.err
+        assert out.err.count("\n") == 1
 
     def test_aliasing_trace_sample_rate_exits_two(self, example_circuit, tmp_path):
         config = tmp_path / "slow.config"
@@ -456,13 +508,43 @@ class TestBatchRuns:
         assert "Traceback" not in done.stderr
         assert done.stderr.count("\n") == 1
 
+    def test_sub_resolution_rot_angle_does_not_stop_the_batch(self, tmp_path):
+        (tmp_path / "a.circuit").write_text("ROT 0 1e-320\n", encoding="utf-8")
+        (tmp_path / "b.circuit").write_text("MEASURE 0\n", encoding="utf-8")
+        done = run_cli("--batch", str(tmp_path), "--seed", "0")
+        assert done.returncode == 0
+        assert done.stdout.splitlines() == ["a.circuit: exit 0", "b.circuit: exit 0"]
+        assert done.stderr == ""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            "tip_move_time = 1e308\n",
+            "coherence_time = 1e308\ntip_move_time = 1e-300\nmeasurement_dwell_time = 1e-300\n",
+        ],
+    )
+    def test_reports_that_would_not_be_json_are_not_written(self, tmp_path, config):
+        path = tmp_path / "extreme.config"
+        path.write_text(config, encoding="utf-8")
+        circuits = tmp_path / "circuits"
+        circuits.mkdir()
+        (circuits / "a.circuit").write_text("MEASURE 0\n", encoding="utf-8")
+        (circuits / "b.circuit").write_text("MEASURE 0\n", encoding="utf-8")
+        done = run_cli("--batch", str(circuits), "--config", str(path), "--seed", "0")
+        assert done.returncode == 2
+        assert done.stdout.splitlines() == ["a.circuit: exit 2", "b.circuit: exit 2"]
+        assert "Traceback" not in done.stderr
+        errors = done.stderr.splitlines()
+        assert len(errors) == 2 and all(line.startswith("error: ") for line in errors)
+        assert not list(circuits.glob("*.report.json"))
+
     def test_empty_batch_directory_exits_two(self, tmp_path):
         done = run_cli("--batch", str(tmp_path))
         assert done.returncode == 2
 
 
 QUBIT = st.sampled_from(["0", "1", "2", "-1", "x", "600"])
-FLOAT = st.sampled_from(["0.5", "nan", "inf", "1e308", "abc"])
+FLOAT = st.sampled_from(["0.5", "nan", "inf", "1e308", "1e-320", "abc"])
 JUNK = st.sampled_from(["INIT", "ROT", "CNOT", "MEASURE", "WOBBLE", "#", "0", "inf", "abc"])
 GATE_LINES = st.lists(
     st.one_of(
@@ -503,15 +585,17 @@ class TestExitCodeFuzz:
         if code == 2:
             assert stderr.getvalue().startswith("error: ")
             assert stderr.getvalue().count("\n") == 1
+        if stdout.getvalue():
+            strict_json(stdout.getvalue())
 
 
 CONFIG_KEY = st.sampled_from([
     "magnetic_field", "selectivity_tolerance", "temperature", "lattice_spacing",
     "tip_hyperfine", "hyperfine_bare", "trace_sample_rate", "nuclear_pi_duration",
-    "coherence_time", "trace_duration", "magnetic_feild", "", "=",
+    "coherence_time", "trace_duration", "tip_move_time", "magnetic_feild", "", "=",
 ])
 CONFIG_VALUE = st.sampled_from([
-    "5.0", "0", "-1", "1e-300", "1e300", "1e400", "nan", "inf", "-inf",
+    "5.0", "0", "-1", "1e-300", "1e300", "1e308", "1e400", "nan", "inf", "-inf",
     "5 T", "120e6 Hz", "1_000", "abc", "",
 ])
 CONFIG_LINES = st.lists(
@@ -559,6 +643,8 @@ class TestConfigFuzz:
         if code == 2:
             assert stderr.getvalue().startswith("error: ")
             assert stderr.getvalue().count("\n") == 1
+        if stdout.getvalue():
+            strict_json(stdout.getvalue())
         if kind == "empty":
             assert code == 0
 

@@ -95,6 +95,11 @@ class TestRotationCompilation:
         program = compile_rotation(0, 0.0, 0.0, SOLO, CFG)
         assert [type(i) for i in program.instructions] == [MoveTip]
 
+    def test_sub_resolution_angle_compiles_to_just_the_move(self):
+        # 10 us * 1e-320 / pi underflows to a 0.0 s pulse, which no Pulse takes.
+        program = compile_rotation(0, 1e-320, 0.0, SOLO, CFG)
+        assert program.instructions == (MoveTip(0),)
+
     @pytest.mark.parametrize(
         "angle, folded",
         [
@@ -475,8 +480,7 @@ def stepwise_execute(program, state, layout, cfg, rng, trace_snr):
             )
             records.append(record)
             last_inferred = record.inferred_p_bit
-        elif (isinstance(instruction, ApplyPulse)
-              or last_inferred == instruction.on_last_measurement):
+        elif isinstance(instruction, ApplyPulse) or last_inferred == 1:
             state, outcome = apply_selective_pulse(state, instruction.pulse, current, cfg)
             pulse_log.append((position, outcome))
         else:

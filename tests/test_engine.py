@@ -681,16 +681,12 @@ def dense_replay(program, amplitudes, layout, cfg, rng, trace_snr):
             a_bit, amplitudes, _ = oracle_measure(PureState(amplitudes, n), current.tip_site, rng)
             observed, inferred = modulation_frequency(p_bit, a_bit, cfg), (p_bit, a_bit)
             if trace_snr is not None:
-                scale = cfg.trace_frequency_scale
-                trace = synth_trace(p_bit, a_bit, cfg, trace_snr, cfg.trace_duration,
-                                    cfg.trace_sample_rate, rng)
-                detected = detect_peak(trace)
-                observed = detected * scale
-                inferred = classify_frequency(detected, cfg, frequency_scale=scale)
+                samples = synth_trace(p_bit, a_bit, cfg, trace_snr, rng)
+                observed = detect_peak(samples, cfg.trace_sample_rate) * cfg.trace_frequency_scale
+                inferred = classify_frequency(observed, cfg)
             records.append(MeasurementRecord(qubit, float(observed), *inferred, probability))
             last_inferred = inferred[0]
-        elif (isinstance(instruction, ApplyPulse)
-              or last_inferred == instruction.on_last_measurement):
+        elif isinstance(instruction, ApplyPulse) or last_inferred == 1:
             amplitudes, pairs, population, idle = oracle_pulse(
                 PureState(amplitudes, n), instruction.pulse, current, cfg
             )

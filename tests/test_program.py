@@ -99,10 +99,7 @@ class TestProgramText:
                 MoveTip(1),
                 ApplyPulse(Pulse(Channel.PHOSPHORUS_NUCLEAR_RF, 2.5e7, math.pi, 0.5, 1e-5)),
                 MeasureViaCurrent(1),
-                ConditionalPulse(
-                    Pulse(Channel.ELECTRON_RF, 1.41e11, math.pi, 0.0, 1e-7),
-                    on_last_measurement=1,
-                ),
+                ConditionalPulse(Pulse(Channel.ELECTRON_RF, 1.41e11, math.pi, 0.0, 1e-7)),
                 MoveTip(None),
             )
         )

@@ -1,5 +1,6 @@
 """Current-based readout: line classification, traces, and peak detection."""
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -9,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spintip import (
-    CurrentTrace,
     MachineConfig,
     PureState,
     RegisterLayout,
@@ -47,11 +47,24 @@ class TestClassification:
             classify_frequency(1.0, CFG)
 
     def test_scale_invariance(self):
-        # Alternating scales: the memoised lines are keyed by scale too.
-        for scale in (1e5, 1e6, 1.0, 1e6):
+        # Alternating scales, each with a rate and duration that keep 50,000
+        # samples above Nyquist, so one bin is 20 MHz at every scale: the
+        # memoised lines are keyed by config.
+        for scale in (1e5, 1e6, 1e7, 1e6):
+            cfg = dataclasses.replace(
+                CFG,
+                trace_frequency_scale=scale,
+                trace_sample_rate=1e12 / scale,
+                trace_duration=0.05 * scale / 1e6,
+            )
             for pair in PAIRS:
-                scaled = modulation_frequency(*pair, CFG) / scale
-                assert classify_frequency(scaled, CFG, frequency_scale=scale) == pair
+                record, _ = measure_via_current(
+                    PureState.from_bits((pair[0], 0, pair[1])), 0, LAYOUT, cfg,
+                    np.random.default_rng(0), trace_snr=math.inf,
+                )
+                assert (record.inferred_p_bit, record.inferred_a_bit) == pair
+                truth = modulation_frequency(*pair, CFG)
+                assert record.observed_frequency == pytest.approx(truth, abs=2e7)
 
 
 class TestMeasureViaCurrent:
@@ -110,29 +123,23 @@ class TestMeasureViaCurrent:
 class TestTraces:
     def test_clean_trace_peak_is_within_a_bin(self):
         for pair in PAIRS:
-            trace = synth_trace(
-                *pair, CFG, snr=math.inf, duration=0.05, sample_rate=1e6,
-                rng=np.random.default_rng(0),
-            )
-            bin_width = trace.sample_rate / len(trace.samples)
+            samples = synth_trace(*pair, CFG, snr=math.inf, rng=np.random.default_rng(0))
+            bin_width = CFG.trace_sample_rate / len(samples)
             truth = modulation_frequency(*pair, CFG) / CFG.trace_frequency_scale
-            assert detect_peak(trace) == pytest.approx(truth, abs=bin_width)
+            assert detect_peak(samples, CFG.trace_sample_rate) == pytest.approx(
+                truth, abs=bin_width
+            )
 
     def test_noisy_traces_classify_correctly(self):
         correct = 0
         trials = 0
         for seed in range(30):
             pair = PAIRS[seed % 4]
-            trace = synth_trace(
-                *pair, CFG, snr=10.0, duration=0.05, sample_rate=1e6,
-                rng=np.random.default_rng(seed),
-            )
-            detected = detect_peak(trace)
+            samples = synth_trace(*pair, CFG, snr=10.0, rng=np.random.default_rng(seed))
+            detected = detect_peak(samples, CFG.trace_sample_rate)
             trials += 1
             try:
-                inferred = classify_frequency(
-                    detected, CFG, frequency_scale=CFG.trace_frequency_scale
-                )
+                inferred = classify_frequency(detected * CFG.trace_frequency_scale, CFG)
             except UnclassifiableFrequency:
                 continue
             correct += inferred == pair
@@ -140,27 +147,20 @@ class TestTraces:
 
     def test_sampling_below_nyquist_raises(self):
         # The highest scaled line sits at ~141 kHz, so 200 kHz is too slow.
+        slow = dataclasses.replace(CFG, trace_duration=0.01, trace_sample_rate=2e5)
         with pytest.raises(AliasingError):
-            synth_trace(
-                0, 0, CFG, snr=math.inf, duration=0.01, sample_rate=2e5,
-                rng=np.random.default_rng(0),
-            )
+            synth_trace(0, 0, slow, snr=math.inf, rng=np.random.default_rng(0))
 
     def test_non_positive_snr_rejected(self):
+        short = dataclasses.replace(CFG, trace_duration=0.01)
         for snr in (0.0, -3.0):
             with pytest.raises(ValueError):
-                synth_trace(
-                    0, 0, CFG, snr=snr, duration=0.01, sample_rate=1e6,
-                    rng=np.random.default_rng(0),
-                )
+                synth_trace(0, 0, short, snr=snr, rng=np.random.default_rng(0))
 
     def test_duration_reflects_the_sample_count(self):
-        trace = synth_trace(
-            0, 0, CFG, snr=math.inf, duration=0.013, sample_rate=1e6,
-            rng=np.random.default_rng(0),
-        )
-        assert len(trace.samples) == 13000
-        assert trace.duration == pytest.approx(0.013, rel=1e-12)
+        cfg = dataclasses.replace(CFG, trace_duration=0.013)
+        samples = synth_trace(0, 0, cfg, snr=math.inf, rng=np.random.default_rng(0))
+        assert len(samples) == 13000
 
 
 # In-test oracles for the traced route: the plain expressions, with no
@@ -192,10 +192,8 @@ def oracle_peak(samples, sample_rate):
 
 
 def traced(p_bit, a_bit, snr, count, seed):
-    return synth_trace(
-        p_bit, a_bit, CFG, snr=snr, duration=count / RATE, sample_rate=RATE,
-        rng=np.random.default_rng(seed),
-    )
+    cfg = dataclasses.replace(CFG, trace_duration=count / RATE, trace_sample_rate=RATE)
+    return synth_trace(p_bit, a_bit, cfg, snr=snr, rng=np.random.default_rng(seed))
 
 
 BITS = st.sampled_from(PAIRS)
@@ -208,22 +206,22 @@ class TestTracedRouteOracles:
     @settings(deadline=None, max_examples=60)
     @given(bits=BITS, snr=SNRS, count=COUNTS, seed=SEEDS)
     def test_samples_match_the_plain_tone_plus_noise(self, bits, snr, count, seed):
-        trace = traced(*bits, snr, count, seed)
+        samples = traced(*bits, snr, count, seed)
         expected = oracle_samples(*bits, snr, count, seed)
-        assert trace.samples.dtype == np.float64
-        assert trace.samples.tobytes() == expected.tobytes()
+        assert samples.dtype == np.float64
+        assert samples.tobytes() == expected.tobytes()
         # A clean trace is the shared read-only tone; a noisy one is its own array.
-        assert trace.samples.flags.writeable == (snr != math.inf)
+        assert samples.flags.writeable == (snr != math.inf)
 
     @settings(deadline=None, max_examples=60)
     @given(bits=BITS, snr=SNRS, count=COUNTS, seed=SEEDS)
     def test_peak_matches_the_plain_expression_and_leaves_samples_alone(
         self, bits, snr, count, seed
     ):
-        trace = traced(*bits, snr, count, seed)
-        before = trace.samples.copy()
-        assert detect_peak(trace) == oracle_peak(before, RATE)
-        assert trace.samples.tobytes() == before.tobytes()
+        samples = traced(*bits, snr, count, seed)
+        before = samples.copy()
+        assert detect_peak(samples, RATE) == oracle_peak(before, RATE)
+        assert samples.tobytes() == before.tobytes()
 
     @settings(deadline=None, max_examples=30)
     @given(
@@ -232,18 +230,17 @@ class TestTracedRouteOracles:
     )
     def test_interleaved_lengths_give_the_same_peaks(self, first, second):
         traces = [traced(*bits, snr, count, seed) for bits, snr, count, seed in (first, second)]
-        expected = [oracle_peak(t.samples, RATE) for t in traces]
+        expected = [oracle_peak(samples, RATE) for samples in traces]
         for index in (0, 1, 0, 1, 1, 0):
-            assert detect_peak(traces[index]) == expected[index]
+            assert detect_peak(traces[index], RATE) == expected[index]
 
     @pytest.mark.parametrize("count", [0, 1])
     def test_short_traces_raise_what_the_plain_expression_raises(self, count):
         samples = np.zeros(count)
         with pytest.raises(ValueError) as expected:
             oracle_peak(samples, RATE)
-        trace = CurrentTrace(sample_rate=RATE, samples=samples, duration=count / RATE)
         with pytest.raises(ValueError) as raised:
-            detect_peak(trace)
+            detect_peak(samples, RATE)
         assert str(raised.value) == str(expected.value)
 
     @pytest.mark.parametrize("count", [0, 1])
@@ -268,18 +265,15 @@ class TestTracedReadAllocations:
     # the window, tone and workspace caches), a read allocates the trace's
     # samples and nothing else of trace size.
     def make(self):
-        return synth_trace(
-            1, 0, CFG, snr=1.0, duration=0.05, sample_rate=1e6,
-            rng=np.random.default_rng(3),
-        )
+        return synth_trace(1, 0, CFG, snr=1.0, rng=np.random.default_rng(3))
 
     def test_peak_detection_allocates_less_than_one_trace(self):
-        trace = self.make()
-        detect_peak(trace)
-        peak, _ = traced_peak(lambda: detect_peak(trace))
-        assert peak < trace.samples.nbytes
+        samples = self.make()
+        detect_peak(samples, CFG.trace_sample_rate)
+        peak, _ = traced_peak(lambda: detect_peak(samples, CFG.trace_sample_rate))
+        assert peak < samples.nbytes
 
     def test_synthesis_allocates_one_samples_array(self):
-        detect_peak(self.make())
-        peak, trace = traced_peak(self.make)
-        assert trace.samples.nbytes <= peak < 2 * trace.samples.nbytes
+        detect_peak(self.make(), CFG.trace_sample_rate)
+        peak, samples = traced_peak(self.make)
+        assert samples.nbytes <= peak < 2 * samples.nbytes

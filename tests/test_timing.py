@@ -9,6 +9,7 @@ import pytest
 from spintip import (
     ApplyPulse,
     Channel,
+    ConfigError,
     MachineConfig,
     MeasureViaCurrent,
     MoveTip,
@@ -74,6 +75,12 @@ class TestBudget:
     def test_non_positive_mean_rejected(self):
         with pytest.raises(ValueError):
             decoherence_budget(CFG, 0.0)
+
+    def test_an_infinite_gate_count_is_a_config_error(self):
+        # 1e308 s over 1e-300 s overflows, and math.floor cannot take infinity.
+        cfg = dataclasses.replace(CFG, coherence_time=1e308)
+        with pytest.raises(ConfigError, match="not a finite count"):
+            decoherence_budget(cfg, 1e-300)
 
 
 class TestProgramAnalysis:
