@@ -4,17 +4,18 @@ Reports are deterministic by construction — sorted keys, no timestamps, float
 repr — so the same inputs and seed produce byte-identical output, which is
 what makes them diffable regression artifacts.
 
-Exit codes: 0 success, 2 unusable input (flags, a negative seed, config,
-circuit, a register too large for memory, a trace sample rate that aliases the
-readout lines, a non-finite report number), 3 physics failure (a compiled
-pulse that hits no transition line, a failed --verify-frequencies check, or a
-readout line that matches no or several modulation lines), 4 infeasible
-decoherence budget under --enforce-budget. Every failure prints one
-``error:`` line to stderr.
+Exit codes: 0 success, 2 unusable input (flags, a negative seed, a trace SNR
+whose noise deviation overflows, config, circuit, a register too large for
+memory, a trace sample rate that aliases the readout lines, a non-finite
+report number), 3 physics failure (a compiled pulse that hits no transition
+line, a failed --verify-frequencies check, or a readout line that matches no
+or several modulation lines), 4 infeasible decoherence budget under
+--enforce-budget. Every failure prints one ``error:`` line to stderr.
 """
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -24,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import compiler, engine, physics, program, scheduler
+from . import compiler, engine, physics, program, readout, scheduler
 from .config import MachineConfig, load_machine_config
 from .errors import (
     CircuitParseError,
@@ -49,7 +50,9 @@ EXIT_BUDGET = 4
 PEAK_STATE_COPIES = 2.0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="spintip",
         description="Compile and simulate a spin-register circuit, reporting as JSON.",
@@ -160,7 +163,11 @@ def _check_memory(layout):
 
 
 def run_circuit_file(path, cfg, args, seed, dump_path):
-    """Compile, execute and report one circuit file; returns (report, exit code)."""
+    """Compile, execute and report one circuit file.
+
+    Returns (report, exit code, final state). ``dump_path`` only names the
+    dump in the report: the caller writes it, once the report has serialised.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
@@ -217,9 +224,6 @@ def run_circuit_file(path, cfg, args, seed, dump_path):
             "validator_problems": problems,
         }
 
-    if dump_path:
-        Path(dump_path).write_text(result.final_state.dump_text(), encoding="utf-8")
-
     report = {
         "seed": seed,
         "config": _config_dict(cfg),
@@ -245,7 +249,7 @@ def run_circuit_file(path, cfg, args, seed, dump_path):
         "verification": verification,
         "status": {"exit_code": code, "reasons": reasons},
     }
-    return report, code
+    return report, code, result.final_state
 
 
 def _failure_code(exc):
@@ -284,7 +288,7 @@ def _run_batch(args, cfg):
     for index, path in enumerate(files):
         seed = base_seed + index
         try:
-            report, code = run_circuit_file(path, cfg, args, seed, dump_path=None)
+            report, code, _ = run_circuit_file(path, cfg, args, seed, dump_path=None)
             out = path.with_suffix(".report.json")
             out.write_text(_report_json(report) + "\n", encoding="utf-8")
         except (SimulationError, OSError) as exc:
@@ -308,6 +312,8 @@ def main(argv=None):
         parser.error("--tips must be at least 1")
     if args.trace_snr is not None and not args.trace_snr > 0:
         parser.error("--trace-snr must be positive")
+    if args.trace_snr is not None and not math.isfinite(readout.noise_sigma(args.trace_snr)):
+        parser.error("--trace-snr is too small: the trace noise deviation overflows")
     try:
         cfg = load_machine_config(args.config) if args.config else MachineConfig().validate()
     except (ConfigError, OSError) as exc:
@@ -321,8 +327,12 @@ def main(argv=None):
     if args.seed is None:
         print(f"seed: {seed}", file=sys.stderr)
     try:
-        report, code = run_circuit_file(args.circuit, cfg, args, seed, args.dump_state)
+        report, code, final_state = run_circuit_file(
+            args.circuit, cfg, args, seed, args.dump_state
+        )
         text = _report_json(report)
+        if args.dump_state:
+            Path(args.dump_state).write_text(final_state.dump_text(), encoding="utf-8")
     except (SimulationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _failure_code(exc)

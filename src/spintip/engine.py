@@ -21,8 +21,11 @@ partners, so a pulse compares its drive with at most four lines
 (``physics.pattern_lines``) and moves whole slabs of amplitudes: basic-slice
 views of the live tensor, with the addressed and partner sites pinned, one
 slab per partner pattern and addressed bit. No register-sized frequency or
-index array is built. Populations and measurement read and zero the halves
-of a site through the same kind of view.
+index array is built. The slabs come from a memoised plan (``_slab_plan``):
+the reshape and slice keys depend only on the axes of the addressed site and
+its partners among the live sites, so a pulse reshapes once and indexes.
+Populations and measurement read and zero the halves of a site through the
+same plan.
 
 ``apply_selective_pulse`` and ``measure_spin`` work on a copy of their
 input state by default. ``compiler.execute`` copies its input once and
@@ -33,6 +36,7 @@ whose tensor is replaced when a site wakes or drops.
 import bisect
 import dataclasses
 import enum
+import functools
 import itertools
 import math
 
@@ -184,8 +188,8 @@ class PureState:
 
     def population(self, site, bit):
         """Total weight with ``site`` in ``bit``."""
-        slab = self._slab({site: bit})
-        return 0.0 if slab is None else float(np.sum(np.abs(slab) ** 2))
+        slab = self._slab(site, bit)
+        return 0.0 if slab is None else _sum_squares(slab)
 
     def dump_text(self):
         """One ``bitstring re im`` line per amplitude of modulus above 1e-12."""
@@ -203,26 +207,22 @@ class PureState:
         axis = bisect.bisect_left(self.sites, site)
         return axis if axis < len(self.sites) and self.sites[axis] == site else None
 
-    def _slab(self, fixed):
-        """View of the tensor with each site of ``fixed`` pinned to its bit.
+    def _slab(self, site, bit):
+        """View of the tensor with ``site`` pinned to ``bit``.
 
         A dormant site pinned to 0 selects everything and one pinned to 1
         selects nothing, so the slab is then None.
         """
-        axes = {}
-        for site, bit in fixed.items():
-            axis = self._axis(site)
-            if axis is not None:
-                axes[axis] = bit
-            elif bit:
-                return None
-        return _pinned(self.tensor, axes)
+        axis = self._axis(site)
+        if axis is None:
+            return None if bit else self.tensor
+        return _half(self.tensor, axis, bit)
 
     def _wake(self, site):
         """Give a dormant site its axis, with an all-zero |1> half."""
         axis = bisect.bisect_left(self.sites, site)
         woken = np.zeros(2 * self.tensor.size, dtype=np.complex128)
-        half = _pinned(woken, {axis: 0})
+        half = _half(woken, axis, 0)
         half[...] = self.tensor.reshape(half.shape)
         self.sites = self.sites[:axis] + (site,) + self.sites[axis:]
         self.tensor = woken
@@ -230,24 +230,69 @@ class PureState:
     def _drop(self, site):
         """Make a live site whose |1> half is zero dormant: keep its |0> half."""
         axis = self._axis(site)
-        self.tensor = _pinned(self.tensor, {axis: 0}).reshape(-1)
+        self.tensor = _half(self.tensor, axis, 0).reshape(-1)
         self.sites = self.sites[:axis] + self.sites[axis + 1 :]
 
 
-def _pinned(amplitudes, fixed):
-    """View of a flat 2^k vector with each axis of ``fixed`` pinned to its bit.
+#: Partner bit patterns in ``physics.pattern_lines`` order, per partner count.
+_PATTERNS = tuple(tuple(itertools.product((0, 1), repeat=r)) for r in range(3))
 
-    Axis 0 is the most significant bit. Free axes between pinned ones share
-    one dimension, so k pinned axes give at most 2k + 1 dimensions.
-    Length-1 slices rather than integers keep the result a view even when
-    every axis is pinned.
+
+@functools.lru_cache(maxsize=1024)
+def _slab_plan(axis, partner_axes):
+    """(shape, slabs, one): how to cut a flat 2^k tensor into a pulse's slabs.
+
+    ``axis`` is the addressed site's axis and ``partner_axes`` its partners',
+    None for a dormant one; axis 0 is the most significant bit. ``shape``
+    splits the tensor at the live ones, with the free axes between two of
+    them in one dimension, so p pinned axes give at most 2p + 1 dimensions.
+    Its last is -1, which is why k does not enter the key.
+    ``slabs`` holds, per partner pattern, None when the pattern pins a
+    dormant partner to 1 (it selects nothing), else the indices of its
+    addressed-bit 0 and 1 slabs, or of its one slab while the addressed site
+    is dormant. ``one`` indexes the addressed site's |1> half, or is None
+    while it is dormant. Length-1 slices rather than integers keep every slab
+    a view, even with every axis pinned.
     """
-    shape, index, start = [], [], 0
-    for axis, bit in sorted(fixed.items()):
-        shape += [1 << (axis - start), 2]
-        index += [slice(None), slice(bit, bit + 1)]
-        start = axis + 1
-    return amplitudes.reshape(shape + [-1])[tuple(index)]
+    pinned = sorted(a for a in partner_axes + (axis,) if a is not None)
+    shape, start = [], 0
+    for pin in pinned:
+        shape += [1 << (pin - start), 2]
+        start = pin + 1
+
+    def key(bits):
+        index = [slice(None)] * (2 * len(pinned))
+        for pin, bit in bits.items():
+            index[2 * pinned.index(pin) + 1] = slice(bit, bit + 1)
+        return tuple(index)
+
+    slabs = []
+    for pattern in _PATTERNS[len(partner_axes)]:
+        bits = {a: bit for a, bit in zip(partner_axes, pattern) if a is not None}
+        if any(a is None and bit for a, bit in zip(partner_axes, pattern)):
+            slabs.append(None)
+        elif axis is None:
+            slabs.append((key(bits),))
+        else:
+            slabs.append((key({**bits, axis: 0}), key({**bits, axis: 1})))
+    one = None if axis is None else key({axis: 1})
+    return tuple(shape) + (-1,), tuple(slabs), one
+
+
+def _half(tensor, axis, bit):
+    """View of a flat 2^k tensor with ``axis`` pinned to ``bit``."""
+    shape, slabs, _ = _slab_plan(axis, ())
+    return tensor.reshape(shape)[slabs[0][bit]]
+
+
+def _sum_squares(view):
+    """Sum of |amplitude|^2 over ``view``: the C reduction ``np.sum`` reaches."""
+    return float(np.add.reduce(np.abs(view) ** 2, axis=None))
+
+
+def _any(view):
+    """Whether ``view`` holds a nonzero amplitude: the C reduction ``np.any`` reaches."""
+    return bool(np.logical_or.reduce(view, axis=None, dtype=bool))
 
 
 def _pair_unitary(pulse):
@@ -278,6 +323,12 @@ def _addressed_site(channel, layout):
     return layout.nucleus_site(layout.tip_position)
 
 
+def _plan(state, site, partners):
+    """The tensor reshaped for a pulse on ``site``, its slab keys and |1> half key."""
+    shape, slabs, one = _slab_plan(state._axis(site), tuple(map(state._axis, partners)))
+    return state.tensor.reshape(shape), slabs, one
+
+
 def apply_selective_pulse(state, pulse, layout, cfg, *, in_place=False):
     """Drive every basis pair resonant with the pulse; return (state, outcome).
 
@@ -304,24 +355,25 @@ def apply_selective_pulse(state, pulse, layout, cfg, *, in_place=False):
     site = _addressed_site(pulse.channel, layout)
     n = layout.num_sites
     partners, lines = physics.pattern_lines(layout, cfg, site)
-    patterns = itertools.product((0, 1), repeat=len(partners))
-    hits = [bits for bits, line in zip(patterns, lines)
+    hits = [index for index, line in enumerate(lines)
             if abs(line - pulse.frequency) <= cfg.selectivity_tolerance]
 
     if not in_place:
         state = state.copy()
-    occupied = [fixed for fixed in (dict(zip(partners, bits)) for bits in hits)
-                if state._slab(fixed) is not None]
-    if state._axis(site) is None and any(np.any(state._slab(fixed)) for fixed in occupied):
+    view, slabs, one = _plan(state, site, partners)
+    occupied = [index for index in hits if slabs[index] is not None]
+    if one is None and any(_any(view[slabs[index][0]]) for index in occupied):
         state._wake(site)
-    swap = pulse.mode is PulseMode.LOGICAL_X and pulse.angle == math.pi
-    u00, u01, u10, u11 = _pair_unitary(pulse)
+        view, slabs, one = _plan(state, site, partners)
     population = 0.0
-    if state._axis(site) is not None:
-        for fixed in occupied:
-            a0 = state._slab({**fixed, site: 0})
-            a1 = state._slab({**fixed, site: 1})
-            population += float(np.sum(np.abs(a0) ** 2) + np.sum(np.abs(a1) ** 2))
+    if one is not None:
+        swap = pulse.mode is PulseMode.LOGICAL_X and pulse.angle == math.pi
+        if not swap:
+            u00, u01, u10, u11 = _pair_unitary(pulse)
+        for index in occupied:
+            key0, key1 = slabs[index]
+            a0, a1 = view[key0], view[key1]
+            population += _sum_squares(a0) + _sum_squares(a1)
             if swap:  # exact swap, no rounding
                 held = a0.copy()
                 a0[...] = a1
@@ -330,7 +382,7 @@ def apply_selective_pulse(state, pulse, layout, cfg, *, in_place=False):
                 rotated0 = u00 * a0 + u01 * a1
                 a1[...] = u10 * a0 + u11 * a1
                 a0[...] = rotated0
-        if not np.any(state._slab({site: 1})):
+        if not _any(view[one]):
             state._drop(site)
     outcome = PulseOutcome(
         resonant_pair_count=len(hits) << (n - 1 - len(partners)),
@@ -352,7 +404,7 @@ def measure_spin(state, site, rng, *, in_place=False):
     tensor may be replaced) and is returned.
     """
     rng = np.random.default_rng(rng)
-    total = float(np.sum(np.abs(state.tensor) ** 2))
+    total = _sum_squares(state.tensor)
     if not math.sqrt(total) >= 1e-9:
         raise DegenerateState(f"state norm {math.sqrt(total):.3e} is too small to measure")
     p_one = state.population(site, 1) / total
@@ -360,7 +412,7 @@ def measure_spin(state, site, rng, *, in_place=False):
     probability = p_one if bit == 1 else 1.0 - p_one
     if not in_place:
         state = state.copy()
-    lost = state._slab({site: 1 - bit})
+    lost = state._slab(site, 1 - bit)
     if lost is not None:
         lost[...] = 0.0
     norm = np.linalg.norm(state.tensor)

@@ -117,13 +117,18 @@ def synth_trace(p_bit, a_bit, cfg, snr, rng):
     ``cfg`` sets the trace: ``trace_duration`` s at ``trace_sample_rate``, with
     lines divided by ``trace_frequency_scale`` — sampling the raw 1e11 Hz line
     would need absurd rates, and peak detection is scale-invariant. ``snr`` is
-    signal power over noise power (sigma = sqrt(1/(2 snr))); pass ``math.inf``
-    for a clean trace, whose samples are then the shared read-only tone; a
-    noisy trace allocates one array, its own samples. A trace of fewer than 2
-    or more than ``MAX_TRACE_SAMPLES`` samples is a ConfigError, raised first.
+    signal power over noise power (``noise_sigma``); pass ``math.inf`` for a
+    clean trace, whose samples are then the shared read-only tone; a noisy
+    trace allocates one array, its own samples. An SNR that is not positive,
+    or so small that the noise deviation overflows, is a ValueError. A trace
+    of fewer than 2 or more than ``MAX_TRACE_SAMPLES`` samples is a
+    ConfigError, raised before anything is allocated.
     """
     if not snr > 0:
         raise ValueError(f"snr must be positive, got {snr!r}")
+    sigma = noise_sigma(snr)
+    if not math.isfinite(sigma):
+        raise ValueError(f"snr {snr!r} is too small: the noise deviation overflows")
     if (p_bit, a_bit) not in _PAIRS:
         raise ValueError(f"bits must be 0 or 1, got {p_bit!r}, {a_bit!r}")
     rng = np.random.default_rng(rng)
@@ -143,12 +148,16 @@ def synth_trace(p_bit, a_bit, cfg, snr, rng):
         )
     count = int(round(total))
     samples = _tone(line, count, sample_rate)
-    sigma = math.sqrt(1.0 / (2.0 * snr))
     if sigma > 0:
         noise = rng.normal(0.0, sigma, count)
         noise += samples  # the noise array becomes the trace
         samples = noise
     return samples
+
+
+def noise_sigma(snr):
+    """Deviation of a trace's white noise at ``snr``: sqrt(1/(2 snr)), inf on overflow."""
+    return math.sqrt(1.0 / (2.0 * snr))
 
 
 @functools.lru_cache(maxsize=4)

@@ -103,9 +103,16 @@ class RegisterLayout:
         return f"{prefix}{site // 2}"
 
     def with_tip(self, position):
-        """Copy of this layout with the tip somewhere else."""
+        """Copy of this layout with the tip somewhere else.
+
+        Only the tip is checked: the qubit count and coordinates were
+        normalised and validated when this layout was made, so the copy
+        skips ``__post_init__``.
+        """
         self._check_tip(position)
-        return dataclasses.replace(self, tip_position=position)
+        moved = object.__new__(type(self))
+        moved.__dict__.update(self.__dict__, tip_position=position)
+        return moved
 
     def hop_distance(self, a, b):
         """Tip travel between two positions, in lattice hops.

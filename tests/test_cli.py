@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -184,6 +185,22 @@ class TestFailureModes:
         assert "Traceback" not in done.stderr
         assert "--trace-snr must be positive" in done.stderr
 
+    @pytest.mark.parametrize("mode", ["--circuit", "--batch"])
+    def test_overflowing_trace_snr_exits_two(self, tmp_path, mode):
+        # Below about 1e-308 the noise deviation sqrt(1/(2 snr)) is infinite,
+        # so the run is refused before a trace fills with inf and NaN.
+        path = tmp_path / "read.circuit"
+        path.write_text("MEASURE 0\n", encoding="utf-8")
+        target = path if mode == "--circuit" else tmp_path
+        done = run_cli(mode, str(target), "--seed", "0", "--trace-snr", "1e-320")
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert "Warning" not in done.stderr
+        assert "Traceback" not in done.stderr
+        assert [line for line in done.stderr.splitlines() if "error:" in line] == [
+            "spintip: error: --trace-snr is too small: the trace noise deviation overflows"
+        ]
+
     def test_infinite_trace_snr_is_a_clean_trace(self, example_circuit):
         done = run_cli("--circuit", str(example_circuit), "--seed", "9", "--trace-snr", "inf")
         assert done.returncode == 0
@@ -307,7 +324,11 @@ class TestFailureModes:
         path.write_text(config, encoding="utf-8")
         circuit = tmp_path / "read.circuit"
         circuit.write_text("MEASURE 0\n", encoding="utf-8")
-        assert cli.main(["--circuit", str(circuit), "--config", str(path), "--seed", "0"]) == 2
+        dump = tmp_path / "final.state"
+        argv = ["--circuit", str(circuit), "--config", str(path), "--seed", "0",
+                "--dump-state", str(dump)]
+        assert cli.main(argv) == 2
+        assert not dump.exists()  # a run with no report leaves no dump either
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("error: ")
@@ -566,7 +587,7 @@ class TestExitCodeFuzz:
     @given(
         lines=GATE_LINES,
         tips=st.integers(1, 3),
-        snr=st.sampled_from([None, "1e-3", "10"]),
+        snr=st.sampled_from([None, "1e-3", "10", "1e-320"]),
     )
     def test_every_input_ends_in_a_documented_code(self, lines, tips, snr):
         import spintip.cli as cli
@@ -578,11 +599,22 @@ class TestExitCodeFuzz:
             if snr is not None:
                 argv += ["--trace-snr", snr]
             stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-                code = cli.main(argv)
+            refused = False
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:  # the flags themselves are refused
+                    code, refused = exc.code, True
         assert code in (0, 2, 3, 4)
+        assert caught == []
         assert "Traceback" not in stderr.getvalue()
-        if code == 2:
+        if refused:
+            assert code == 2
+            assert stdout.getvalue() == ""
+            assert stderr.getvalue().splitlines()[-1].startswith("spintip: error: ")
+        elif code == 2:
             assert stderr.getvalue().startswith("error: ")
             assert stderr.getvalue().count("\n") == 1
         if stdout.getvalue():
@@ -721,6 +753,23 @@ class TestEntryPoints:
         assert "--circuit" in done.stdout
 
 
+class TestOneParserPerProcess:
+    def test_the_parser_is_built_once(self):
+        import spintip.cli as cli
+
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_runs_in_one_process_print_what_fresh_processes_print(self, example_circuit, capsys):
+        # The shared parser must carry nothing from one run into the next.
+        import spintip.cli as cli
+
+        base = ["--circuit", str(example_circuit), "--seed", "4"]
+        for extra in (["--tips", "2", "--trace-snr", "5"], [], ["--verify-frequencies"]):
+            code = cli.main(base + extra)
+            alone = run_cli(*base, *extra)
+            assert (code, capsys.readouterr().out) == (alone.returncode, alone.stdout)
+
+
 class TestGoldenReport:
     def test_report_matches_the_checked_in_golden_file(self, capsys):
         # Pin the whole report surface against a reviewed artifact; any
@@ -745,3 +794,12 @@ class TestGoldenReport:
         assert cli.main(argv) == 0
         produced = capsys.readouterr().out.encode("utf-8")
         assert produced == (DATA / "golden_traced_report.json").read_bytes()
+
+    def test_golden_state_dump_bytes(self, tmp_path, capsys):
+        import spintip.cli as cli
+
+        dump = tmp_path / "golden.state"
+        argv = ["--circuit", str(DATA / "golden.circuit"), "--seed", "42",
+                "--dump-state", str(dump)]
+        assert cli.main(argv) == 0
+        assert dump.read_bytes() == b"10100 0.0 -1.0\n"

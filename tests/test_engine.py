@@ -1,6 +1,8 @@
 """Pulse application, measurement, and thermal-state behaviour."""
 
+import bisect
 import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -36,7 +38,7 @@ from spintip import (
     thermal_sample,
     transition_frequency,
 )
-from spintip import engine
+from spintip import engine, physics
 from spintip.engine import IDLE_POPULATION
 from spintip.errors import DegenerateState, TipParked
 from spintip.readout import MeasurementRecord
@@ -820,3 +822,180 @@ class TestLiveSites:
         state = PureState.product(RegisterLayout(2), {0: (0.6, 0.8)})
         with pytest.raises(ValueError):
             state.amplitudes[0] = 1.0
+
+
+# -- Planned slabs against the dict route ------------------------------------
+#
+# A frozen copy of the kernel that built every slab from a {site: bit} dict
+# through ``_pinned``. The planned kernel reads the same views from a
+# memoised plan and reduces through the same C loops, so it must agree bit
+# for bit: tensors, sites, outcomes, bits and probabilities, with ``==``.
+
+
+def dict_pinned(amplitudes, fixed):
+    shape, index, start = [], [], 0
+    for axis, bit in sorted(fixed.items()):
+        shape += [1 << (axis - start), 2]
+        index += [slice(None), slice(bit, bit + 1)]
+        start = axis + 1
+    return amplitudes.reshape(shape + [-1])[tuple(index)]
+
+
+def dict_slab(sites, tensor, fixed):
+    axes = {}
+    for site, bit in fixed.items():
+        if site in sites:
+            axes[sites.index(site)] = bit
+        elif bit:
+            return None
+    return dict_pinned(tensor, axes)
+
+
+def dict_drop(sites, tensor, site):
+    axis = sites.index(site)
+    return sites[:axis] + sites[axis + 1:], dict_pinned(tensor, {axis: 0}).reshape(-1)
+
+
+def dict_pulse(state, pulse, layout, cfg):
+    """(sites, tensor, outcome) of the dict-and-``_pinned`` kernel, on a copy."""
+    sites, tensor = list(state.sites), state.tensor.copy()
+    site = addressed_site(pulse.channel, layout)
+    partners, lines = physics.pattern_lines(layout, cfg, site)
+    patterns = itertools.product((0, 1), repeat=len(partners))
+    hits = [bits for bits, line in zip(patterns, lines)
+            if abs(line - pulse.frequency) <= cfg.selectivity_tolerance]
+    occupied = [fixed for fixed in (dict(zip(partners, bits)) for bits in hits)
+                if dict_slab(sites, tensor, fixed) is not None]
+    if site not in sites and any(np.any(dict_slab(sites, tensor, f)) for f in occupied):
+        axis = bisect.bisect_left(sites, site)
+        woken = np.zeros(2 * tensor.size, dtype=np.complex128)
+        half = dict_pinned(woken, {axis: 0})
+        half[...] = tensor.reshape(half.shape)
+        sites.insert(axis, site)
+        tensor = woken
+    swap = pulse.mode is PulseMode.LOGICAL_X and pulse.angle == math.pi
+    u00, u01, u10, u11 = oracle_pair_unitary(pulse)
+    population = 0.0
+    if site in sites:
+        for fixed in occupied:
+            a0 = dict_slab(sites, tensor, {**fixed, site: 0})
+            a1 = dict_slab(sites, tensor, {**fixed, site: 1})
+            population += float(np.sum(np.abs(a0) ** 2) + np.sum(np.abs(a1) ** 2))
+            if swap:
+                held = a0.copy()
+                a0[...] = a1
+                a1[...] = held
+            else:
+                rotated0 = u00 * a0 + u01 * a1
+                a1[...] = u10 * a0 + u11 * a1
+                a0[...] = rotated0
+        if not np.any(dict_slab(sites, tensor, {site: 1})):
+            sites, tensor = dict_drop(sites, tensor, site)
+    outcome = engine.PulseOutcome(
+        resonant_pair_count=len(hits) << (layout.num_sites - 1 - len(partners)),
+        resonant_population=population,
+        no_resonant_transition=population <= IDLE_POPULATION,
+    )
+    return tuple(sites), tensor, outcome
+
+
+def dict_measure(state, site, rng):
+    """(bit, probability, sites, tensor) of the dict-and-``_pinned`` collapse."""
+    rng = np.random.default_rng(rng)
+    sites, tensor = list(state.sites), state.tensor.copy()
+    total = float(np.sum(np.abs(tensor) ** 2))
+    slab = dict_slab(sites, tensor, {site: 1})
+    p_one = (0.0 if slab is None else float(np.sum(np.abs(slab) ** 2))) / total
+    bit = 1 if rng.random() < p_one else 0
+    probability = p_one if bit == 1 else 1.0 - p_one
+    lost = dict_slab(sites, tensor, {site: 1 - bit})
+    if lost is not None:
+        lost[...] = 0.0
+    norm = np.linalg.norm(tensor)
+    if bit == 0 and site in sites:
+        sites, tensor = dict_drop(sites, tensor, site)
+    tensor /= norm
+    return bit, float(probability), tuple(sites), tensor
+
+
+@st.composite
+def live_subset_states(draw):
+    """A layout of 1..4 qubits and a state over a drawn subset of live sites.
+
+    The subset is every site, or each site live at random, so the addressed
+    site and its partners are dormant in some draws. The tensor is random
+    with some zeros, or a basis state.
+    """
+    layout = RegisterLayout(draw(st.integers(1, 4)))
+    every = draw(st.booleans())
+    live = tuple(s for s in range(layout.num_sites) if every or draw(st.booleans()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = 1 << len(live)
+    if draw(st.booleans()):
+        tensor = rng.normal(size=size) + 1j * rng.normal(size=size)
+        tensor[rng.random(size) < draw(st.sampled_from([0.0, 0.5, 0.9]))] = 0.0
+    else:
+        tensor = np.zeros(size, dtype=np.complex128)
+    if not np.any(tensor):
+        tensor[rng.integers(size)] = 1.0
+    tensor /= np.linalg.norm(tensor)
+    return layout, PureState._over(layout.num_sites, live, tensor)
+
+
+@st.composite
+def planned_pulse_cases(draw):
+    """A live-subset state, a tip, a channel and a pulse on or off one of its lines.
+
+    The line is any partner pattern's, so patterns that pin a dormant partner
+    to 1 are driven too; the modes are exact pi swaps, fractional
+    ``LOGICAL_X`` and ``PHASED_ROTATION``.
+    """
+    layout, state = draw(live_subset_states())
+    cfg = draw(st.sampled_from((CFG,) + SHARED_LINE_CONFIGS))
+    channel = draw(st.sampled_from(list(Channel)))
+    tips = list(range(layout.num_qubits))
+    if channel is Channel.TIP_CARBON_NUCLEAR_RF:
+        tips.append(None)
+    layout = layout.with_tip(draw(st.sampled_from(tips)))
+    _, lines = physics.pattern_lines(layout, cfg, addressed_site(channel, layout))
+    line = draw(st.sampled_from(lines))
+    tolerance = cfg.selectivity_tolerance
+    offset = draw(st.sampled_from([0.0, -tolerance, 3.0 * tolerance]))
+    assume(line + offset > 0)
+    mode, angle, phase = draw(st.one_of(
+        st.just((PulseMode.LOGICAL_X, math.pi, 0.0)),
+        st.tuples(st.just(PulseMode.LOGICAL_X), st.floats(0.01, 2 * math.pi), st.just(0.0)),
+        st.tuples(
+            st.just(PulseMode.PHASED_ROTATION),
+            st.floats(0.01, 2 * math.pi),
+            st.floats(-math.pi, math.pi),
+        ),
+    ))
+    return state, Pulse(channel, line + offset, angle, phase, 1e-6, mode), layout, cfg
+
+
+class TestSlabPlanAgainstTheDictRoute:
+    @PROPERTY_SETTINGS
+    @given(planned_pulse_cases())
+    def test_pulse_equals_the_dict_route_bit_for_bit(self, case):
+        state, pulse, layout, cfg = case
+        before = state.tensor.tobytes()
+        sites, tensor, expected = dict_pulse(state, pulse, layout, cfg)
+        after, outcome = apply_selective_pulse(state, pulse, layout, cfg)
+        assert after.sites == sites
+        assert after.tensor.tobytes() == tensor.tobytes()
+        assert outcome == expected
+        assert state.tensor.tobytes() == before
+
+    @PROPERTY_SETTINGS
+    @given(live_subset_states(), st.integers(0, 8), st.integers(0, 2**32 - 1))
+    def test_collapse_equals_the_dict_route_bit_for_bit(self, case, site_draw, seed):
+        layout, state = case
+        site = site_draw % layout.num_sites
+        bit, probability, sites, tensor = dict_measure(state, site, seed)
+        observed, after, reported = measure_spin(state, site, seed)
+        assert (observed, reported, after.sites) == (bit, probability, sites)
+        assert after.tensor.tobytes() == tensor.tobytes()
+
+    def test_the_plan_memo_is_bounded(self):
+        assert engine._slab_plan.cache_info().maxsize is not None

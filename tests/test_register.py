@@ -1,5 +1,7 @@
 """Register layout, site roles, tip moves, and basis-index bookkeeping."""
 
+import dataclasses
+
 import pytest
 
 from spintip import PARKED, RegisterLayout, Species
@@ -53,6 +55,38 @@ def test_tip_position_is_immutable_state():
     assert moved.tip_position == 1
     assert layout.tip_position is PARKED  # original untouched
     assert moved.with_tip(PARKED).tip_position is PARKED
+
+
+# Row and grid layouts; list coordinates are normalised to tuples on creation.
+MOVABLE = [
+    RegisterLayout(1),
+    RegisterLayout(4),
+    RegisterLayout(3, coordinates=[[0, 0], [1, 0], [1, 2]]),
+    RegisterLayout(4, coordinates=((0, 0), (1, 0), (1, 2), (3, 3)), tip_position=2),
+]
+
+
+@pytest.mark.parametrize("layout", MOVABLE)
+def test_a_tip_move_equals_the_revalidated_copy(layout):
+    for position in [PARKED, *range(layout.num_qubits)]:
+        moved = layout.with_tip(position)
+        expected = dataclasses.replace(layout, tip_position=position)
+        assert type(moved) is RegisterLayout
+        assert moved == expected
+        assert hash(moved) == hash(expected)
+        assert moved.coordinates == expected.coordinates
+        assert moved.tip_position == position
+
+
+@pytest.mark.parametrize("layout", MOVABLE)
+@pytest.mark.parametrize("position", [-1, "n", 7, "a"])
+def test_an_out_of_range_tip_move_raises_what_the_revalidated_copy_raises(layout, position):
+    position = layout.num_qubits if position == "n" else position
+    with pytest.raises(Exception) as revalidated:
+        dataclasses.replace(layout, tip_position=position)
+    with pytest.raises(type(revalidated.value)) as moved:
+        layout.with_tip(position)
+    assert str(moved.value) == str(revalidated.value)
 
 
 @pytest.mark.parametrize(
