@@ -20,7 +20,6 @@ import json
 import math
 import os
 import sys
-from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -140,24 +139,25 @@ def _record_dict(record):
     }
 
 
-def _check_memory(layout):
-    """Raise RegisterTooLarge if a run of ``layout`` would not fit in memory.
+def _check_memory(num_qubits):
+    """Raise RegisterTooLarge if a run on ``num_qubits`` would not fit in memory.
 
     A run starts in the ground state, where every site is dormant, and
     compiled gates keep at most n + 3 sites live: the n nuclei, and during a
     CNOT the control electron, the tip carbon and the target electron. The
     estimate is ``PEAK_STATE_COPIES`` states of 2^(n+3) 16-byte amplitudes,
-    against the host's physical memory, before anything is allocated. It is
-    an integer byte count, and printed through ``Decimal``, because the
-    dimension of a register a circuit can name exceeds the float range.
+    against the host's physical memory, before the layout or any state is
+    built. It is an integer byte count, printed as its leading power of two,
+    because the dimension of a register a circuit can name exceeds the float
+    range, and converting such an integer to decimal takes seconds.
     """
     bytes_per_amplitude = math.ceil(PEAK_STATE_COPIES * np.dtype(np.complex128).itemsize)
-    estimate = bytes_per_amplitude << (layout.num_qubits + 3)
+    estimate = bytes_per_amplitude << (num_qubits + 3)
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if estimate > physical:
         raise RegisterTooLarge(
-            f"a {layout.num_qubits}-qubit register needs about "
-            f"{Decimal(estimate) / 2**30:.3g} GiB at peak, more than the "
+            f"a {num_qubits}-qubit register needs about "
+            f"2^{estimate.bit_length() - 31} GiB at peak, more than the "
             f"{physical / 2**30:.3g} GiB of physical memory"
         )
 
@@ -173,8 +173,8 @@ def run_circuit_file(path, cfg, args, seed, dump_path):
     except UnicodeDecodeError as exc:
         raise CircuitParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     circuit = program.parse_circuit(text, source=str(path))
+    _check_memory(circuit.num_qubits)
     layout = RegisterLayout(circuit.num_qubits)
-    _check_memory(layout)
     tasks = compiler.expand_tasks(circuit, layout, cfg)
     compiled = compiler.link(tasks)
     state = engine.PureState.ground(layout)
@@ -314,6 +314,8 @@ def main(argv=None):
         parser.error("--trace-snr must be positive")
     if args.trace_snr is not None and not math.isfinite(readout.noise_sigma(args.trace_snr)):
         parser.error("--trace-snr is too small: the trace noise deviation overflows")
+    if args.batch and args.dump_state:
+        parser.error("--dump-state needs --circuit: a batch writes no state dump")
     try:
         cfg = load_machine_config(args.config) if args.config else MachineConfig().validate()
     except (ConfigError, OSError) as exc:

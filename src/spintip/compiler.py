@@ -291,9 +291,9 @@ def execute(program, state, layout, cfg, rng, trace_snr=None):
     pulses whether or not they fire.
 
     The caller's state is copied once, and every pulse and readout collapse
-    then works on that one state object in place (``in_place=True``), which
-    replaces its tensor when a site wakes or drops; it becomes the final
-    state. The input state is left alone.
+    then acts on that one state object, which replaces its tensor when a
+    site wakes or drops; it becomes the final state. The input state is left
+    alone.
     """
     validate_program(program, layout)
     if state.num_sites != layout.num_sites:
@@ -313,12 +313,12 @@ def execute(program, state, layout, cfg, rng, trace_snr=None):
             outcome = None
             if isinstance(instruction, ApplyPulse) or last_inferred == 1:
                 state, outcome = engine.apply_selective_pulse(
-                    state, instruction.pulse, current, cfg, in_place=True
+                    state, instruction.pulse, current, cfg
                 )
             pulse_log.append((position, outcome))
         elif isinstance(instruction, MeasureViaCurrent):
             record, state = readout.measure_via_current(
-                state, instruction.qubit, current, cfg, rng, trace_snr, in_place=True
+                state, instruction.qubit, current, cfg, rng, trace_snr
             )
             records.append(record)
             last_inferred = record.inferred_p_bit

@@ -27,10 +27,10 @@ its partners among the live sites, so a pulse reshapes once and indexes.
 Populations and measurement read and zero the halves of a site through the
 same plan.
 
-``apply_selective_pulse`` and ``measure_spin`` work on a copy of their
-input state by default. ``compiler.execute`` copies its input once and
-passes ``in_place=True``, so a whole program runs on that one state object,
-whose tensor is replaced when a site wakes or drops.
+``apply_selective_pulse`` and ``measure_spin`` drive or collapse the state
+they are given and return that same object, whose tensor is replaced when a
+site wakes or drops. ``compiler.execute`` copies its input once, so a whole
+program runs on one state object; pass ``state.copy()`` to keep a state.
 """
 
 import bisect
@@ -329,7 +329,7 @@ def _plan(state, site, partners):
     return state.tensor.reshape(shape), slabs, one
 
 
-def apply_selective_pulse(state, pulse, layout, cfg, *, in_place=False):
+def apply_selective_pulse(state, pulse, layout, cfg):
     """Drive every basis pair resonant with the pulse; return (state, outcome).
 
     A pair (i, i^flip) of the addressed site is resonant when its flip
@@ -344,9 +344,7 @@ def apply_selective_pulse(state, pulse, layout, cfg, *, in_place=False):
     woken only when a resonant pattern carries amplitude, and the addressed
     site drops out again when its |1> half ends exactly zero.
 
-    By default the pulse drives a copy, returned as a new state, and the
-    input is left alone; with ``in_place`` the input object itself is driven
-    (its tensor may be replaced) and returned.
+    The given state is driven (its tensor may be replaced) and returned.
     """
     if state.num_sites != layout.num_sites:
         raise MismatchedRegister(
@@ -358,8 +356,6 @@ def apply_selective_pulse(state, pulse, layout, cfg, *, in_place=False):
     hits = [index for index, line in enumerate(lines)
             if abs(line - pulse.frequency) <= cfg.selectivity_tolerance]
 
-    if not in_place:
-        state = state.copy()
     view, slabs, one = _plan(state, site, partners)
     occupied = [index for index in hits if slabs[index] is not None]
     if one is None and any(_any(view[slabs[index][0]]) for index in occupied):
@@ -392,16 +388,15 @@ def apply_selective_pulse(state, pulse, layout, cfg, *, in_place=False):
     return state, outcome
 
 
-def measure_spin(state, site, rng, *, in_place=False):
+def measure_spin(state, site, rng):
     """Projectively measure one site; return (bit, collapsed state, probability).
 
     ``rng`` is a seeded ``numpy.random.Generator`` (or a seed for one); exactly
     one draw is consumed, so measurement streams are reproducible. A dormant
     site reads 0 with probability 1. The losing half is zeroed and the tensor
     renormalised; a site that keeps bit 0 then drops out, keeping half the
-    tensor. The collapse happens on a copy, and the input is left alone,
-    unless ``in_place`` is set: then the input object itself collapses (its
-    tensor may be replaced) and is returned.
+    tensor. The given state is collapsed (its tensor may be replaced) and
+    returned.
     """
     rng = np.random.default_rng(rng)
     total = _sum_squares(state.tensor)
@@ -410,8 +405,6 @@ def measure_spin(state, site, rng, *, in_place=False):
     p_one = state.population(site, 1) / total
     bit = 1 if rng.random() < p_one else 0
     probability = p_one if bit == 1 else 1.0 - p_one
-    if not in_place:
-        state = state.copy()
     lost = state._slab(site, 1 - bit)
     if lost is not None:
         lost[...] = 0.0

@@ -75,25 +75,21 @@ def classify_frequency(frequency, cfg):
     return matches[0]
 
 
-def measure_via_current(state, qubit, layout, cfg, rng, trace_snr=None, *, in_place=False):
+def measure_via_current(state, qubit, layout, cfg, rng, trace_snr=None):
     """Read one qubit through the current; return (record, collapsed state).
 
     The nuclear bit collapses first, then the tip carbon bit, both off the
     same RNG stream — so the nuclear marginal matches a direct measure_spin
     with the same stream. Noise-free mode reports the exact modulation line;
     with ``trace_snr`` set, a noisy trace is synthesized and the line is
-    recovered by peak detection before classification. The collapses happen
-    on one copy, and the input is left alone, unless ``in_place`` is set:
-    then the input object itself collapses (its tensor may be replaced) and
-    is returned.
+    recovered by peak detection before classification. The given state is
+    collapsed (its tensor may be replaced) and returned.
     """
     if layout.tip_position != qubit:
         raise TipParked(f"cannot read qubit {qubit} with tip at {layout.tip_position!r}")
     rng = np.random.default_rng(rng)
-    p_bit, state, probability = engine.measure_spin(
-        state, layout.nucleus_site(qubit), rng, in_place=in_place
-    )
-    a_bit, state, _ = engine.measure_spin(state, layout.tip_site, rng, in_place=True)
+    p_bit, state, probability = engine.measure_spin(state, layout.nucleus_site(qubit), rng)
+    a_bit, state, _ = engine.measure_spin(state, layout.tip_site, rng)
     if trace_snr is None:
         observed = _line_table(cfg)[0][(p_bit, a_bit)]
         inferred_p, inferred_a = p_bit, a_bit
@@ -170,18 +166,14 @@ def _tone(line, count, sample_rate):
 
 
 @functools.lru_cache(maxsize=1)
-def _window(count):
-    """Read-only Hann window of ``count`` samples; a config has one trace length."""
+def _workspace(count):
+    """``detect_peak``'s read-only Hann window, and scratch for the windowed
+    samples, rFFT bins and magnitudes; a config has one trace length.
+    """
     window = np.hanning(count)
     window.flags.writeable = False
-    return window
-
-
-@functools.lru_cache(maxsize=1)
-def _workspace(count):
-    """Scratch for ``detect_peak``: windowed samples, rFFT bins and their magnitudes."""
     bins = count // 2 + 1
-    return np.empty(count), np.empty(bins, dtype=np.complex128), np.empty(bins)
+    return window, np.empty(count), np.empty(bins, dtype=np.complex128), np.empty(bins)
 
 
 def detect_peak(samples, sample_rate):
@@ -194,8 +186,8 @@ def detect_peak(samples, sample_rate):
     read, so a read allocates no trace-sized array and is not reentrant.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    windowed, bins, spectrum = _workspace(len(samples))
-    np.multiply(samples, _window(len(samples)), out=windowed)
+    window, windowed, bins, spectrum = _workspace(len(samples))
+    np.multiply(samples, window, out=windowed)
     np.fft.rfft(windowed, out=bins)
     np.abs(bins, out=spectrum)
     if len(spectrum) < 2:

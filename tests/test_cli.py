@@ -22,9 +22,10 @@ DATA = Path(__file__).parent / "data"
 EXAMPLE = "INIT\nROT 0 3.14159265 0.0\nCNOT 0 1\nMEASURE 0\nMEASURE 1\n"
 
 
-def run_cli(*args):
+def run_cli(*args, timeout=None):
     return subprocess.run(
-        [sys.executable, "-m", "spintip", *args], capture_output=True, text=True
+        [sys.executable, "-m", "spintip", *args], capture_output=True, text=True,
+        timeout=timeout,
     )
 
 
@@ -261,6 +262,17 @@ class TestFailureModes:
         assert "GiB" in done.stderr
         assert done.stderr.count("\n") == 1
 
+    def test_a_vast_register_is_refused_before_its_layout_is_built(self, tmp_path):
+        # Two million qubits: the layout alone would take seconds and hundreds
+        # of MiB, and a decimal estimate of the 2^(n+8)-byte peak seconds more.
+        path = tmp_path / "vast.circuit"
+        path.write_text("MEASURE 2000000\n", encoding="utf-8")
+        done = run_cli("--circuit", str(path), "--seed", "0", timeout=5)
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: a 2000001-qubit register needs about 2^")
+        assert done.stderr.count("\n") == 1
+
     @pytest.mark.parametrize("text", ["MEASURE 600\n", "CNOT 0 100000\n"])
     def test_register_past_the_float_range_exits_two(self, tmp_path, capsys, text):
         # 2^(2n+1) amplitudes overflow a float estimate for n >= 512.
@@ -433,6 +445,15 @@ class TestFailureModes:
         assert done.stdout == ""
         assert done.stderr.startswith("error: ")
         assert done.stderr.count("\n") == 1
+
+    def test_dump_state_with_batch_is_refused(self, tmp_path):
+        (tmp_path / "a.circuit").write_text(EXAMPLE, encoding="utf-8")
+        dump = tmp_path / "final.state"
+        done = run_cli("--batch", str(tmp_path), "--seed", "0", "--dump-state", str(dump))
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.splitlines()[-1].startswith("spintip: error: ")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["a.circuit"]
 
     def test_twenty_qubit_register_runs(self, tmp_path, capsys):
         # Compiled gates keep at most n + 3 sites live, so the memory cap

@@ -30,6 +30,7 @@ from spintip import (
     detect_peak,
     execute,
     measure_spin,
+    measure_via_current,
     modulation_frequency,
     parse_circuit,
     site_flip_frequency_array,
@@ -104,9 +105,10 @@ class TestSelectivePulses:
         rng = np.random.default_rng(7)
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
         state = PureState(amps / np.linalg.norm(amps), 3)
+        before = state.amplitudes.copy()
         detuned = nuclear_pi(frequency=F_NUC_E0 + 3e3)  # 3 kHz > 1 kHz tolerance
         after, outcome = apply_selective_pulse(state, detuned, LAYOUT, CFG)
-        assert np.array_equal(after.amplitudes, state.amplitudes)
+        assert np.array_equal(after.amplitudes, before)
         assert outcome.resonant_pair_count == 0
         assert outcome.no_resonant_transition
 
@@ -114,10 +116,11 @@ class TestSelectivePulses:
         rng = np.random.default_rng(11)
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
         state = PureState(amps / np.linalg.norm(amps), 3)
+        before = state.amplitudes.copy()
         once, _ = apply_selective_pulse(state, nuclear_pi(), LAYOUT, CFG)
         twice, _ = apply_selective_pulse(once, nuclear_pi(), LAYOUT, CFG)
         # A pi flip is a pure amplitude swap, so undoing it is bit-exact.
-        assert np.array_equal(twice.amplitudes, state.amplitudes)
+        assert np.array_equal(twice.amplitudes, before)
 
     def test_full_turn_leaves_populations_alone(self):
         state = PureState.from_bits((0, 0, 0))
@@ -209,13 +212,14 @@ class TestSelectivePulses:
         # The e=1 nuclear line exists in the spectrum, but the register sits
         # entirely on the e=0 branch, so nothing actually moves.
         state = PureState.from_bits((0, 0, 0))
+        before = state.amplitudes.copy()
         after, outcome = apply_selective_pulse(
             state, nuclear_pi(frequency=F_NUC_E1), LAYOUT, CFG
         )
         assert outcome.resonant_pair_count >= 1
         assert outcome.resonant_population <= 1e-12
         assert outcome.no_resonant_transition
-        assert np.array_equal(after.amplitudes, state.amplitudes)
+        assert np.array_equal(after.amplitudes, before)
 
 
 class TestMeasurement:
@@ -231,7 +235,7 @@ class TestMeasurement:
     def test_born_statistics(self):
         state = PureState.product(RegisterLayout(1), {0: (0.6, 0.8)})
         hits = sum(
-            measure_spin(state, 0, np.random.default_rng(seed))[0] for seed in range(400)
+            measure_spin(state.copy(), 0, np.random.default_rng(seed))[0] for seed in range(400)
         )
         # p(1) = 0.64; allow four binomial sigmas around the mean of 256.
         sigma = math.sqrt(400 * 0.64 * 0.36)
@@ -242,7 +246,7 @@ class TestMeasurement:
         amps[0b000] = amps[0b110] = 1 / math.sqrt(2)
         state = PureState(amps, 3)
         for seed in range(12):
-            observed, collapsed, _ = measure_spin(state, 0, np.random.default_rng(seed))
+            observed, collapsed, _ = measure_spin(state.copy(), 0, np.random.default_rng(seed))
             partner, _, _ = measure_spin(collapsed, 1, np.random.default_rng(seed + 99))
             assert partner == observed
 
@@ -501,14 +505,13 @@ class TestAgainstIndexArrayOracles:
     @given(pulse_cases())
     def test_pulse_matches_the_index_array_route(self, case):
         state, pulse, layout, cfg = case
-        before = state.amplitudes.copy()
         amps, pairs, population, idle = oracle_pulse(state, pulse, layout, cfg)
         after, outcome = apply_selective_pulse(state, pulse, layout, cfg)
         assert np.array_equal(after.amplitudes, amps)
         assert outcome.resonant_pair_count == pairs
         assert outcome.no_resonant_transition == idle
         assert outcome.resonant_population == pytest.approx(population, abs=1e-12)
-        assert np.array_equal(state.amplitudes, before)
+        assert after is state
 
     def test_shared_line_configs_drive_several_patterns(self):
         # The multi-slab path runs: a pulse hits more pairs than one partner
@@ -529,15 +532,14 @@ class TestAgainstIndexArrayOracles:
     def test_measurement_matches_the_masked_route(self, case, site_draw, seed):
         layout, state = case
         site = site_draw % layout.num_sites
-        before = state.amplitudes.copy()
+        for value in (0, 1):
+            assert state.population(site, value) == oracle_population(state, site, value)
         bit, collapsed, probability = oracle_measure(state, site, seed)
         observed, after, reported = measure_spin(state, site, seed)
         assert observed == bit
         assert reported == probability
         assert np.array_equal(after.amplitudes, collapsed)
-        for value in (0, 1):
-            assert state.population(site, value) == oracle_population(state, site, value)
-        assert np.array_equal(state.amplitudes, before)
+        assert after is state
 
     @PROPERTY_SETTINGS
     @given(register_states(), st.data())
@@ -620,27 +622,16 @@ class TestSupportPrunedPurity:
         assert peak <= state.amplitudes.nbytes
 
 
-class TestInPlace:
+class TestOwnership:
     @PROPERTY_SETTINGS
-    @given(pulse_cases())
-    def test_pulse_in_place_equals_the_copy(self, case):
+    @given(pulse_cases(), register_states(), st.integers(0, 2**32 - 1))
+    def test_the_kernels_return_their_argument(self, case, register, seed):
         state, pulse, layout, cfg = case
-        copied, expected = apply_selective_pulse(state, pulse, layout, cfg)
-        owned = state.copy()
-        driven, outcome = apply_selective_pulse(owned, pulse, layout, cfg, in_place=True)
-        assert driven is owned
-        assert np.array_equal(owned.amplitudes, copied.amplitudes)
-        assert outcome == expected
-
-    @PROPERTY_SETTINGS
-    @given(register_states(), st.integers(0, 8), st.integers(0, 2**32 - 1))
-    def test_collapse_in_place_equals_the_copy(self, case, site_draw, seed):
-        layout, state = case
-        site = site_draw % layout.num_sites
-        bit, copied, probability = measure_spin(state, site, seed)
-        owned = state.copy()
-        assert measure_spin(owned, site, seed, in_place=True) == (bit, owned, probability)
-        assert np.array_equal(owned.amplitudes, copied.amplitudes)
+        assert apply_selective_pulse(state, pulse, layout, cfg)[0] is state
+        layout, state = register
+        assert measure_spin(state, seed % layout.num_sites, seed)[1] is state
+        read = layout.with_tip(seed % layout.num_qubits)
+        assert measure_via_current(state, read.tip_position, read, CFG, seed)[1] is state
 
 
 # -- Live sites against a dense replay ----------------------------------------
@@ -792,11 +783,12 @@ class TestLiveSites:
         line = transition_frequency(tuple(bits), electron, layout, CFG)
         pulse = Pulse(Channel.ELECTRON_RF, line, math.pi, 0.0, 1e-7)
         _, pairs, _, _ = oracle_pulse(state, pulse, layout, CFG)
+        before = state.amplitudes.copy()
         after, outcome = apply_selective_pulse(state, pulse, layout, CFG)
         assert outcome.resonant_pair_count == pairs == 1 << (layout.num_sites - 3)
         assert outcome.no_resonant_transition
         assert after.sites == ()
-        assert np.array_equal(after.amplitudes, state.amplitudes)
+        assert np.array_equal(after.amplitudes, before)
 
     def test_compiled_gates_keep_at_most_three_ancillas_live(self, monkeypatch):
         layout = RegisterLayout(5)
@@ -979,13 +971,12 @@ class TestSlabPlanAgainstTheDictRoute:
     @given(planned_pulse_cases())
     def test_pulse_equals_the_dict_route_bit_for_bit(self, case):
         state, pulse, layout, cfg = case
-        before = state.tensor.tobytes()
         sites, tensor, expected = dict_pulse(state, pulse, layout, cfg)
         after, outcome = apply_selective_pulse(state, pulse, layout, cfg)
         assert after.sites == sites
         assert after.tensor.tobytes() == tensor.tobytes()
         assert outcome == expected
-        assert state.tensor.tobytes() == before
+        assert after is state
 
     @PROPERTY_SETTINGS
     @given(live_subset_states(), st.integers(0, 8), st.integers(0, 2**32 - 1))

@@ -98,7 +98,9 @@ class TestMeasureViaCurrent:
         state = PureState.product(LAYOUT, {0: (0.6, 0.8)})
         hits = 0
         for seed in range(500):
-            record, _ = measure_via_current(state, 0, LAYOUT, CFG, np.random.default_rng(seed))
+            record, _ = measure_via_current(
+                state.copy(), 0, LAYOUT, CFG, np.random.default_rng(seed)
+            )
             hits += record.inferred_p_bit
         sigma = math.sqrt(500 * 0.64 * 0.36)
         assert abs(hits - 320) < 4 * sigma  # p(1) = 0.8^2
@@ -106,8 +108,10 @@ class TestMeasureViaCurrent:
     def test_nuclear_marginal_matches_a_direct_spin_measurement(self):
         state = PureState.product(LAYOUT, {0: (0.6, 0.8)})
         for seed in (3, 17, 40):
-            record, _ = measure_via_current(state, 0, LAYOUT, CFG, np.random.default_rng(seed))
-            direct, _, _ = measure_spin(state, 0, np.random.default_rng(seed))
+            record, _ = measure_via_current(
+                state.copy(), 0, LAYOUT, CFG, np.random.default_rng(seed)
+            )
+            direct, _, _ = measure_spin(state.copy(), 0, np.random.default_rng(seed))
             assert record.inferred_p_bit == direct
 
     def test_trace_mode_recovers_the_same_bits(self):
