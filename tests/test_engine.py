@@ -634,6 +634,29 @@ class TestOwnership:
         assert measure_via_current(state, read.tip_position, read, CFG, seed)[1] is state
 
 
+class TestInPlace:
+    # The kernels write into the state they are given; driving the state
+    # itself must give what driving a fresh copy of it gives.
+    @PROPERTY_SETTINGS
+    @given(pulse_cases())
+    def test_pulse_in_place_equals_the_copy(self, case):
+        state, pulse, layout, cfg = case
+        copied, expected = apply_selective_pulse(state.copy(), pulse, layout, cfg)
+        driven, outcome = apply_selective_pulse(state, pulse, layout, cfg)
+        assert driven is state
+        assert np.array_equal(state.amplitudes, copied.amplitudes)
+        assert outcome == expected
+
+    @PROPERTY_SETTINGS
+    @given(register_states(), st.integers(0, 8), st.integers(0, 2**32 - 1))
+    def test_collapse_in_place_equals_the_copy(self, case, site_draw, seed):
+        layout, state = case
+        site = site_draw % layout.num_sites
+        bit, copied, probability = measure_spin(state.copy(), site, seed)
+        assert measure_spin(state, site, seed) == (bit, state, probability)
+        assert np.array_equal(state.amplitudes, copied.amplitudes)
+
+
 # -- Live sites against a dense replay ----------------------------------------
 #
 # The engine stores only the sites that carry amplitude. The replay below runs
