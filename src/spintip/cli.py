@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -41,11 +42,12 @@ EXIT_USAGE = 2
 EXIT_PHYSICS = 3
 EXIT_BUDGET = 4
 
-#: Peak bytes of a run over the bytes of a 2^(n+3)-amplitude state, the most a
+#: Peak bytes of a run over the bytes of a 2^(n+1)-amplitude state, the most a
 #: compiled gate keeps live: the state a site is woken into next to the one it
-#: leaves, and the half kept when a site drops. tracemalloc measured 1.63 to
-#: 1.65 on n = 14 and 16 circuits that rotate every qubit and then run CNOTs,
-#: INIT and MEASURE, exact and traced readout and ``--tips 2``.
+#: leaves, and the half kept when a site drops. tracemalloc measured 1.63 on
+#: n = 18 and 19 circuits that rotate every qubit and then run CNOTs, INIT and
+#: MEASURE, exact and traced readout and ``--tips 2``; below n = 17 fixed
+#: buffers of about 2 MiB, such as the traced readout's, weigh more.
 PEAK_STATE_COPIES = 2.0
 
 
@@ -143,16 +145,17 @@ def _check_memory(num_qubits):
     """Raise RegisterTooLarge if a run on ``num_qubits`` would not fit in memory.
 
     A run starts in the ground state, where every site is dormant, and
-    compiled gates keep at most n + 3 sites live: the n nuclei, and during a
-    CNOT the control electron, the tip carbon and the target electron. The
-    estimate is ``PEAK_STATE_COPIES`` states of 2^(n+3) 16-byte amplitudes,
+    compiled gates keep at most n + 1 sites live: the n nuclei, and during a
+    CNOT the target electron. The control electron and the tip carbon only
+    copy the control nucleus, so they stay slaved and take no axis. The
+    estimate is ``PEAK_STATE_COPIES`` states of 2^(n+1) 16-byte amplitudes,
     against the host's physical memory, before the layout or any state is
     built. It is an integer byte count, printed as its leading power of two,
     because the dimension of a register a circuit can name exceeds the float
     range, and converting such an integer to decimal takes seconds.
     """
     bytes_per_amplitude = math.ceil(PEAK_STATE_COPIES * np.dtype(np.complex128).itemsize)
-    estimate = bytes_per_amplitude << (num_qubits + 3)
+    estimate = bytes_per_amplitude << (num_qubits + 1)
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if estimate > physical:
         raise RegisterTooLarge(
@@ -317,10 +320,16 @@ def main(argv=None):
     if args.batch and args.dump_state:
         parser.error("--dump-state needs --circuit: a batch writes no state dump")
     try:
-        cfg = load_machine_config(args.config) if args.config else MachineConfig().validate()
+        # A questionable value warns; the warning becomes one stderr line,
+        # whatever the interpreter's warning filters say.
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cfg = load_machine_config(args.config) if args.config else MachineConfig().validate()
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
 
     if args.batch:
         return _run_batch(args, cfg)

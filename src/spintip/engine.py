@@ -1,17 +1,30 @@
 """State-vector engine: selective pulses, measurement, thermal sampling.
 
 A state is exact over the 2^(2n+1)-dimensional register space, but it stores
-only its *live* sites: a tensor over those, with every other (dormant) site
-exactly |0>. In the paper's scheme the electrons and the tip carbon are
-ancillas that every compiled gate hands back in |0>, so a run stores at most
-the n nuclei plus the three ancillas a CNOT has in flight: 2^(n+3)
-amplitudes, not 2^(2n+1). A pulse that moves amplitude onto a dormant site
-wakes it (its axis is inserted with a zero |1> half); a pulse or collapse
-that leaves a site's |1> half exactly zero drops it again. Electron and tip
-pulses are exact pi swaps, so that is a zero test, not a tolerance. A state
-built from a full vector has every site live and runs as a plain dense
-engine; ``PureState.amplitudes`` materialises the dense vector for callers
-that want one.
+only its *live* sites: a tensor over those. Every other site is *slaved*: a
+copy of one live site (its source), or, with no source, the constant 0
+(*dormant*). In the paper's scheme the electrons and the tip carbon are
+ancillas that only ever carry a copy of a nucleus bit and that every compiled
+gate hands back in |0>, so a run stores the n nuclei and, during a CNOT, the
+target electron alone: at most 2^(n+1) amplitudes, not 2^(2n+1).
+
+An exact pi swap on a site that is not live, whose resonant patterns select
+"source = 1" for one live site, rewrites the slave map and moves no
+amplitude: a dormant site becomes a copy of that source, and a copy of it
+becomes dormant. Every other pulse reads a slaved partner as a condition on
+its source. A site is *materialised* -- given the axis a plain live-site
+engine would give it, holding its source's bit -- when a pulse is not a
+swap, when its condition is not a single source (the target electron's
+"target nucleus AND tip carbon"), when the pulse addresses a source that has
+slaves, and before any measurement. A pulse that moves amplitude onto a
+dormant site wakes it (its axis is inserted with a zero |1> half); a pulse
+or collapse that leaves a site's |1> half exactly zero drops it again.
+Electron and tip pulses are exact pi swaps, so that is a zero test, not a
+tolerance. A state built from a full vector has every site live and runs as
+a plain dense engine. ``PureState.amplitudes``, ``norm``, ``population``,
+``dump_text`` and ``ancilla_diagnostics`` read a materialised copy when a
+site is slaved, so their sums run over the layout a live-site engine holds,
+and they leave the state as it is.
 
 A pulse drives exactly the basis-index pairs whose single-spin flip lies
 within the machine's selectivity window of the drive frequency — everything
@@ -19,18 +32,19 @@ else is untouched, which is the whole trick behind tip-conditional logic.
 A flip line depends only on the bits of the addressed spin's one or two
 partners, so a pulse compares its drive with at most four lines
 (``physics.pattern_lines``) and moves whole slabs of amplitudes: basic-slice
-views of the live tensor, with the addressed and partner sites pinned, one
-slab per partner pattern and addressed bit. No register-sized frequency or
-index array is built. The slabs come from a memoised plan (``_slab_plan``):
-the reshape and slice keys depend only on the axes of the addressed site and
-its partners among the live sites, so a pulse reshapes once and indexes.
-Populations and measurement read and zero the halves of a site through the
-same plan.
+views of the live tensor, with the addressed site and the partners' live
+sites pinned, one slab per partner pattern and addressed bit. No
+register-sized frequency or index array is built. The slabs come from a
+memoised plan (``_slab_plan``): the reshape and slice keys depend only on
+the axes of the addressed site and of the live sites its partners read, so a
+pulse reshapes once and indexes. Populations and measurement read and zero
+the halves of a site through the same plan.
 
 ``apply_selective_pulse`` and ``measure_spin`` drive or collapse the state
 they are given and return that same object, whose tensor is replaced when a
-site wakes or drops. ``compiler.execute`` copies its input once, so a whole
-program runs on one state object; pass ``state.copy()`` to keep a state.
+site wakes, drops or is materialised. ``compiler.execute`` copies its input
+once, so a whole program runs on one state object; pass ``state.copy()`` to
+keep a state.
 """
 
 import bisect
@@ -117,9 +131,11 @@ class PureState:
 
     ``sites`` is the sorted tuple of live sites and ``tensor`` the flat
     complex amplitudes over them, the first live site most significant.
-    Every other site is exactly |0>. ``PureState(amplitudes, num_sites)``
-    takes a full register vector, so every site starts live; ``ground``,
-    ``from_bits`` and ``product`` keep only the sites that need an axis.
+    ``slaves`` maps each slaved site to its live source, whose bit it holds
+    in every amplitude; every other site is dormant, exactly |0>.
+    ``PureState(amplitudes, num_sites)`` takes a full register vector, so
+    every site starts live; ``ground``, ``from_bits`` and ``product`` keep
+    only the sites that need an axis, and slave none.
     """
 
     def __init__(self, amplitudes, num_sites):
@@ -129,12 +145,14 @@ class PureState:
         self.num_sites = num_sites
         self.sites = tuple(range(num_sites))
         self.tensor = amps
+        self.slaves = {}
 
     @classmethod
-    def _over(cls, num_sites, sites, tensor):
+    def _over(cls, num_sites, sites, tensor, slaves=()):
         """A state whose live ``sites`` (sorted) hold ``tensor``, taken as is."""
         state = cls.__new__(cls)
         state.num_sites, state.sites, state.tensor = num_sites, tuple(sites), tensor
+        state.slaves = dict(slaves)
         return state
 
     @classmethod
@@ -162,53 +180,58 @@ class PureState:
             if qubit in nuclear_amplitudes:
                 factor = np.array(nuclear_amplitudes[qubit], dtype=np.complex128)
                 sites.append(layout.nucleus_site(qubit))
-                tensor = np.kron(tensor, factor / np.linalg.norm(factor))
+                tensor = np.multiply.outer(tensor, factor / np.linalg.norm(factor)).reshape(-1)
         return cls._over(layout.num_sites, sites, tensor)
 
     @property
     def amplitudes(self):
-        """The dense 2^num_sites vector, read-only; dormant sites read |0>."""
-        if len(self.sites) == self.num_sites:
-            dense = self.tensor.view()
+        """The dense 2^num_sites vector, read-only.
+
+        Dormant sites read |0> and slaved ones their source's bit.
+        """
+        state = self._materialised()
+        if len(state.sites) == self.num_sites:
+            dense = state.tensor.view()
         else:
             dense = np.zeros(1 << self.num_sites, dtype=np.complex128)
-            live = set(self.sites)
+            live = set(state.sites)
             index = tuple(slice(None) if s in live else 0 for s in range(self.num_sites))
-            dense.reshape((2,) * self.num_sites)[index] = self.tensor.reshape(
-                (2,) * len(self.sites)
+            dense.reshape((2,) * self.num_sites)[index] = state.tensor.reshape(
+                (2,) * len(state.sites)
             )
         dense.flags.writeable = False
         return dense
 
     def copy(self):
-        return PureState._over(self.num_sites, self.sites, self.tensor.copy())
+        return PureState._over(self.num_sites, self.sites, self.tensor.copy(), self.slaves)
 
     def norm(self):
-        return float(np.linalg.norm(self.tensor))
+        return float(np.linalg.norm(self._materialised().tensor))
 
     def population(self, site, bit):
         """Total weight with ``site`` in ``bit``."""
-        slab = self._slab(site, bit)
+        slab = self._materialised()._slab(site, bit)
         return 0.0 if slab is None else _sum_squares(slab)
 
     def dump_text(self):
         """One ``bitstring re im`` line per amplitude of modulus above 1e-12."""
+        state = self._materialised()
         lines = []
         bits = ["0"] * self.num_sites
-        for index, amp in enumerate(self.tensor):
+        for index, amp in enumerate(state.tensor):
             if abs(amp) > 1e-12:
-                for site, bit in zip(self.sites, format(index, f"0{len(self.sites)}b")):
+                for site, bit in zip(state.sites, format(index, f"0{len(state.sites)}b")):
                     bits[site] = bit
                 lines.append(f"{''.join(bits)} {float(amp.real)!r} {float(amp.imag)!r}")
         return "\n".join(lines) + "\n"
 
     def _axis(self, site):
-        """Position of ``site`` among the live sites, or None if it is dormant."""
+        """Position of ``site`` among the live sites, or None if it is not live."""
         axis = bisect.bisect_left(self.sites, site)
         return axis if axis < len(self.sites) and self.sites[axis] == site else None
 
     def _slab(self, site, bit):
-        """View of the tensor with ``site`` pinned to ``bit``.
+        """View of the tensor with ``site`` pinned to ``bit``; ``site`` is not slaved.
 
         A dormant site pinned to 0 selects everything and one pinned to 1
         selects nothing, so the slab is then None.
@@ -228,33 +251,74 @@ class PureState:
         self.tensor = woken
 
     def _drop(self, site):
-        """Make a live site whose |1> half is zero dormant: keep its |0> half."""
+        """Make a live site whose |1> half is zero dormant: keep its |0> half.
+
+        The half is copied, so the old tensor's buffer is freed even where a
+        reshape of the half could have been a view into it.
+        """
         axis = self._axis(site)
-        self.tensor = _half(self.tensor, axis, 0).reshape(-1)
+        self.tensor = _half(self.tensor, axis, 0).copy().reshape(-1)
         self.sites = self.sites[:axis] + self.sites[axis + 1 :]
+
+    def _materialise(self, site):
+        """Give a slaved site its axis, holding its source's bit."""
+        source = self.slaves.pop(site)
+        self._wake(site)
+        shape, slabs, _ = _slab_plan(self._axis(site), (self._axis(source),))
+        zero, one = slabs[1]  # the site's 0 and 1 slabs where the source is 1
+        view = self.tensor.reshape(shape)
+        view[one] = view[zero]
+        view[zero] = 0.0
+
+    def _materialised(self):
+        """This state with every slaved site materialised: itself, or a copy."""
+        if not self.slaves:
+            return self
+        state = self.copy()
+        for site in self.slaves:
+            state._materialise(site)
+        return state
 
 
 #: Partner bit patterns in ``physics.pattern_lines`` order, per partner count.
 _PATTERNS = tuple(tuple(itertools.product((0, 1), repeat=r)) for r in range(3))
 
 
+def _pins(partner_axes, pattern):
+    """{axis: bit} that a partner pattern pins, or None if it selects nothing.
+
+    A partner reads the live axis in ``partner_axes`` (its own, or its
+    source's), or is dormant (None) and reads 0; two partners that read one
+    axis must agree.
+    """
+    pins = {}
+    for axis, bit in zip(partner_axes, pattern):
+        if axis is None:
+            if bit:
+                return None
+        elif pins.setdefault(axis, bit) != bit:
+            return None
+    return pins
+
+
 @functools.lru_cache(maxsize=1024)
 def _slab_plan(axis, partner_axes):
     """(shape, slabs, one): how to cut a flat 2^k tensor into a pulse's slabs.
 
-    ``axis`` is the addressed site's axis and ``partner_axes`` its partners',
-    None for a dormant one; axis 0 is the most significant bit. ``shape``
-    splits the tensor at the live ones, with the free axes between two of
-    them in one dimension, so p pinned axes give at most 2p + 1 dimensions.
-    Its last is -1, which is why k does not enter the key.
-    ``slabs`` holds, per partner pattern, None when the pattern pins a
-    dormant partner to 1 (it selects nothing), else the indices of its
-    addressed-bit 0 and 1 slabs, or of its one slab while the addressed site
-    is dormant. ``one`` indexes the addressed site's |1> half, or is None
-    while it is dormant. Length-1 slices rather than integers keep every slab
-    a view, even with every axis pinned.
+    ``axis`` is the addressed site's axis and ``partner_axes`` the live axes
+    its partners read (``_pins``), so the slave map enters the key through
+    them; axis 0 is the most significant bit. ``shape`` splits the tensor at
+    the pinned axes, with the free axes between two of them in one
+    dimension, so p pinned axes give at most 2p + 1 dimensions. Its last is
+    -1, which is why k does not enter the key.
+    ``slabs`` holds, per partner pattern, None when the pattern selects
+    nothing, else the indices of its addressed-bit 0 and 1 slabs, or of its
+    one slab while the addressed site is not live. ``one`` indexes the
+    addressed site's |1> half, or is None while it is not live. Length-1
+    slices rather than integers keep every slab a view, even with every axis
+    pinned.
     """
-    pinned = sorted(a for a in partner_axes + (axis,) if a is not None)
+    pinned = sorted({a for a in partner_axes + (axis,) if a is not None})
     shape, start = [], 0
     for pin in pinned:
         shape += [1 << (pin - start), 2]
@@ -268,8 +332,8 @@ def _slab_plan(axis, partner_axes):
 
     slabs = []
     for pattern in _PATTERNS[len(partner_axes)]:
-        bits = {a: bit for a, bit in zip(partner_axes, pattern) if a is not None}
-        if any(a is None and bit for a, bit in zip(partner_axes, pattern)):
+        bits = _pins(partner_axes, pattern)
+        if bits is None:
             slabs.append(None)
         elif axis is None:
             slabs.append((key(bits),))
@@ -277,6 +341,27 @@ def _slab_plan(axis, partner_axes):
             slabs.append((key({**bits, axis: 0}), key({**bits, axis: 1})))
     one = None if axis is None else key({axis: 1})
     return tuple(shape) + (-1,), tuple(slabs), one
+
+
+@functools.lru_cache(maxsize=1024)
+def _copied_axis(partner_axes, hits):
+    """The live axis a whose bit the ``hits`` patterns select exactly, or None.
+
+    A pulse with these resonant patterns flips its site on every amplitude
+    whose partners read a hit pattern. That set is "a is 1" for at most one
+    of the live axes the partners read; the swap then XORs a's bit into the
+    site.
+    """
+    pinned = [_pins(partner_axes, _PATTERNS[len(partner_axes)][hit]) for hit in hits]
+    live = sorted({a for a in partner_axes if a is not None})
+    for axis in live:
+        if all(
+            any(p is not None and all(values[a] == b for a, b in p.items()) for p in pinned)
+            == values[axis]
+            for values in (dict(zip(live, bits)) for bits in _PATTERNS[len(live)])
+        ):
+            return axis
+    return None
 
 
 def _half(tensor, axis, bit):
@@ -323,9 +408,9 @@ def _addressed_site(channel, layout):
     return layout.nucleus_site(layout.tip_position)
 
 
-def _plan(state, site, partners):
+def _plan(state, site, sources):
     """The tensor reshaped for a pulse on ``site``, its slab keys and |1> half key."""
-    shape, slabs, one = _slab_plan(state._axis(site), tuple(map(state._axis, partners)))
+    shape, slabs, one = _slab_plan(state._axis(site), tuple(map(state._axis, sources)))
     return state.tensor.reshape(shape), slabs, one
 
 
@@ -336,13 +421,24 @@ def apply_selective_pulse(state, pulse, layout, cfg):
     frequency lies within ``cfg.selectivity_tolerance`` of the drive. That
     frequency is a function of the partner bits alone, so the test compares
     the drive with the at most four ``physics.pattern_lines`` of the site.
-    Every resonant pattern names two slabs of the live tensor, addressed bit
-    0 and 1 with the partners pinned; they are swapped (exact pi) or rotated
-    by the pair unitary in place. A dormant partner is |0>, so its bit-1
-    patterns hold nothing and are skipped; ``resonant_pair_count`` still
-    counts them, as the dense register would. A dormant addressed site is
-    woken only when a resonant pattern carries amplitude, and the addressed
-    site drops out again when its |1> half ends exactly zero.
+    A partner reads its own bit if it is live, its source's if it is
+    slaved, and 0 if it is dormant. The slaves of the addressed site are
+    materialised first.
+
+    An exact pi swap on a site that is not live, whose resonant patterns
+    select "s = 1" for one live site s, rewrites the slave map: a dormant
+    site becomes a copy of s (if s = 1 holds any amplitude) and a copy of s
+    becomes dormant. Its population is the weight with s = 1.
+
+    Any other pulse materialises a slaved addressed site. Every resonant
+    pattern then names two slabs of the live tensor, addressed bit 0 and 1
+    with the partners pinned; they are swapped (exact pi) or rotated by the
+    pair unitary in place. A pattern that pins a dormant partner to 1, or
+    two partners reading one source to different bits, holds nothing and is
+    skipped; ``resonant_pair_count`` still counts it, as the dense register
+    would. A dormant addressed site is woken only when a resonant pattern
+    carries amplitude, and the addressed site drops out again when its |1>
+    half ends exactly zero.
 
     The given state is driven (its tensor may be replaced) and returned.
     """
@@ -353,17 +449,45 @@ def apply_selective_pulse(state, pulse, layout, cfg):
     site = _addressed_site(pulse.channel, layout)
     n = layout.num_sites
     partners, lines = physics.pattern_lines(layout, cfg, site)
-    hits = [index for index, line in enumerate(lines)
-            if abs(line - pulse.frequency) <= cfg.selectivity_tolerance]
+    hits = tuple(index for index, line in enumerate(lines)
+                 if abs(line - pulse.frequency) <= cfg.selectivity_tolerance)
 
-    view, slabs, one = _plan(state, site, partners)
+    for slave in [slave for slave, of in state.slaves.items() if of == site]:
+        state._materialise(slave)
+    sources = tuple(state.slaves.get(partner, partner) for partner in partners)
+    source = state.slaves.get(site)
+    swap = pulse.mode is PulseMode.LOGICAL_X and pulse.angle == math.pi
+    copied = None
+    if swap and state._axis(site) is None:
+        copied = _copied_axis(tuple(map(state._axis, sources)), hits)
+    if copied is not None and source in (None, state.sites[copied]):
+        half = _half(state.tensor, copied, 1)
+        population = _sum_squares(half)
+        if source is not None:
+            del state.slaves[site]
+        elif population > 0.0 or _any(half):  # a live-site engine wakes no empty site
+            state.slaves[site] = state.sites[copied]
+    else:
+        if source is not None:
+            state._materialise(site)
+        population = _drive(state, pulse, site, sources, hits, swap)
+    outcome = PulseOutcome(
+        resonant_pair_count=len(hits) << (n - 1 - len(partners)),
+        resonant_population=population,
+        no_resonant_transition=population <= IDLE_POPULATION,
+    )
+    return state, outcome
+
+
+def _drive(state, pulse, site, sources, hits, swap):
+    """Swap or rotate the resonant slabs of a live or dormant ``site``; return their weight."""
+    view, slabs, one = _plan(state, site, sources)
     occupied = [index for index in hits if slabs[index] is not None]
     if one is None and any(_any(view[slabs[index][0]]) for index in occupied):
         state._wake(site)
-        view, slabs, one = _plan(state, site, partners)
+        view, slabs, one = _plan(state, site, sources)
     population = 0.0
     if one is not None:
-        swap = pulse.mode is PulseMode.LOGICAL_X and pulse.angle == math.pi
         if not swap:
             u00, u01, u10, u11 = _pair_unitary(pulse)
         for index in occupied:
@@ -380,25 +504,24 @@ def apply_selective_pulse(state, pulse, layout, cfg):
                 a0[...] = rotated0
         if not _any(view[one]):
             state._drop(site)
-    outcome = PulseOutcome(
-        resonant_pair_count=len(hits) << (n - 1 - len(partners)),
-        resonant_population=population,
-        no_resonant_transition=population <= IDLE_POPULATION,
-    )
-    return state, outcome
+    return population
 
 
 def measure_spin(state, site, rng):
     """Projectively measure one site; return (bit, collapsed state, probability).
 
     ``rng`` is a seeded ``numpy.random.Generator`` (or a seed for one); exactly
-    one draw is consumed, so measurement streams are reproducible. A dormant
-    site reads 0 with probability 1. The losing half is zeroed and the tensor
-    renormalised; a site that keeps bit 0 then drops out, keeping half the
-    tensor. The given state is collapsed (its tensor may be replaced) and
-    returned.
+    one draw is consumed, so measurement streams are reproducible. Every
+    slaved site is materialised first, so the collapse's sums run over the
+    layout a live-site engine holds and no source with slaves drops. A
+    dormant site reads 0 with probability 1. The losing half is zeroed and
+    the tensor renormalised; a site that keeps bit 0 then drops out, keeping
+    half the tensor. The given state is collapsed (its tensor may be
+    replaced) and returned.
     """
     rng = np.random.default_rng(rng)
+    for slave in tuple(state.slaves):
+        state._materialise(slave)
     total = _sum_squares(state.tensor)
     if not math.sqrt(total) >= 1e-9:
         raise DegenerateState(f"state norm {math.sqrt(total):.3e} is too small to measure")
@@ -456,8 +579,10 @@ def ancilla_diagnostics(state, layout, sites=None):
     over the live ones: rho = M M^dagger, where row r of M holds the live
     tensor's amplitudes with those sites in configuration r. Only rows with a
     nonzero amplitude contribute, so M is gathered from those rows alone;
-    after a compiled gate every ancilla is dormant and M is one row.
+    after a compiled gate every ancilla is dormant and M is one row. A state
+    with slaved sites is read through a materialised copy.
     """
+    state = state._materialised()
     if sites is None:
         sites = tuple(layout.electron_site(q) for q in range(layout.num_qubits))
         sites = sites + (layout.tip_site,)

@@ -251,6 +251,22 @@ class TestFailureModes:
         assert "overflow float64" in done.stderr
         assert done.stderr.count("\n") == 1
 
+    def test_a_config_warning_is_one_line_even_under_w_error(self, example_circuit, tmp_path):
+        # A questionable value warns but runs; the warning must not surface as
+        # a raw Python warning, nor as a traceback when warnings are errors.
+        config = tmp_path / "tight.config"
+        config.write_text("lattice_spacing = 1e-300\n", encoding="utf-8")
+        done = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "spintip", "--circuit", str(example_circuit),
+             "--config", str(config), "--seed", "0"],
+            capture_output=True, text=True,
+        )
+        assert done.returncode == 0
+        assert strict_json(done.stdout)["status"]["exit_code"] == 0
+        assert done.stderr.splitlines() == [
+            "warning: lattice_spacing 1e-300 m is below the 30 nm tip-addressability margin"
+        ]
+
     def test_register_too_large_for_memory_exits_two(self, tmp_path):
         # 41 qubits is 2^83 amplitudes: the run must refuse before allocating.
         path = tmp_path / "huge.circuit"
@@ -264,7 +280,7 @@ class TestFailureModes:
 
     def test_a_vast_register_is_refused_before_its_layout_is_built(self, tmp_path):
         # Two million qubits: the layout alone would take seconds and hundreds
-        # of MiB, and a decimal estimate of the 2^(n+8)-byte peak seconds more.
+        # of MiB, and a decimal estimate of the 2^(n+6)-byte peak seconds more.
         path = tmp_path / "vast.circuit"
         path.write_text("MEASURE 2000000\n", encoding="utf-8")
         done = run_cli("--circuit", str(path), "--seed", "0", timeout=5)
@@ -456,8 +472,9 @@ class TestFailureModes:
         assert sorted(path.name for path in tmp_path.iterdir()) == ["a.circuit"]
 
     def test_twenty_qubit_register_runs(self, tmp_path, capsys):
-        # Compiled gates keep at most n + 3 sites live, so the memory cap
-        # admits a register whose dense vector (2^41 amplitudes) never exists.
+        # Compiled gates keep at most n + 1 sites live (the nuclei and a CNOT's
+        # target electron), so the memory cap admits a register whose dense
+        # vector (2^41 amplitudes) never exists.
         import spintip.cli as cli
 
         path = tmp_path / "long.circuit"
@@ -689,9 +706,12 @@ class TestConfigFuzz:
                 config.write_bytes("temperature = 1.0 # \u00b0K\n".encode("latin-1"))
             argv = ["--config", str(config), "--circuit", str(circuit), "--seed", "0", *flags]
             stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 code = cli.main(argv)
         assert code in (0, 2, 3, 4)
+        assert caught == []
         assert "Traceback" not in stderr.getvalue()
         if code == 2:
             assert stderr.getvalue().startswith("error: ")

@@ -20,6 +20,7 @@ from spintip import (
     MoveTip,
     Pulse,
     PulseMode,
+    PulseProgram,
     PureState,
     RegisterLayout,
     Species,
@@ -39,7 +40,7 @@ from spintip import (
     thermal_sample,
     transition_frequency,
 )
-from spintip import engine, physics
+from spintip import cli, compiler, engine, physics
 from spintip.engine import IDLE_POPULATION
 from spintip.errors import DegenerateState, TipParked
 from spintip.readout import MeasurementRecord
@@ -622,6 +623,24 @@ class TestSupportPrunedPurity:
         assert peak <= state.amplitudes.nbytes
 
 
+class TestProduct:
+    @PROPERTY_SETTINGS
+    @given(st.integers(1, 11), st.data())
+    def test_the_tensor_is_the_kron_chain(self, num_qubits, data):
+        part = st.floats(-1e3, 1e3, allow_nan=False)
+        chosen = data.draw(st.lists(st.integers(0, num_qubits - 1), unique=True))
+        amplitudes = {q: (complex(*data.draw(st.tuples(part, part))),
+                          complex(*data.draw(st.tuples(part, part)))) for q in sorted(chosen)}
+        assume(all(np.linalg.norm(pair) > 1e-3 for pair in amplitudes.values()))
+        state = PureState.product(RegisterLayout(num_qubits), amplitudes)
+        expected = np.ones(1, dtype=np.complex128)
+        for pair in amplitudes.values():
+            factor = np.array(pair, dtype=np.complex128)
+            expected = np.kron(expected, factor / np.linalg.norm(factor))
+        assert state.tensor.tobytes() == expected.tobytes()
+        assert state.sites == tuple(2 * q for q in sorted(chosen))
+
+
 class TestOwnership:
     @PROPERTY_SETTINGS
     @given(pulse_cases(), register_states(), st.integers(0, 2**32 - 1))
@@ -760,37 +779,155 @@ def without_probability(record):
     return dataclasses.replace(record, pre_measurement_probability=None)
 
 
+def assert_matches_the_dense_replay(layout, program, state, seed, trace_snr):
+    """Run ``program`` through ``execute`` and the dense replay; return the final state.
+
+    Bits, lines, pair counts and idle flags must be equal; probabilities,
+    populations and amplitudes may differ in the last ulps.
+    """
+    result = execute(program, state, layout, CFG, np.random.default_rng(seed), trace_snr)
+    amps, records, pulse_log = dense_replay(
+        program, state.amplitudes.copy(), layout, CFG, np.random.default_rng(seed), trace_snr
+    )
+    assert list(map(without_probability, result.records)) == list(
+        map(without_probability, records)
+    )
+    for ours, theirs in zip(result.records, records):
+        assert ours.pre_measurement_probability == pytest.approx(
+            theirs.pre_measurement_probability, abs=1e-12
+        )
+    assert len(result.pulse_log) == len(pulse_log)
+    for (position, outcome), replayed in zip(result.pulse_log, pulse_log):
+        if outcome is None:
+            assert replayed == (position, None)
+            continue
+        assert (position, outcome.resonant_pair_count, outcome.no_resonant_transition) == (
+            replayed[0], replayed[1], replayed[3]
+        )
+        assert outcome.resonant_population == pytest.approx(replayed[2], abs=1e-12)
+    final = result.final_state
+    np.testing.assert_allclose(final.amplitudes, amps, rtol=0, atol=1e-12)
+    assert final.dump_text() == dense_listing(final.amplitudes, layout.num_sites)
+    return final
+
+
+@st.composite
+def cut_cnot_runs(draw):
+    """A compiled circuit cut inside a CNOT, probed, and maybe resumed.
+
+    The cut leaves the CNOT's control electron, tip carbon or target
+    electron slaved or live. One to three probes follow: a tip move, a
+    current readout of the qubit under the tip (which measures the tip
+    carbon), or, most often, a pulse on any channel at any of its pattern
+    lines under the current tip, as an exact pi swap, a fractional
+    ``LOGICAL_X`` or a ``PHASED_ROTATION``. So slaved sites are rotated and
+    measured, and sources with slaves are driven. Then the rest of the
+    program may run.
+    """
+    num_qubits = draw(st.integers(2, 5))
+    layout = RegisterLayout(num_qubits)
+    qubit = st.integers(0, num_qubits - 1)
+    control, target = draw(st.lists(qubit, min_size=2, max_size=2, unique=True))
+    before = draw(st.lists(st.one_of(
+        st.tuples(qubit, st.floats(0.05, 7.0)).map(lambda g: f"ROT {g[0]} {g[1]!r} 0.3"),
+        st.lists(qubit, min_size=2, max_size=2, unique=True).map(
+            lambda p: f"CNOT {p[0]} {p[1]}"
+        ),
+    ), max_size=2))
+    prefix = compile_circuit(parse_circuit("\n".join(before)), layout, CFG).instructions[:-1]
+    cnot = compile_circuit(parse_circuit(f"CNOT {control} {target}"), layout, CFG).instructions
+    cut = len(prefix) + draw(st.integers(1, len(cnot) - 2))
+    instructions = list(prefix + cnot)
+    tip = [i.target for i in instructions[:cut] if isinstance(i, MoveTip)][-1]
+    probes = []
+    kinds = st.sampled_from(["move", "read", "pulse", "pulse", "pulse"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=3)):
+        if kind == "move":
+            tip = draw(qubit)
+            probes.append(MoveTip(tip))
+        elif kind == "read":
+            probes.append(MeasureViaCurrent(tip))
+        else:
+            channel = draw(st.sampled_from(list(Channel)))
+            here = layout.with_tip(tip)
+            line = draw(st.sampled_from(
+                physics.pattern_lines(here, CFG, addressed_site(channel, here))[1]
+            ))
+            mode, angle, phase = draw(st.one_of(
+                st.just((PulseMode.LOGICAL_X, math.pi, 0.0)),
+                st.tuples(st.just(PulseMode.LOGICAL_X), st.floats(0.01, 2 * math.pi),
+                          st.just(0.0)),
+                st.tuples(st.just(PulseMode.PHASED_ROTATION), st.floats(0.01, 2 * math.pi),
+                          st.floats(-math.pi, math.pi)),
+            ))
+            probes.append(ApplyPulse(Pulse(channel, line, angle, phase, 1e-6, mode)))
+    rest = instructions[cut:] if draw(st.booleans()) else []
+    program = PulseProgram(tuple(instructions[:cut] + probes + rest))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    chosen = [q for q in range(num_qubits) if rng.random() < 0.7]
+    state = PureState.product(layout, {
+        q: tuple(rng.normal(size=2) + 1j * rng.normal(size=2)) for q in chosen
+    })
+    seed = draw(st.integers(0, 2**32 - 1))
+    trace_snr = draw(st.sampled_from([None, 10.0]))
+    return layout, program, state, seed, trace_snr
+
+
 class TestLiveSitesAgainstTheDenseReplay:
     @settings(deadline=None, max_examples=100)
     @given(live_site_runs())
     def test_execute_matches_the_dense_replay(self, case):
         layout, program, state, start, seed, trace_snr = case
-        result = execute(program, state, layout, CFG, np.random.default_rng(seed), trace_snr)
-        amps, records, pulse_log = dense_replay(
-            program, state.amplitudes.copy(), layout, CFG, np.random.default_rng(seed), trace_snr
-        )
-        assert list(map(without_probability, result.records)) == list(
-            map(without_probability, records)
-        )
-        for ours, theirs in zip(result.records, records):
-            assert ours.pre_measurement_probability == pytest.approx(
-                theirs.pre_measurement_probability, abs=1e-12
-            )
-        assert len(result.pulse_log) == len(pulse_log)
-        for (position, outcome), replayed in zip(result.pulse_log, pulse_log):
-            if outcome is None:
-                assert replayed == (position, None)
-                continue
-            assert (position, outcome.resonant_pair_count, outcome.no_resonant_transition) == (
-                replayed[0], replayed[1], replayed[3]
-            )
-            assert outcome.resonant_population == pytest.approx(replayed[2], abs=1e-12)
-        final = result.final_state
-        np.testing.assert_allclose(final.amplitudes, amps, rtol=0, atol=1e-12)
-        assert final.dump_text() == dense_listing(final.amplitudes, layout.num_sites)
+        final = assert_matches_the_dense_replay(layout, program, state, seed, trace_snr)
         if start in ("ground", "product"):
-            # Compiled gates hand every ancilla back in |0>, so only nuclei stay live.
+            # Compiled gates hand every ancilla back in |0>, so only nuclei
+            # stay live or slaved.
             assert all(site % 2 == 0 and site != layout.tip_site for site in final.sites)
+            assert all(site % 2 == 0 and site != layout.tip_site for site in final.slaves)
+
+    @settings(deadline=None, max_examples=150)
+    @given(cut_cnot_runs())
+    def test_a_cut_and_probed_cnot_matches_the_dense_replay(self, case):
+        assert_matches_the_dense_replay(*case)
+
+    @pytest.mark.parametrize("probe", [
+        "stop", "rotate the source", "rotate the control electron",
+        "half-swap the tip carbon", "read the slaved tip carbon",
+    ])
+    @pytest.mark.parametrize("cut", range(1, 10))
+    def test_each_probe_after_each_cnot_pulse_matches_the_dense_replay(self, probe, cut):
+        # CNOT 0 2 on three superposed nuclei, cut after its ``cut``-th pulse,
+        # when the control electron and the tip carbon are slaved or dormant.
+        layout = RegisterLayout(3)
+        rng = np.random.default_rng(cut)
+        state = PureState.product(layout, {
+            q: tuple(rng.normal(size=2) + 1j * rng.normal(size=2)) for q in range(3)
+        })
+        cnot = compile_circuit(parse_circuit("CNOT 0 2"), layout, CFG).instructions
+        pulses = [i for i, instruction in enumerate(cnot) if isinstance(instruction, ApplyPulse)]
+        head, rest = list(cnot[:pulses[cut - 1] + 1]), list(cnot[pulses[cut - 1] + 1:])
+        lines = compiler.drive_lines(CFG)
+        probes = {
+            "stop": [],
+            "rotate the source": [Pulse(
+                Channel.PHOSPHORUS_NUCLEAR_RF, lines["target_nucleus"], 1.1, 0.4, 1e-6,
+                PulseMode.PHASED_ROTATION,
+            )],
+            "rotate the control electron": [Pulse(
+                Channel.ELECTRON_RF, lines["control_electron"], 0.7, -0.2, 1e-6,
+                PulseMode.PHASED_ROTATION,
+            )],
+            "half-swap the tip carbon": [Pulse(
+                Channel.TIP_CARBON_NUCLEAR_RF, lines["tip_nucleus"], math.pi / 2, 0.0, 1e-6,
+            )],
+            "read the slaved tip carbon": [],
+        }[probe]
+        tip = [i.target for i in head if isinstance(i, MoveTip)][-1]
+        inserted = [MoveTip(0)] + [ApplyPulse(pulse) for pulse in probes] + [MoveTip(tip)]
+        if probe == "read the slaved tip carbon":
+            inserted.insert(1, MeasureViaCurrent(0))
+        program = PulseProgram(tuple(head + inserted + (rest if probe != "stop" else [])))
+        assert_matches_the_dense_replay(layout, program, state, cut, None)
 
 
 class TestLiveSites:
@@ -813,7 +950,9 @@ class TestLiveSites:
         assert after.sites == ()
         assert np.array_equal(after.amplitudes, before)
 
-    def test_compiled_gates_keep_at_most_three_ancillas_live(self, monkeypatch):
+    def test_compiled_gates_keep_at_most_one_ancilla_live(self, monkeypatch):
+        # The control electron and the tip carbon only copy the control
+        # nucleus, so they stay slaved; the target electron alone gets an axis.
         layout = RegisterLayout(5)
         rng = np.random.default_rng(4)
         state = PureState.product(
@@ -830,8 +969,37 @@ class TestLiveSites:
 
         monkeypatch.setattr(engine, "apply_selective_pulse", counted)
         result = execute(compile_circuit(circuit, layout, CFG), state, layout, CFG, 0)
-        assert max(live) == layout.num_qubits + 3
-        assert result.final_state.sites == ()  # INIT leaves every nucleus in |0>
+        assert max(live) == layout.num_qubits + 1
+        # INIT leaves every nucleus in |0>
+        assert (result.final_state.sites, result.final_state.slaves) == ((), {})
+
+    def test_a_dropped_site_leaves_no_buffer_behind(self):
+        # The target electron is the last live axis when it drops; its |0>
+        # half must be a tensor of its own, not a view that keeps the whole
+        # woken buffer alive.
+        layout = RegisterLayout(2)
+        state = PureState.product(layout, {0: (0.6, 0.8), 1: (0.6, 0.8)})
+        program = compile_circuit(parse_circuit("CNOT 0 1"), layout, CFG)
+        final = execute(program, state, layout, CFG, 0).final_state
+        buffer = final.tensor if final.tensor.base is None else final.tensor.base
+        assert buffer.nbytes == final.tensor.nbytes == 64
+
+    @pytest.mark.parametrize("num_qubits", [12, 14])
+    def test_a_cnot_peaks_within_the_memory_estimate(self, num_qubits):
+        # One CNOT on superposed nuclei keeps 2^(n+1) amplitudes at most, and
+        # the command line's memory estimate counts PEAK_STATE_COPIES of those.
+        layout = RegisterLayout(num_qubits)
+        state = PureState.product(layout, {q: (0.6, 0.8) for q in range(num_qubits)})
+        program = compile_circuit(parse_circuit(f"CNOT 0 {num_qubits - 1}"), layout, CFG)
+        execute(program, state, layout, CFG, 0)  # fill the memos first
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            execute(program, state, layout, CFG, 0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= cli.PEAK_STATE_COPIES * 16 * 2 ** (num_qubits + 1)
 
     def test_dense_vector_is_read_only(self):
         state = PureState.product(RegisterLayout(2), {0: (0.6, 0.8)})
@@ -938,8 +1106,9 @@ def live_subset_states(draw):
     """A layout of 1..4 qubits and a state over a drawn subset of live sites.
 
     The subset is every site, or each site live at random, so the addressed
-    site and its partners are dormant in some draws. The tensor is random
-    with some zeros, or a basis state.
+    site and its partners are dormant in some draws; in some, each site that
+    is not live is slaved at random to a live one. The tensor is random with
+    some zeros, or a basis state.
     """
     layout = RegisterLayout(draw(st.integers(1, 4)))
     every = draw(st.booleans())
@@ -954,7 +1123,11 @@ def live_subset_states(draw):
     if not np.any(tensor):
         tensor[rng.integers(size)] = 1.0
     tensor /= np.linalg.norm(tensor)
-    return layout, PureState._over(layout.num_sites, live, tensor)
+    slaves = {}
+    if live and draw(st.booleans()):
+        slaves = {site: draw(st.sampled_from(live)) for site in range(layout.num_sites)
+                  if site not in live and draw(st.booleans())}
+    return layout, PureState._over(layout.num_sites, live, tensor, slaves)
 
 
 @st.composite
@@ -990,26 +1163,114 @@ def planned_pulse_cases(draw):
 
 
 class TestSlabPlanAgainstTheDictRoute:
+    # The dict route knows no slaves, so it runs on the materialised state:
+    # the layout a live-site engine holds. The planned kernel must end in
+    # that layout once materialised, bit for bit. Its outcome is bit for bit
+    # too unless a site was slaved: a slab pinned on a source, or a
+    # rewritten copy's source slab, sums the same weight in another order.
     @PROPERTY_SETTINGS
     @given(planned_pulse_cases())
     def test_pulse_equals_the_dict_route_bit_for_bit(self, case):
         state, pulse, layout, cfg = case
-        sites, tensor, expected = dict_pulse(state, pulse, layout, cfg)
+        slaved = bool(state.slaves)
+        sites, tensor, expected = dict_pulse(state._materialised(), pulse, layout, cfg)
         after, outcome = apply_selective_pulse(state, pulse, layout, cfg)
-        assert after.sites == sites
-        assert after.tensor.tobytes() == tensor.tobytes()
-        assert outcome == expected
         assert after is state
+        materialised = after._materialised()
+        assert materialised.sites == sites
+        assert materialised.tensor.tobytes() == tensor.tobytes()
+        if slaved or after.slaves:
+            assert (outcome.resonant_pair_count, outcome.no_resonant_transition) == (
+                expected.resonant_pair_count, expected.no_resonant_transition
+            )
+            assert outcome.resonant_population == pytest.approx(
+                expected.resonant_population, rel=1e-14, abs=0.0
+            )
+        else:
+            assert outcome == expected
 
     @PROPERTY_SETTINGS
     @given(live_subset_states(), st.integers(0, 8), st.integers(0, 2**32 - 1))
     def test_collapse_equals_the_dict_route_bit_for_bit(self, case, site_draw, seed):
         layout, state = case
         site = site_draw % layout.num_sites
-        bit, probability, sites, tensor = dict_measure(state, site, seed)
+        bit, probability, sites, tensor = dict_measure(state._materialised(), site, seed)
         observed, after, reported = measure_spin(state, site, seed)
-        assert (observed, reported, after.sites) == (bit, probability, sites)
+        assert (observed, reported, after.sites, after.slaves) == (bit, probability, sites, {})
         assert after.tensor.tobytes() == tensor.tobytes()
 
     def test_the_plan_memo_is_bounded(self):
         assert engine._slab_plan.cache_info().maxsize is not None
+
+
+# -- Readers of a slaved state against the live-site engine ------------------
+#
+# During a CNOT the control electron, the tip carbon and sometimes the target
+# electron or nucleus are slaved. After every one of the nine pulses, each
+# reader of the state must give what it gives on the live-site engine's
+# state (the dict route, which slaves nothing), with ``==``, and must leave
+# the live sites, the tensor and the slave map as they were.
+
+
+@st.composite
+def cnot_runs(draw):
+    """A register of 2..5 qubits, a product state and one compiled CNOT.
+
+    Each nucleus is dormant, random, or an exact 0 or 1 factor, so the CNOT's
+    sources are live, empty or full.
+    """
+    num_qubits = draw(st.integers(2, 5))
+    layout = RegisterLayout(num_qubits)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    factors = {}
+    for qubit in range(num_qubits):
+        kind = draw(st.sampled_from(["dormant", "random", "random", "zero", "one"]))
+        if kind == "random":
+            factors[qubit] = tuple(rng.normal(size=2) + 1j * rng.normal(size=2))
+        elif kind != "dormant":
+            factors[qubit] = (1.0, 0.0) if kind == "zero" else (0.0, 1.0)
+    control, target = draw(st.lists(
+        st.integers(0, num_qubits - 1), min_size=2, max_size=2, unique=True
+    ))
+    program = compile_circuit(parse_circuit(f"CNOT {control} {target}"), layout, CFG)
+    return layout, PureState.product(layout, factors), program
+
+
+def readings(state, layout):
+    """Everything the readers of a state say about it."""
+    return (
+        state.amplitudes.tobytes(),
+        state.dump_text(),
+        state.norm(),
+        [state.population(site, bit) for site in range(layout.num_sites) for bit in (0, 1)],
+        state.copy().amplitudes.tobytes(),
+        ancilla_diagnostics(state, layout),
+    )
+
+
+class TestSlavedReaders:
+    @PROPERTY_SETTINGS
+    @given(cnot_runs())
+    def test_every_reader_equals_the_live_site_engine_after_every_pulse(self, case):
+        layout, state, program = case
+        reference = state.copy()
+        current = layout
+        for instruction in program.instructions:
+            if isinstance(instruction, MoveTip):
+                current = current.with_tip(instruction.target)
+                continue
+            sites, tensor, expected = dict_pulse(reference, instruction.pulse, current, CFG)
+            reference = PureState._over(layout.num_sites, sites, tensor)
+            state, outcome = apply_selective_pulse(state, instruction.pulse, current, CFG)
+            assert (outcome.resonant_pair_count, outcome.no_resonant_transition) == (
+                expected.resonant_pair_count, expected.no_resonant_transition
+            )
+            assert outcome.resonant_population == pytest.approx(
+                expected.resonant_population, rel=1e-14, abs=0.0
+            )
+            held_tensor = state.tensor
+            held = (state.sites, held_tensor.tobytes(), dict(state.slaves))
+            assert readings(state, layout) == readings(reference, layout)
+            assert state.tensor is held_tensor
+            assert (state.sites, state.tensor.tobytes(), state.slaves) == held
+        assert state.slaves == {} or all(site % 2 == 0 for site in state.slaves)
