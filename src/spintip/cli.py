@@ -152,15 +152,18 @@ def _check_memory(num_qubits):
     against the host's physical memory, before the layout or any state is
     built. It is an integer byte count, printed as its leading power of two,
     because the dimension of a register a circuit can name exceeds the float
-    range, and converting such an integer to decimal takes seconds.
+    range, and converting such an integer to decimal takes seconds. The bit
+    lengths are compared before any shift, so a huge qubit index never builds
+    a huge integer.
     """
     bytes_per_amplitude = math.ceil(PEAK_STATE_COPIES * np.dtype(np.complex128).itemsize)
-    estimate = bytes_per_amplitude << (num_qubits + 1)
+    shift = num_qubits + 1
+    estimate_bits = bytes_per_amplitude.bit_length() + shift
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if estimate > physical:
+    if estimate_bits > physical.bit_length() or bytes_per_amplitude << shift > physical:
         raise RegisterTooLarge(
             f"a {num_qubits}-qubit register needs about "
-            f"2^{estimate.bit_length() - 31} GiB at peak, more than the "
+            f"2^{estimate_bits - 31} GiB at peak, more than the "
             f"{physical / 2**30:.3g} GiB of physical memory"
         )
 

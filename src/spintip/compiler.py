@@ -40,7 +40,7 @@ from .register import PARKED, RegisterLayout
 _PI = math.pi
 
 
-@functools.cache
+@functools.lru_cache(maxsize=8)
 def drive_lines(cfg):
     """The six distinct drive lines of the gate set, as a read-only mapping.
 

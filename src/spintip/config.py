@@ -40,6 +40,14 @@ class SpeciesInfo:
         return m_ground if bit == 0 else -m_ground
 
 
+#: CODATA 2018 magnetons (J/T) and the exact SI Boltzmann (J/K) and Planck (J s)
+#: constants. Constants of nature, not properties of the machine, so no config
+#: file sets them.
+BOHR_MAGNETON = 9.2740100783e-24
+NUCLEAR_MAGNETON = 5.0507837461e-27
+BOLTZMANN_CONSTANT = 1.380649e-23
+PLANCK_CONSTANT = 6.62607015e-34
+
 SPECIES_INFO = {
     Species.ELECTRON: SpeciesInfo(2.0, True, "down"),
     Species.PHOSPHORUS_NUCLEUS: SpeciesInfo(2.26, False, "up"),
@@ -71,35 +79,23 @@ class MachineConfig:
     trace_frequency_scale: float = 1e6       # readout traces synthesized at f/scale
     trace_sample_rate: float = 1e6           # samples/s of synthetic traces
     trace_duration: float = 0.05             # s of synthetic trace
-    bohr_magneton: float = 9.2740100783e-24      # J/T
-    nuclear_magneton: float = 5.0507837461e-27   # J/T
-    boltzmann_constant: float = 1.380649e-23     # J/K
-    planck_constant: float = 6.62607015e-34      # J s
 
     def validate(self):
         """Raise ConfigError on nonsense; warn on merely questionable values.
 
         Returns self so loading code can chain on it.
         """
-        for field in dataclasses.fields(self):
-            if not math.isfinite(getattr(self, field.name)):
-                raise ConfigError(
-                    f"{field.name} must be finite, got {getattr(self, field.name)!r}"
-                )
-        positive = (
-            "magnetic_field", "temperature", "coherence_time", "lattice_spacing",
-            "tip_move_time", "nuclear_pi_duration", "electron_pi_duration",
-            "measurement_dwell_time", "selectivity_tolerance",
-            "trace_frequency_scale", "trace_sample_rate", "trace_duration",
-            "bohr_magneton", "nuclear_magneton", "boltzmann_constant",
-            "planck_constant",
-        )
-        for name in positive:
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)!r}")
-        for name in ("hyperfine_bare", "hyperfine_tip_modified", "tip_hyperfine"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)!r}")
+        values = {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
+        for name, value in values.items():
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} must be finite, got {value!r}")
+        # Every value is positive, except the three couplings, which may vanish.
+        for name, value in values.items():
+            if "hyperfine" in name:
+                if value < 0:
+                    raise ConfigError(f"{name} must be non-negative, got {value!r}")
+            elif value <= 0:
+                raise ConfigError(f"{name} must be positive, got {value!r}")
         if self.lattice_spacing < 30e-9:
             warnings.warn(
                 f"lattice_spacing {self.lattice_spacing:g} m is below the 30 nm "

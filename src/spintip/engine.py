@@ -57,6 +57,7 @@ import math
 import numpy as np
 
 from . import physics
+from .config import BOLTZMANN_CONSTANT, PLANCK_CONSTANT
 from .errors import DegenerateState, MismatchedRegister, TipParked
 from .register import PARKED
 
@@ -541,7 +542,7 @@ def measure_spin(state, site, rng):
 def thermal_ground_probability(species, cfg):
     """Boltzmann weight of the ground orientation at the bare Zeeman splitting."""
     splitting = physics.zeeman_splitting(species, cfg)
-    x = cfg.planck_constant * splitting / (cfg.boltzmann_constant * cfg.temperature)
+    x = PLANCK_CONSTANT * splitting / (BOLTZMANN_CONSTANT * cfg.temperature)
     return 1.0 / (1.0 + math.exp(-x))
 
 

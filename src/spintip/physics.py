@@ -14,30 +14,28 @@ import math
 
 import numpy as np
 
-from .config import SPECIES_INFO, Species
+from .config import BOHR_MAGNETON, NUCLEAR_MAGNETON, PLANCK_CONSTANT, SPECIES_INFO, Species
 from .errors import ConfigError, MismatchedRegister
-from .register import PARKED, RegisterLayout, index_of_bits
+from .register import PARKED, RegisterLayout
 
 _EXACT = np.longdouble
 
 
-def _zeeman_coefficient(species, cfg, dtype=np.float64):
-    """Signed dE/dm of one species in the static field, in Hz.
+def _zeeman_coefficient(species, cfg):
+    """Signed dE/dm of one species in the static field, in Hz, in extended precision.
 
     Positive for the electron (moment anti-parallel to spin), negative for
     both nuclear species; the sign is what makes "down" the electron ground
     orientation and "up" the nuclear one.
     """
     info = SPECIES_INFO[species]
-    if info.uses_bohr_magneton:
-        scale = dtype(info.g_factor) * dtype(cfg.bohr_magneton)
-    else:
-        scale = -(dtype(info.g_factor) * dtype(cfg.nuclear_magneton))
-    return scale / dtype(cfg.planck_constant) * dtype(cfg.magnetic_field)
+    magneton = BOHR_MAGNETON if info.uses_bohr_magneton else -NUCLEAR_MAGNETON
+    scale = _EXACT(info.g_factor) * _EXACT(magneton)
+    return scale / _EXACT(PLANCK_CONSTANT) * _EXACT(cfg.magnetic_field)
 
 
 def zeeman_splitting(species, cfg):
-    """Bare two-level splitting (Hz) of one species in the static field."""
+    """Bare two-level splitting (Hz) of one species in the static field, rounded once."""
     return float(abs(_zeeman_coefficient(species, cfg)))
 
 
@@ -57,9 +55,9 @@ def configuration_energy(config, layout, cfg):
         _EXACT(SPECIES_INFO[layout.species_of(s)].m_of_bit(config[s]))
         for s in range(layout.num_sites)
     ]
-    z_electron = _zeeman_coefficient(Species.ELECTRON, cfg, _EXACT)
-    z_nucleus = _zeeman_coefficient(Species.PHOSPHORUS_NUCLEUS, cfg, _EXACT)
-    z_tip = _zeeman_coefficient(Species.TIP_CARBON_NUCLEUS, cfg, _EXACT)
+    z_electron = _zeeman_coefficient(Species.ELECTRON, cfg)
+    z_nucleus = _zeeman_coefficient(Species.PHOSPHORUS_NUCLEUS, cfg)
+    z_tip = _zeeman_coefficient(Species.TIP_CARBON_NUCLEUS, cfg)
     total = _EXACT(0.0)
     for q in range(layout.num_qubits):
         m_n = m[layout.nucleus_site(q)]
@@ -102,43 +100,36 @@ def _coupling(layout, cfg, site, partner):
     return cfg.hyperfine_bare
 
 
-def _flip_magnitudes(layout, cfg, site, indices):
-    """|dE| for flipping ``site`` out of each basis index, in extended precision.
+def _flip_magnitudes(layout, cfg, site, partner_bits):
+    """|dE| for flipping ``site``, in extended precision.
 
-    Because the energy is bilinear, the flip magnitude is the site's Zeeman
-    coefficient plus its coupling terms evaluated at the partner spins.
+    ``partner_bits`` holds one bit, or one bit array, per ``partner_sites``
+    entry. Because the energy is bilinear, the flip magnitude is the site's
+    Zeeman coefficient plus its coupling terms evaluated at the partner spins.
     """
-    n = layout.num_sites
-    zeeman = _zeeman_coefficient(layout.species_of(site), cfg, _EXACT)
-    delta = np.full(np.shape(indices), zeeman, dtype=_EXACT)
-    for partner in partner_sites(layout, site):
+    delta = _zeeman_coefficient(layout.species_of(site), cfg)
+    for partner, bits in zip(partner_sites(layout, site), partner_bits):
         info = SPECIES_INFO[layout.species_of(partner)]
-        bits = (indices >> (n - 1 - partner)) & 1
         m = np.where(bits == 0, _EXACT(info.m_of_bit(0)), _EXACT(info.m_of_bit(1)))
         delta = delta + _EXACT(_coupling(layout, cfg, site, partner)) * m
     return np.abs(delta)
 
 
 def _transition_exact(config, site, layout, cfg):
-    indices = np.array([index_of_bits(config)], dtype=np.int64)
-    return _flip_magnitudes(layout, cfg, site, indices)[0]
+    return _flip_magnitudes(layout, cfg, site, [config[p] for p in partner_sites(layout, site)])
 
 
 @functools.lru_cache(maxsize=1024)
 def pattern_lines(layout, cfg, site):
     """(partners, flip line of ``site`` per partner bit pattern), memoised.
 
-    Patterns run in ``itertools.product((0, 1), repeat=len(partners))`` order;
-    each line is evaluated on one representative basis index.
+    Patterns run in ``itertools.product((0, 1), repeat=len(partners))`` order.
     """
-    n = layout.num_sites
     partners = partner_sites(layout, site)
-    representatives = np.array(
-        [sum(bit << (n - 1 - p) for p, bit in zip(partners, bits))
-         for bits in itertools.product((0, 1), repeat=len(partners))],
-        dtype=np.int64,
+    return partners, tuple(
+        float(_flip_magnitudes(layout, cfg, site, bits))
+        for bits in itertools.product((0, 1), repeat=len(partners))
     )
-    return partners, tuple(map(float, _flip_magnitudes(layout, cfg, site, representatives)))
 
 
 def transition_frequency(config, spin_site, layout, cfg):
@@ -160,8 +151,11 @@ def site_flip_frequency_array(layout, cfg, site):
     Index ``i`` and its flipped partner get identical values (the partner
     spins are what the frequency depends on); a vectorised reference route.
     """
+    n = layout.num_sites
     indices = np.arange(layout.dimension, dtype=np.int64)
-    return _flip_magnitudes(layout, cfg, site, indices).astype(np.float64)
+    bits = [(indices >> (n - 1 - p)) & 1 for p in partner_sites(layout, site)]
+    lines = _flip_magnitudes(layout, cfg, site, bits)
+    return np.broadcast_to(lines, indices.shape).astype(np.float64)
 
 
 def closed_form_frequencies(cfg):
@@ -187,16 +181,16 @@ def _larmor_exact(species, magneton, cfg):
     return (
         ld(SPECIES_INFO[species].g_factor)
         * ld(magneton)
-        / ld(cfg.planck_constant)
+        / ld(PLANCK_CONSTANT)
         * ld(cfg.magnetic_field)
     )
 
 
 def _closed_forms_exact(cfg):
     ld = _EXACT
-    electron = _larmor_exact(Species.ELECTRON, cfg.bohr_magneton, cfg)
-    nucleus = _larmor_exact(Species.PHOSPHORUS_NUCLEUS, cfg.nuclear_magneton, cfg)
-    tip = _larmor_exact(Species.TIP_CARBON_NUCLEUS, cfg.nuclear_magneton, cfg)
+    electron = _larmor_exact(Species.ELECTRON, BOHR_MAGNETON, cfg)
+    nucleus = _larmor_exact(Species.PHOSPHORUS_NUCLEUS, NUCLEAR_MAGNETON, cfg)
+    tip = _larmor_exact(Species.TIP_CARBON_NUCLEUS, NUCLEAR_MAGNETON, cfg)
     half_mod = ld(0.5) * ld(cfg.hyperfine_tip_modified)
     half_tip = ld(0.5) * ld(cfg.tip_hyperfine)
     return {
@@ -221,7 +215,7 @@ def modulation_frequency(p_bit, a_bit, cfg):
     if p_bit not in (0, 1) or a_bit not in (0, 1):
         raise ValueError(f"bits must be 0 or 1, got {p_bit!r}, {a_bit!r}")
     ld = _EXACT
-    base = _larmor_exact(Species.ELECTRON, cfg.bohr_magneton, cfg)
+    base = _larmor_exact(Species.ELECTRON, BOHR_MAGNETON, cfg)
     tip_term = ld(0.5) * ld(cfg.tip_hyperfine)
     qubit_term = ld(0.5) * ld(cfg.hyperfine_tip_modified)
     value = base
@@ -291,7 +285,7 @@ def frequency_audit(cfg):
     return entries
 
 
-@functools.cache
+@functools.lru_cache(maxsize=8)
 def min_spectral_gap(cfg):
     """Smallest gap (Hz) between distinct transition lines of a one-qubit register.
 

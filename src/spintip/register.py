@@ -16,14 +16,6 @@ from .errors import MismatchedRegister
 PARKED = None
 
 
-def index_of_bits(bits):
-    """Pack a bit tuple (site order) into a basis index."""
-    value = 0
-    for b in bits:
-        value = (value << 1) | (b & 1)
-    return value
-
-
 @dataclasses.dataclass(frozen=True)
 class RegisterLayout:
     """Where the spins sit and where the tip currently is.

@@ -239,10 +239,9 @@ class TestFailureModes:
         assert report["pulses"]["spectral_misses"] == []
         assert report["measurements"] == golden["measurements"]
 
-    @pytest.mark.parametrize("field", ["magnetic_field", "bohr_magneton"])
-    def test_lines_beyond_float64_exit_two(self, example_circuit, tmp_path, field):
+    def test_lines_beyond_float64_exit_two(self, example_circuit, tmp_path):
         config = tmp_path / "huge.config"
-        config.write_text(f"{field} = 1e300\n", encoding="utf-8")
+        config.write_text("magnetic_field = 1e300\n", encoding="utf-8")
         done = run_cli("--circuit", str(example_circuit), "--seed", "0",
                        "--config", str(config))
         assert done.returncode == 2
@@ -288,6 +287,36 @@ class TestFailureModes:
         assert done.stdout == ""
         assert done.stderr.startswith("error: a 2000001-qubit register needs about 2^")
         assert done.stderr.count("\n") == 1
+
+    def test_an_index_past_any_shift_exits_two(self, tmp_path, capsys):
+        # The estimate's exponent is compared before its bytes are built: a
+        # 2^(10^21)-byte integer cannot be built at all.
+        import spintip.cli as cli
+
+        path = tmp_path / "vast.circuit"
+        path.write_text("MEASURE 1000000000000000000000\n", encoding="utf-8")
+        assert cli.main(["--circuit", str(path), "--seed", "0"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith(
+            "error: a 1000000000000000000001-qubit register needs about "
+            "2^999999999999999999977 GiB at peak"
+        )
+        assert out.err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["bohr_magneton", "nuclear_magneton",
+                                     "boltzmann_constant", "planck_constant"])
+    def test_a_constant_of_nature_is_not_a_config_key(self, example_circuit, tmp_path,
+                                                      capsys, key):
+        import spintip.cli as cli
+
+        config = tmp_path / "machine.config"
+        config.write_text(f"{key} = 1.0\n", encoding="utf-8")
+        argv = ["--circuit", str(example_circuit), "--seed", "0", "--config", str(config)]
+        assert cli.main(argv) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: {config}:1: unknown config key {key!r}\n"
 
     @pytest.mark.parametrize("text", ["MEASURE 600\n", "CNOT 0 100000\n"])
     def test_register_past_the_float_range_exits_two(self, tmp_path, capsys, text):

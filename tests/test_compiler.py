@@ -215,6 +215,14 @@ class TestDriveLineTable:
         with pytest.raises(TypeError):
             drive_lines(CFG)["rotation"] = 1.0
 
+    def test_the_table_memo_is_bounded(self):
+        # A run uses one config; a field sweep must not keep one table each.
+        bound = drive_lines.cache_info().maxsize
+        assert bound is not None
+        for step in range(3 * bound):
+            drive_lines(dataclasses.replace(CFG, magnetic_field=1.0 + step / 8))
+        assert drive_lines.cache_info().currsize == bound
+
 
 class TestCnotCompilation:
     def test_control_equals_target_rejected(self):
@@ -452,6 +460,23 @@ class TestExecution:
         program = compile_cnot(0, 1, PAIR, CFG)
         with pytest.raises(MismatchedRegister):
             execute(program, PureState.ground(SOLO), PAIR, CFG, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("seed", [0, 3])  # the control reads 0, then 1
+    def test_a_cnot_across_64_qubits_runs_like_one_across_31(self, seed):
+        # The lines come from the partners' bits, never from a basis index,
+        # which needs more than 64 bits from 32 qubits on.
+        runs = []
+        for n in (31, 32, 64):
+            layout = RegisterLayout(n)
+            circuit = parse_circuit(f"ROT 0 1.0\nCNOT 0 {n - 1}\nMEASURE 0\nMEASURE {n - 1}")
+            program = compile_circuit(circuit, layout, CFG)
+            result = execute(program, PureState.ground(layout), layout, CFG, seed)
+            assert result.final_state.norm() == pytest.approx(1.0, abs=1e-12)
+            runs.append([(r.inferred_p_bit, r.pre_measurement_probability)
+                         for r in result.records])
+        assert runs[0] == runs[1] == runs[2]
+        (control, _), (target, certainty) = runs[0]
+        assert control == target == seed // 3 and certainty == 1.0
 
     def test_seed_pins_the_whole_run(self):
         circuit = parse_circuit("INIT\nROT 0 0.9 0.1\nCNOT 0 1\nMEASURE 0\nMEASURE 1")

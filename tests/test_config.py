@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from spintip import SPECIES_INFO, MachineConfig, Species, load_machine_config
+from spintip import SPECIES_INFO, MachineConfig, Species, config, load_machine_config
 from spintip.errors import ConfigError
 
 
@@ -99,21 +99,32 @@ def test_missing_equals_rejected(tmp_path):
         load_machine_config(path)
 
 
+COUPLINGS = ("hyperfine_bare", "hyperfine_tip_modified", "tip_hyperfine")
+
+
 @pytest.mark.parametrize(
-    "field",
-    [
-        "magnetic_field",
-        "temperature",
-        "coherence_time",
-        "selectivity_tolerance",
-        "nuclear_pi_duration",
-        "tip_move_time",
-    ],
+    "field", [f.name for f in dataclasses.fields(MachineConfig) if f.name not in COUPLINGS]
 )
 def test_positive_quantities_enforced(field):
     cfg = dataclasses.replace(MachineConfig(), **{field: 0.0})
-    with pytest.raises(ConfigError, match=field):
+    with pytest.raises(ConfigError, match=f"{field} must be positive"):
         cfg.validate()
+
+
+@pytest.mark.parametrize("field", COUPLINGS)
+def test_a_coupling_may_vanish(field):
+    cfg = dataclasses.replace(MachineConfig(), **{field: 0.0})
+    assert cfg.validate() is cfg
+
+
+def test_constants_of_nature_are_not_settable():
+    # CODATA 2018 magnetons and the exact SI constants live in the module.
+    assert len(dataclasses.fields(MachineConfig)) == 15
+    assert (config.BOHR_MAGNETON, config.NUCLEAR_MAGNETON) == (9.2740100783e-24, 5.0507837461e-27)
+    assert (config.BOLTZMANN_CONSTANT, config.PLANCK_CONSTANT) == (1.380649e-23, 6.62607015e-34)
+    for name in ("bohr_magneton", "nuclear_magneton", "boltzmann_constant", "planck_constant"):
+        with pytest.raises(TypeError):
+            MachineConfig(**{name: 1.0})
 
 
 @pytest.mark.parametrize("field, value", [("magnetic_field", "nan"), ("temperature", "inf")])
@@ -129,11 +140,10 @@ def test_negative_coupling_rejected():
         cfg.validate()
 
 
-@pytest.mark.parametrize("field", ["magnetic_field", "bohr_magneton"])
-def test_lines_beyond_float64_rejected(field):
+def test_lines_beyond_float64_rejected():
     # Finite inputs whose electron lines round to inf would compile pulses
     # that hit nothing and print Infinity into the report.
-    cfg = dataclasses.replace(MachineConfig(), **{field: 1e300})
+    cfg = dataclasses.replace(MachineConfig(), magnetic_field=1e300)
     with pytest.raises(ConfigError, match="overflow float64"):
         cfg.validate()
 

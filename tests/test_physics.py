@@ -108,6 +108,37 @@ def test_bare_zeeman_splittings_frozen():
     )
 
 
+# Splittings frozen from the float64 longhand g * magneton / h * B, which the
+# extended-precision route rounded once reproduces at these fields.
+FROZEN_SPLITTINGS = {
+    1.0: (27992489872.14541, 17227060.697789323, 10708218.968254179),
+    7.77: (217501646306.56982, 133854261.62182303, 83202861.38333496),
+    12.5: (349906123401.8176, 215338258.72236654, 133852737.10317723),
+}
+SPECIES_CONSTANTS = (
+    (Species.ELECTRON, 2.0, MU_B),
+    (Species.PHOSPHORUS_NUCLEUS, 2.26, MU_N),
+    (Species.TIP_CARBON_NUCLEUS, 1.4048, MU_N),
+)
+
+
+@pytest.mark.parametrize("field", sorted(FROZEN_SPLITTINGS))
+def test_zeeman_splittings_frozen_across_fields(field):
+    cfg = dataclasses.replace(CFG, magnetic_field=field)
+    for (species, _, _), expected in zip(SPECIES_CONSTANTS, FROZEN_SPLITTINGS[field]):
+        assert zeeman_splitting(species, cfg) == expected
+
+
+@pytest.mark.parametrize("field", [0.3, 1.0, 5.0, 7.77, 12.5])
+def test_zeeman_splitting_is_rounded_once(field):
+    # At 0.3 T the tip carbon's float64 longhand is one ulp off this.
+    ld = np.longdouble
+    cfg = dataclasses.replace(CFG, magnetic_field=field)
+    for species, g, magneton in SPECIES_CONSTANTS:
+        exact = ld(g) * ld(magneton) / ld(H) * ld(field)
+        assert zeeman_splitting(species, cfg) == float(exact)
+
+
 # Electron line under the tip for each (nucleus bit, tip bit), frozen from the
 # oracle |ELECTRON_COEFF + 120e6 * m_n + 2e9 * m_a|.
 ELECTRON_LINES = {
@@ -243,6 +274,23 @@ def test_pattern_lines_are_the_scalar_route_bit_for_bit(num_qubits, cfg):
                     assert line == transition_frequency(config, site, layout, cfg)
 
 
+@pytest.mark.parametrize("tip", [0, PARKED])
+@pytest.mark.parametrize("bits", list(itertools.product((0, 1), repeat=3)))
+def test_a_line_on_33_qubits_is_the_one_qubit_line(bits, tip):
+    # 67 sites, spectators all 1: a packed basis index would not fit in 64 bits.
+    solo = RegisterLayout(1, tip_position=tip)
+    wide = RegisterLayout(33, tip_position=None if tip is PARKED else 32)
+    config = [1] * wide.num_sites
+    config[wide.nucleus_site(32)], config[wide.electron_site(32)], config[wide.tip_site] = bits
+    pairs = [(solo.nucleus_site(0), wide.nucleus_site(32)),
+             (solo.electron_site(0), wide.electron_site(32)),
+             (solo.tip_site, wide.tip_site)]
+    for solo_site, wide_site in pairs:
+        assert transition_frequency(config, wide_site, wide, CFG) == transition_frequency(
+            bits, solo_site, solo, CFG
+        )
+
+
 def test_modulation_lines_are_the_under_tip_electron_transitions():
     layout = RegisterLayout(1, tip_position=0)
     for p_bit in (0, 1):
@@ -305,6 +353,15 @@ def test_min_spectral_gap_frozen():
     expected = abs(TIP_COEFF) - abs(NUCLEUS_COEFF + 120e6 * 0.5)
     assert min_spectral_gap(CFG) == pytest.approx(expected, rel=1e-9)
     assert min_spectral_gap(CFG) == pytest.approx(27405791.352, abs=1.0)
+
+
+def test_the_gap_memo_is_bounded():
+    # Validating every config of a field sweep must not keep a gap for each.
+    bound = min_spectral_gap.cache_info().maxsize
+    assert bound is not None
+    for step in range(3 * bound):
+        dataclasses.replace(CFG, magnetic_field=1.0 + step / 8).validate()
+    assert min_spectral_gap.cache_info().currsize == bound
 
 
 def test_register_mismatch_rejected():

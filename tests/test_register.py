@@ -6,7 +6,6 @@ import pytest
 
 from spintip import PARKED, RegisterLayout, Species
 from spintip.errors import MismatchedRegister
-from spintip.register import index_of_bits
 
 
 def test_site_roles_and_names():
@@ -24,12 +23,6 @@ def test_site_roles_and_names():
     assert layout.site_name(0) == "n0"
     assert layout.site_name(5) == "e2"
     assert layout.site_name(6) == "tip"
-
-
-def test_bit_packing_round_trip():
-    bits = (1, 0, 1, 1, 0)
-    index = index_of_bits(bits)
-    assert index == 0b10110  # site 0 is the most significant bit
 
 
 def test_default_chain_hop_distances():
