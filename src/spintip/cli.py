@@ -182,11 +182,8 @@ def run_circuit_file(path, cfg, args, seed, dump_path):
     _check_memory(circuit.num_qubits)
     layout = RegisterLayout(circuit.num_qubits)
     tasks = compiler.expand_tasks(circuit, layout, cfg)
-    compiled = compiler.link(tasks)
     state = engine.PureState.ground(layout)
-    result = compiler.execute(
-        compiled, state, layout, cfg, rng=seed, trace_snr=args.trace_snr
-    )
+    result = compiler.execute(tasks, state, layout, cfg, rng=seed, trace_snr=args.trace_snr)
 
     spectral_misses = sorted(
         index
@@ -238,7 +235,7 @@ def run_circuit_file(path, cfg, args, seed, dump_path):
             "coordinates": [list(c) for c in layout.coordinates],
         },
         "circuit": program.format_circuit(circuit).splitlines(),
-        "program": program.program_to_text(compiled).splitlines(),
+        "program": compiler.listing(tasks),
         "measurements": [_record_dict(r) for r in result.records],
         "pulses": {
             "applied": len(result.pulse_log) - len(skipped),

@@ -194,12 +194,12 @@ def _closed_forms_exact(cfg):
     half_mod = ld(0.5) * ld(cfg.hyperfine_tip_modified)
     half_tip = ld(0.5) * ld(cfg.tip_hyperfine)
     return {
-        "single_qubit_rotation": nucleus - half_mod,
+        "single_qubit_rotation": np.abs(nucleus - half_mod),
         "control_electron": electron + half_tip - half_mod,
         "tip_nucleus": np.abs(tip - half_tip),
         "target_electron_upper": electron + half_mod + half_tip,
         "target_electron_lower": electron - half_mod + half_tip,
-        "target_nucleus": nucleus - half_mod,
+        "target_nucleus": np.abs(nucleus - half_mod),
     }
 
 

@@ -192,21 +192,22 @@ def _pulse_text(keyword, pulse):
     return f"{keyword} {channel} {pulse.frequency!r} {pulse.angle!r} {pulse.phase!r}"
 
 
+def instruction_text(instruction):
+    """One instruction's line of the program listing."""
+    if isinstance(instruction, MoveTip):
+        return "MOVE " + ("PARK" if instruction.target is PARKED else str(instruction.target))
+    if isinstance(instruction, ApplyPulse):
+        return _pulse_text("PULSE", instruction.pulse)
+    if isinstance(instruction, ConditionalPulse):
+        return _pulse_text("CONDPULSE", instruction.pulse)
+    if isinstance(instruction, MeasureViaCurrent):
+        return f"MEASURE {instruction.qubit}"
+    raise TypeError(f"not an instruction: {instruction!r}")
+
+
 def program_to_text(program):
     """Line-per-instruction listing of a pulse program."""
-    lines = []
-    for instruction in program.instructions:
-        if isinstance(instruction, MoveTip):
-            target = "PARK" if instruction.target is PARKED else str(instruction.target)
-            lines.append(f"MOVE {target}")
-        elif isinstance(instruction, ApplyPulse):
-            lines.append(_pulse_text("PULSE", instruction.pulse))
-        elif isinstance(instruction, ConditionalPulse):
-            lines.append(_pulse_text("CONDPULSE", instruction.pulse))
-        elif isinstance(instruction, MeasureViaCurrent):
-            lines.append(f"MEASURE {instruction.qubit}")
-        else:
-            raise TypeError(f"not an instruction: {instruction!r}")
+    lines = [instruction_text(instruction) for instruction in program.instructions]
     return "\n".join(lines) + ("\n" if lines else "")
 
 

@@ -81,6 +81,7 @@ def _list_schedule(tasks, num_tips, layout, cfg):
     final retreats — mirroring what serial compilation emits. Returns the
     per-task tips, the timeline and the makespan.
     """
+    moves = timing.move_table(layout.num_qubits, layout.coordinates, cfg)
     free = [0.0] * num_tips
     position = [PARKED] * num_tips
     qubit_release = {}
@@ -88,10 +89,10 @@ def _list_schedule(tasks, num_tips, layout, cfg):
     timeline = []
     for task in tasks:
         ready = max((qubit_release.get(q, 0.0) for q in task.qubits), default=0.0)
+        first = task.first_position
         best = None
         for tip in range(num_tips):
-            travel = timing.move_duration(layout, cfg, position[tip], task.first_position)
-            arrival = free[tip] + travel
+            arrival = free[tip] + moves(position[tip], first)
             start = arrival if arrival >= ready else ready
             if best is None or start < best[1]:
                 best = (tip, start)
@@ -108,7 +109,7 @@ def _list_schedule(tasks, num_tips, layout, cfg):
     for tip in range(num_tips):
         if position[tip] is PARKED:
             continue
-        park = timing.move_duration(layout, cfg, position[tip], PARKED)
+        park = moves(position[tip], PARKED)
         timeline.append(TimelineEntry(tip, free[tip], free[tip] + park, "PARK", None))
         free[tip] += park
     return tuple(assignment), tuple(timeline), max(free)

@@ -1,16 +1,29 @@
 """Wall-clock accounting for pulse programs and the decoherence budget."""
 
 import dataclasses
+import functools
 import math
 
 from .engine import Channel
 from .errors import ConfigError
 from .program import ApplyPulse, ConditionalPulse, MeasureViaCurrent, MoveTip
+from .register import RegisterLayout
 
 
 def move_duration(layout, cfg, origin, destination):
     """Tip travel time between two positions (qubit index or parked)."""
     return layout.hop_distance(origin, destination) * cfg.tip_move_time
+
+
+@functools.lru_cache(maxsize=8)
+def move_table(num_qubits, coordinates, cfg):
+    """``move_duration(origin, destination)`` of one register geometry and config, memoised.
+
+    Each pair is computed once, when first asked for, and read after that;
+    the tables of the last few geometries are kept.
+    """
+    layout = RegisterLayout(num_qubits, coordinates)
+    return functools.cache(lambda origin, target: move_duration(layout, cfg, origin, target))
 
 
 def instruction_duration(instruction, layout, cfg, tip_position):
@@ -62,39 +75,55 @@ class TimingReport:
         }
 
 
-def analyze_program(program, layout, cfg):
-    """Static TimingReport for a program starting from the layout's tip position.
-
-    The only walk of instruction durations: execution and scheduling take
-    their times from here. The total is the plain left-to-right sum.
-    """
-    tip = layout.tip_position
-    durations = []
-    categories = {
-        "tip_motion": 0.0,
-        "nuclear_pulses": 0.0,
-        "electron_pulses": 0.0,
-        "measurement": 0.0,
-    }
-    total = 0.0
-    for instruction in program.instructions:
-        duration = instruction_duration(instruction, layout, cfg, tip)
-        durations.append(duration)
-        categories[duration_category(instruction)] += duration
-        total += duration
+def walk(instructions, layout, cfg, tip):
+    """(duration, category) of each instruction in order, the tip starting at ``tip``."""
+    walked = []
+    for instruction in instructions:
+        walked.append(
+            (instruction_duration(instruction, layout, cfg, tip), duration_category(instruction))
+        )
         if isinstance(instruction, MoveTip):
             tip = instruction.target
-    if program.gate_count and total > 0:
-        capacity = decoherence_budget(cfg, total / program.gate_count)
+    return walked
+
+
+def summarize(walked, gate_count, cfg):
+    """TimingReport of (duration, category) pairs in program order.
+
+    The total and every category total are plain left-to-right sums, so two
+    routes that list the same pairs in the same order give the same report,
+    bit for bit.
+    """
+    categories = dict.fromkeys(
+        ("tip_motion", "nuclear_pulses", "electron_pulses", "measurement"), 0.0
+    )
+    total = 0.0
+    for duration, category in walked:
+        categories[category] += duration
+        total += duration
+    if gate_count and total > 0:
+        capacity = decoherence_budget(cfg, total / gate_count)
     else:
         capacity = None
     return TimingReport(
-        per_instruction=tuple(durations),
+        per_instruction=tuple(duration for duration, _ in walked),
         category_totals=categories,
         total_wall_time=total,
         gate_capacity=capacity,
         feasible=total <= cfg.coherence_time,
     )
+
+
+def analyze_program(program, layout, cfg):
+    """Static TimingReport of a program, walked from the layout's tip position.
+
+    The reference route: it times any program, instruction by instruction.
+    A circuit's tasks already hold their durations, so ``compiler`` sums a
+    task list's report from them (``compiler.serial_timing``), and tests hold
+    the two routes equal bit for bit.
+    """
+    walked = walk(program.instructions, layout, cfg, layout.tip_position)
+    return summarize(walked, program.gate_count, cfg)
 
 
 def decoherence_budget(cfg, mean_gate_time):

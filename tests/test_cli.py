@@ -129,6 +129,18 @@ class TestSingleRuns:
         assert verification["ancilla_purity"] >= 1.0 - 1e-9
         assert len(verification["frequency_audit"]) == 6
 
+    def test_verification_passes_past_twice_the_nuclear_larmor_frequency(self, tmp_path):
+        # At 200 MHz, nucleus - half the modified coupling is negative; the
+        # closed forms are magnitudes like every engine line.
+        circuit = tmp_path / "c.circuit"
+        circuit.write_text("ROT 0 1.0\nCNOT 0 1\nMEASURE 1\n", encoding="utf-8")
+        config = tmp_path / "strong.config"
+        config.write_text("hyperfine_tip_modified = 200e6\n", encoding="utf-8")
+        done = run_cli("--circuit", str(circuit), "--config", str(config), "--seed", "0",
+                       "--verify-frequencies")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["verification"]["all_formulas_matched"] is True
+
     def test_trace_readout_still_infers_the_right_bits(self, example_circuit):
         done = run_cli(
             "--circuit", str(example_circuit), "--seed", "9", "--trace-snr", "10"
@@ -626,6 +638,25 @@ class TestBatchRuns:
         assert len(errors) == 2 and all(line.startswith("error: ") for line in errors)
         assert not list(circuits.glob("*.report.json"))
 
+    def test_batch_reports_equal_single_runs(self, tmp_path):
+        # The circuits share CNOT, MEASURE, INIT and signed-zero ROT gates, so
+        # the batch's one process serves repeats from its gate-task memo.
+        circuits = {
+            "a": "INIT\nROT 0 1.0 0.0\nCNOT 0 1\nMEASURE 1\n",
+            "b": "INIT\nROT 0 1.0 -0.0\nCNOT 0 1\nMEASURE 1\nMEASURE 0\n",
+            "c": "ROT 0 1.0 -0.0\nROT 1 1.0 0.0\nCNOT 1 0\nCNOT 0 1\nINIT\nMEASURE 0\n",
+            "d": "ROT 2 1.0 0.0\nCNOT 0 1\nCNOT 2 0\nMEASURE 1\nINIT\n",
+        }
+        for name, text in circuits.items():
+            (tmp_path / f"{name}.circuit").write_text(text, encoding="utf-8")
+        done = run_cli("--batch", str(tmp_path), "--seed", "5", "--tips", "2")
+        assert done.returncode == 0, done.stderr
+        for index, name in enumerate(sorted(circuits)):
+            alone = run_cli("--circuit", str(tmp_path / f"{name}.circuit"),
+                            "--seed", str(5 + index), "--tips", "2")
+            assert alone.returncode == 0
+            assert (tmp_path / f"{name}.report.json").read_text(encoding="utf-8") == alone.stdout
+
     def test_empty_batch_directory_exits_two(self, tmp_path):
         done = run_cli("--batch", str(tmp_path))
         assert done.returncode == 2
@@ -838,6 +869,28 @@ class TestOneParserPerProcess:
             code = cli.main(base + extra)
             alone = run_cli(*base, *extra)
             assert (code, capsys.readouterr().out) == (alone.returncode, alone.stdout)
+
+
+class TestGateTaskMemo:
+    @pytest.mark.parametrize("first, second", [("0.0", "-0.0"), ("-0.0", "0.0")])
+    def test_a_signed_zero_phase_reports_as_written_after_its_twin(
+        self, tmp_path, capsys, first, second
+    ):
+        # ROT 0 1.0 0.0 and ROT 0 1.0 -0.0 are equal gates that list
+        # differently: the second run of this process must not reuse the first.
+        import spintip.cli as cli
+
+        paths = []
+        for name, phase in (("first", first), ("second", second)):
+            path = tmp_path / f"{name}.circuit"
+            path.write_text(f"ROT 0 1.0 {phase}\nROT 1 2.0 {second}\nCNOT 0 1\n", encoding="utf-8")
+            paths.append(path)
+        for path in paths:
+            assert cli.main(["--circuit", str(path), "--seed", "3"]) == 0
+            alone = run_cli("--circuit", str(path), "--seed", "3")
+            assert capsys.readouterr().out == alone.stdout
+        program = json.loads(alone.stdout)["program"]
+        assert program[1].endswith(f" 1.0 {second}")
 
 
 class TestGoldenReport:

@@ -16,8 +16,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spintip import (
+    PARKED,
     ApplyPulse,
     Channel,
+    Circuit,
     ConditionalPulse,
     MachineConfig,
     MeasureGate,
@@ -27,6 +29,7 @@ from spintip import (
     PulseProgram,
     PureState,
     RegisterLayout,
+    RotGate,
     ancilla_diagnostics,
     apply_selective_pulse,
     compile_circuit,
@@ -36,13 +39,18 @@ from spintip import (
     compile_rotation,
     drive_lines,
     execute,
+    expand_tasks,
     measure_via_current,
     parse_circuit,
+    program_to_text,
     thermal_sample,
     transition_frequency,
 )
+from spintip import compiler
+from spintip.compiler import listing
 from spintip.errors import IllFormedProgram, MismatchedRegister, SameQubit
 from spintip.physics import pattern_lines
+from spintip.timing import move_table
 
 CFG = MachineConfig()
 PAIR = RegisterLayout(2)
@@ -418,6 +426,82 @@ class TestCircuitCompilation:
     def test_unknown_gate_type_rejected(self):
         with pytest.raises(TypeError):
             compile_gate("INIT", PAIR, CFG)
+
+
+class TestGateTaskMemo:
+    """A gate's tasks are memoised; a hit must be the very task a fresh compile gives."""
+
+    @staticmethod
+    def fresh_listing(gates, layout):
+        """The listing of each gate compiled on its own, then the park: no memo involved."""
+        lines = []
+        for gate in gates:
+            lines += program_to_text(compile_gate(gate, layout, CFG)).splitlines()
+        return lines + ["MOVE PARK"]
+
+    def test_signed_zero_phases_keep_their_sign(self):
+        # RotGate(0, 1.0, 0.0) == RotGate(0, 1.0, -0.0), and they hash equal,
+        # but each phase is listed as written.
+        both = parse_circuit("ROT 0 1.0 0.0\nROT 0 1.0 -0.0\nROT 0 1.0 0.0")
+        tasks = expand_tasks(both, PAIR, CFG)
+        lines = listing(tasks)
+        assert lines == self.fresh_listing(both.gates, PAIR)
+        assert [line.split()[-1] for line in lines if line.startswith("PULSE")] == [
+            "0.0", "-0.0", "0.0"
+        ]
+        for first, second in (("0.0", "-0.0"), ("-0.0", "0.0")):
+            expand_tasks(parse_circuit(f"ROT 1 2.0 {first}"), PAIR, CFG)
+            later = parse_circuit(f"ROT 1 2.0 {second}")
+            assert listing(expand_tasks(later, PAIR, CFG)) == self.fresh_listing(later.gates, PAIR)
+
+    @pytest.mark.parametrize(
+        "gate, twin",
+        [
+            (RotGate(0, 1, 0), RotGate(0, 1.0, 0.0)),
+            (RotGate(0, 2.0, 1), RotGate(0, 2.0, 1.0)),
+            (RotGate(0, 2.0, np.float64(0.5)), RotGate(0, 2.0, 0.5)),
+        ],
+    )
+    def test_library_gates_list_their_values_as_given(self, gate, twin):
+        # An int or numpy phase equals its float twin but prints differently.
+        assert gate == twin and hash(gate) == hash(twin)
+        for circuit in (Circuit((twin,)), Circuit((gate,)), Circuit((twin,))):
+            program = compile_circuit(circuit, PAIR, CFG)
+            expected = self.fresh_listing(circuit.gates, PAIR)
+            assert program_to_text(program).splitlines() == expected
+
+    def test_a_repeated_gate_is_compiled_once(self, monkeypatch):
+        calls = []
+        original = compiler.compile_gate
+        monkeypatch.setattr(
+            compiler, "compile_gate", lambda *args: calls.append(args[0]) or original(*args)
+        )
+        compiler._gate_tasks.cache_clear()
+        circuit = parse_circuit("CNOT 0 1\nMEASURE 1\nCNOT 0 1\nMEASURE 1\nCNOT 1 0")
+        tasks = expand_tasks(circuit, PAIR, CFG)
+        assert len(calls) == 3
+        assert [task.gate_index for task in tasks] == [0, 1, 2, 3, 4]
+        assert tasks[0].instructions == tasks[2].instructions
+        # Another geometry is another key.
+        expand_tasks(circuit, RegisterLayout(2, coordinates=((0, 0), (1, 1))), CFG)
+        assert len(calls) == 6
+
+    def test_the_task_memo_is_bounded(self):
+        # Distinct rotation angles each compile their own tasks; the memo keeps
+        # at most its bound of them.
+        bound = compiler._gate_tasks.cache_info().maxsize
+        assert bound is not None
+        for step in range(3 * bound):
+            expand_tasks(Circuit((RotGate(0, 1.0 + step / 1024, 0.0),)), PAIR, CFG)
+        assert compiler._gate_tasks.cache_info().currsize == bound
+
+    def test_the_move_table_memo_is_bounded(self):
+        bound = move_table.cache_info().maxsize
+        assert bound is not None
+        for num_qubits in range(1, 3 * bound + 1):
+            layout = RegisterLayout(num_qubits)
+            assert move_table(num_qubits, layout.coordinates, CFG)(PARKED, 0) == CFG.tip_move_time
+        assert move_table.cache_info().currsize == bound
 
 
 class TestExecution:

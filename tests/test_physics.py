@@ -25,6 +25,7 @@ from spintip import (
     transition_frequency,
     zeeman_splitting,
 )
+from spintip import physics
 from spintip.errors import MismatchedRegister
 from spintip.physics import pattern_lines
 
@@ -336,15 +337,32 @@ def test_audit_identifies_the_matching_spectators():
     assert all(match["electron"] == 1 for match in spectators("tip_nucleus"))
 
 
-def test_audit_reports_a_form_it_cannot_match():
-    # Push the modified coupling beyond twice the nuclear Larmor frequency:
-    # the rotation form goes negative while the engine only produces
-    # magnitudes, so an honest audit must report no match.
-    weird = dataclasses.replace(CFG, hyperfine_tip_modified=300e6)
-    entries = {entry["formula"]: entry for entry in frequency_audit(weird)}
+def test_audit_reports_a_form_it_cannot_match(monkeypatch):
+    # A closed form with its sign lost: the engine only produces magnitudes,
+    # so an honest audit must report no match for it, and only for it.
+    exact = physics._closed_forms_exact
+
+    def wrong(cfg):
+        forms = exact(cfg)
+        forms["single_qubit_rotation"] = -forms["single_qubit_rotation"]
+        return forms
+
+    monkeypatch.setattr(physics, "_closed_forms_exact", wrong)
+    entries = {entry["formula"]: entry for entry in frequency_audit(CFG)}
     assert not entries["single_qubit_rotation"]["matched"]
     assert entries["single_qubit_rotation"]["best_residual_hz"] > 1e6
-    assert entries["control_electron"]["matched"]
+    others = [entry for name, entry in entries.items() if name != "single_qubit_rotation"]
+    assert all(entry["matched"] for entry in others)
+
+
+def test_nuclear_forms_stay_magnitudes_past_twice_the_larmor_frequency():
+    # Beyond twice the nuclear Larmor frequency (172 MHz at 5 T), nucleus -
+    # half the modified coupling is negative; the lines are its magnitude.
+    strong = dataclasses.replace(CFG, hyperfine_tip_modified=300e6)
+    entries = {entry["formula"]: entry for entry in frequency_audit(strong)}
+    assert all(entry["matched"] for entry in entries.values())
+    forms = closed_form_frequencies(strong)
+    assert forms["single_qubit_rotation"] == forms["target_nucleus"] > 0
 
 
 def test_min_spectral_gap_frozen():

@@ -22,6 +22,7 @@ from spintip import (
     expand_tasks,
     move_duration,
     parse_circuit,
+    program_to_text,
     schedule_multi_tip,
     validate_assignment,
 )
@@ -267,6 +268,37 @@ class TestOneTaskList:
                 offset = end
             assert program.instructions[offset:] == (MoveTip(PARKED),)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        tip=st.sampled_from([PARKED, 0, 2]),
+        grid=st.booleans(),
+    )
+    def test_the_task_sums_equal_the_walk_bit_for_bit(self, seed, tip, grid):
+        coordinates = ((0, 0), (0, 3), (2, 1), (5, 5)) if grid else ()
+        layout = RegisterLayout(4, coordinates=coordinates, tip_position=tip)
+        tasks = expand_tasks(random_circuit(np.random.default_rng(seed)), layout, CFG)
+        program = compiler.link(tasks)
+        walked = analyze_program(program, layout, CFG)
+        assert repr(compiler.serial_timing(tasks, layout, CFG)) == repr(walked)
+        assert compiler.listing(tasks) == program_to_text(program).splitlines()
+
+    def test_a_task_list_runs_like_its_linked_program(self):
+        layout = RegisterLayout(3)
+        state = PureState.product(layout, {0: (0.6, 0.8), 2: (0.8, 0.6j)})
+        for seed in range(5):
+            circuit = random_circuit(np.random.default_rng(900 + seed), num_qubits=3)
+            tasks = expand_tasks(circuit, layout, CFG)
+            from_tasks = execute(tasks, state, layout, CFG, seed)
+            from_program = execute(compile_circuit(circuit, layout, CFG), state, layout, CFG, seed)
+            assert repr(from_tasks.timing) == repr(from_program.timing)
+            assert from_tasks.records == from_program.records
+            assert from_tasks.pulse_log == from_program.pulse_log
+            assert from_tasks.final_tip_position == from_program.final_tip_position
+            assert np.array_equal(
+                from_tasks.final_state.amplitudes, from_program.final_state.amplitudes
+            )
+
     def test_a_scheduled_run_compiles_each_gate_once(self, monkeypatch, tmp_path, capsys):
         calls = []
         original = compiler.compile_gate
@@ -276,11 +308,18 @@ class TestOneTaskList:
             return original(gate, layout, cfg)
 
         monkeypatch.setattr(compiler, "compile_gate", counting)
+        compiler._gate_tasks.cache_clear()  # gates compiled earlier in the session
         path = tmp_path / "job.circuit"
         path.write_text("INIT\nROT 0 1.2 0.0\nCNOT 0 1\nMEASURE 1\n", encoding="utf-8")
-        assert cli.main(["--circuit", str(path), "--seed", "0", "--tips", "2"]) == 0
+        argv = ["--circuit", str(path), "--seed", "0", "--tips", "2"]
+        assert cli.main(argv) == 0
         assert len(calls) == 4
-        assert json.loads(capsys.readouterr().out)["scheduler"]["validator_problems"] == []
+        first = capsys.readouterr().out
+        assert json.loads(first)["scheduler"]["validator_problems"] == []
+        # A second run of the same gates in this process compiles none of them.
+        assert cli.main(argv) == 0
+        assert len(calls) == 4
+        assert capsys.readouterr().out == first
 
     def test_surplus_tips_change_nothing(self):
         layout = RegisterLayout(4)
