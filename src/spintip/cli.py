@@ -269,11 +269,57 @@ def _print_reasons(report):
 
 
 def _report_json(report):
-    """The report as JSON text; a non-finite number in it is a ConfigError."""
+    """The report as JSON text; a non-finite number in it is a ConfigError.
+
+    The text is ``json.dumps(report, indent=2, sort_keys=True,
+    allow_nan=False)``, which is also the route where json has no C encoder.
+    """
     try:
-        return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+        if json.encoder.c_make_encoder is None:
+            return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+        return _json_text(report, 0)
     except ValueError:
         raise ConfigError("the report would hold a non-finite number") from None
+
+
+#: Types json writes as one token; a subclass of one goes through ``_json_text`` alone.
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _flat_encoder(depth):
+    """json's C encoder, writing the items of a container at ``depth`` indents."""
+    return json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+        ": ", ",\n" + "  " * depth, True, False, False,
+    )
+
+
+def _json_text(value, depth):
+    """``value`` at ``depth`` indents, as ``json.dumps(indent=2, sort_keys=True)`` writes it.
+
+    A container whose values are all scalars goes through json's C encoder
+    in one call, with the newline and indent in its item separator; only the
+    nesting is written here. Keys of a nested dict are strings, as in every
+    report.
+    """
+    if not isinstance(value, (dict, list, tuple)):
+        return "".join(_flat_encoder(depth)(value, 0))
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    items = value.values() if isinstance(value, dict) else value
+    inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
+    if _SCALAR_TYPES.issuperset(map(type, items)):
+        text = "".join(_flat_encoder(depth + 1)(value, 0))
+        return text[0] + inner + text[1:-1] + outer + text[-1]
+    if isinstance(value, dict):
+        parts = (
+            json.encoder.encode_basestring_ascii(key) + ": " + _json_text(value[key], depth + 1)
+            for key in sorted(value)
+        )
+        return "{" + inner + ("," + inner).join(parts) + outer + "}"
+    parts = (_json_text(item, depth + 1) for item in value)
+    return "[" + inner + ("," + inner).join(parts) + outer + "]"
 
 
 def _fresh_seed():

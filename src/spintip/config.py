@@ -7,6 +7,7 @@ constant), so Zeeman coefficients and hyperfine couplings below are frequencies.
 import dataclasses
 import enum
 import math
+import numbers
 import warnings
 
 from .errors import ConfigError
@@ -61,7 +62,10 @@ class MachineConfig:
 
     Field names double as the keys of the ``key = value`` config-file format;
     unspecified keys keep these defaults. Frequencies in Hz, times in s,
-    lengths in m, field in T, temperature in K.
+    lengths in m, field in T, temperature in K. Every value is a float from
+    construction on, so two equal configs list, time and hash alike; a value
+    that is not a real number, or one beyond the float range, is a
+    ConfigError.
     """
 
     magnetic_field: float = 5.0
@@ -79,6 +83,16 @@ class MachineConfig:
     trace_frequency_scale: float = 1e6       # readout traces synthesized at f/scale
     trace_sample_rate: float = 1e6           # samples/s of synthetic traces
     trace_duration: float = 0.05             # s of synthetic trace
+
+    def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if not isinstance(value, numbers.Real):
+                raise ConfigError(f"{field.name} must be a number, got {value!r}")
+            try:
+                object.__setattr__(self, field.name, float(value))
+            except OverflowError:
+                raise ConfigError(f"{field.name} must be finite, got one beyond float") from None
 
     def validate(self):
         """Raise ConfigError on nonsense; warn on merely questionable values.

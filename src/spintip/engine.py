@@ -38,7 +38,11 @@ register-sized frequency or index array is built. The slabs come from a
 memoised plan (``_slab_plan``): the reshape and slice keys depend only on
 the axes of the addressed site and of the live sites its partners read, so a
 pulse reshapes once and indexes. Populations and measurement read and zero
-the halves of a site through the same plan.
+the halves of a site through the same plan. A pulse is resolved once per tip
+position, geometry and config (``_resolve``: its site, partners, resonant
+patterns and idle outcome), and one that can move nothing -- a dormant site
+whose every resonant pattern pins a dormant partner to 1 -- returns before
+any array is touched.
 
 ``apply_selective_pulse`` and ``measure_spin`` drive or collapse the state
 they are given and return that same object, whose tensor is replaced when a
@@ -53,6 +57,7 @@ import enum
 import functools
 import itertools
 import math
+import threading
 
 import numpy as np
 
@@ -415,6 +420,47 @@ def _plan(state, site, sources):
     return state.tensor.reshape(shape), slabs, one
 
 
+#: Most pulse resolutions ``_resolve`` keeps.
+_RESOLVED_BOUND = 1024
+_resolved = {}
+_resolved_lock = threading.Lock()  # a hit reads one dict entry; a miss evicts and inserts
+
+
+def _resolve(pulse, layout, cfg):
+    """(site, partners, hits, swap, idle outcome) of a pulse at this tip, memoised.
+
+    ``hits`` are the resonant pattern indices and the idle outcome is the
+    ``PulseOutcome`` of a pulse that moves nothing. Entries are keyed by the
+    pulse's identity and the tip position, and hold the pulse, so its id is
+    not reused while they live; one is served only to that very pulse under
+    equal coordinates and an equal config. Hashing the pulse, layout and
+    config would cost most of what the memo saves. The oldest entry goes
+    first once ``_RESOLVED_BOUND`` are kept.
+    """
+    key = (id(pulse), layout.tip_position)
+    entry = _resolved.get(key)
+    if (
+        entry is not None
+        and entry[0] is pulse
+        and (entry[1] is layout.coordinates or entry[1] == layout.coordinates)
+        and (entry[2] is cfg or entry[2] == cfg)
+    ):
+        return entry[3]
+    site = _addressed_site(pulse.channel, layout)
+    partners, lines = physics.pattern_lines(layout, cfg, site)
+    hits = tuple(index for index, line in enumerate(lines)
+                 if abs(line - pulse.frequency) <= cfg.selectivity_tolerance)
+    count = len(hits) << (layout.num_sites - 1 - len(partners))
+    swap = pulse.mode is PulseMode.LOGICAL_X and pulse.angle == math.pi
+    resolution = (site, partners, hits, swap, PulseOutcome(count, 0.0, True))
+    with _resolved_lock:
+        _resolved.pop(key, None)
+        if len(_resolved) >= _RESOLVED_BOUND:
+            del _resolved[next(iter(_resolved))]
+        _resolved[key] = (pulse, layout.coordinates, cfg, resolution)
+    return resolution
+
+
 def apply_selective_pulse(state, pulse, layout, cfg):
     """Drive every basis pair resonant with the pulse; return (state, outcome).
 
@@ -441,23 +487,30 @@ def apply_selective_pulse(state, pulse, layout, cfg):
     carries amplitude, and the addressed site drops out again when its |1>
     half ends exactly zero.
 
+    A pulse that can move nothing returns at once: one on a dormant site
+    whose every resonant pattern pins a dormant partner to 1 (a spectral
+    miss has none), so the copy route cannot apply either. That pulse, and
+    any whose resonant population is exactly 0.0, returns the resolution's
+    shared idle outcome.
+
     The given state is driven (its tensor may be replaced) and returned.
     """
     if state.num_sites != layout.num_sites:
         raise MismatchedRegister(
             f"state of {state.num_sites} sites under a {layout.num_sites}-site layout"
         )
-    site = _addressed_site(pulse.channel, layout)
-    n = layout.num_sites
-    partners, lines = physics.pattern_lines(layout, cfg, site)
-    hits = tuple(index for index, line in enumerate(lines)
-                 if abs(line - pulse.frequency) <= cfg.selectivity_tolerance)
+    site, partners, hits, swap, idle = _resolve(pulse, layout, cfg)
+    source = state.slaves.get(site)
+    if source is None and state._axis(site) is None:
+        # A dormant site is no slave's source, so nothing is materialised.
+        axes = tuple(state._axis(state.slaves.get(partner, partner)) for partner in partners)
+        slabs = _slab_plan(None, axes)[1]
+        if all(slabs[index] is None for index in hits):
+            return state, idle
 
     for slave in [slave for slave, of in state.slaves.items() if of == site]:
         state._materialise(slave)
     sources = tuple(state.slaves.get(partner, partner) for partner in partners)
-    source = state.slaves.get(site)
-    swap = pulse.mode is PulseMode.LOGICAL_X and pulse.angle == math.pi
     copied = None
     if swap and state._axis(site) is None:
         copied = _copied_axis(tuple(map(state._axis, sources)), hits)
@@ -472,8 +525,10 @@ def apply_selective_pulse(state, pulse, layout, cfg):
         if source is not None:
             state._materialise(site)
         population = _drive(state, pulse, site, sources, hits, swap)
+    if population == 0.0:
+        return state, idle
     outcome = PulseOutcome(
-        resonant_pair_count=len(hits) << (n - 1 - len(partners)),
+        resonant_pair_count=idle.resonant_pair_count,
         resonant_population=population,
         no_resonant_transition=population <= IDLE_POPULATION,
     )

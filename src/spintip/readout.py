@@ -7,8 +7,9 @@ detection on a synthesized noisy trace. Both routes read one line table in Hz;
 a trace is set up by the config alone, and its frequency scale divides the
 lines in ``synth_trace`` and multiplies the detected peak back to Hz once.
 
-Peak detection reuses one module-level workspace per trace length, so it is
-not reentrant: two threads must not detect peaks at the same time.
+A traced read draws its noisy samples into, and peak detection reuses, one
+module-level workspace per trace length, so neither is reentrant: two
+threads must not read traces or detect peaks at the same time.
 """
 
 import dataclasses
@@ -94,7 +95,9 @@ def measure_via_current(state, qubit, layout, cfg, rng, trace_snr=None):
         observed = _line_table(cfg)[0][(p_bit, a_bit)]
         inferred_p, inferred_a = p_bit, a_bit
     else:
-        samples = synth_trace(p_bit, a_bit, cfg, trace_snr, rng)
+        sigma, tone = _clean_trace(p_bit, a_bit, cfg, trace_snr)
+        # The noisy samples are drawn into detect_peak's own windowing scratch.
+        samples = tone if sigma == 0 else _noisy(tone, sigma, rng, _workspace(tone.size)[1])
         observed = detect_peak(samples, cfg.trace_sample_rate) * cfg.trace_frequency_scale
         inferred_p, inferred_a = classify_frequency(observed, cfg)
     record = MeasurementRecord(
@@ -120,6 +123,14 @@ def synth_trace(p_bit, a_bit, cfg, snr, rng):
     of fewer than 2 or more than ``MAX_TRACE_SAMPLES`` samples is a
     ConfigError, raised before anything is allocated.
     """
+    sigma, tone = _clean_trace(p_bit, a_bit, cfg, snr)
+    if sigma == 0:
+        return tone
+    return _noisy(tone, sigma, np.random.default_rng(rng), np.empty(tone.size))
+
+
+def _clean_trace(p_bit, a_bit, cfg, snr):
+    """(noise deviation, shared read-only tone) of a trace, every argument checked."""
     if not snr > 0:
         raise ValueError(f"snr must be positive, got {snr!r}")
     sigma = noise_sigma(snr)
@@ -127,7 +138,6 @@ def synth_trace(p_bit, a_bit, cfg, snr, rng):
         raise ValueError(f"snr {snr!r} is too small: the noise deviation overflows")
     if (p_bit, a_bit) not in _PAIRS:
         raise ValueError(f"bits must be 0 or 1, got {p_bit!r}, {a_bit!r}")
-    rng = np.random.default_rng(rng)
     lines = _line_table(cfg)[0]
     scale, sample_rate = cfg.trace_frequency_scale, cfg.trace_sample_rate
     line = lines[(p_bit, a_bit)] / scale
@@ -142,13 +152,19 @@ def synth_trace(p_bit, a_bit, cfg, snr, rng):
             f"a {cfg.trace_duration:g} s trace at {sample_rate:g} samples/s needs {total:g} "
             f"samples; traces take 2 to {MAX_TRACE_SAMPLES}"
         )
-    count = int(round(total))
-    samples = _tone(line, count, sample_rate)
-    if sigma > 0:
-        noise = rng.normal(0.0, sigma, count)
-        noise += samples  # the noise array becomes the trace
-        samples = noise
-    return samples
+    return sigma, _tone(line, int(round(total)), sample_rate)
+
+
+def _noisy(tone, sigma, rng, out):
+    """``tone`` plus white noise of deviation ``sigma``, drawn into ``out``.
+
+    The bits of ``rng.normal(0.0, sigma, n) + tone``: numpy draws that as
+    ``0.0 + sigma * z`` from the same standard normals.
+    """
+    rng.standard_normal(out=out)
+    out *= sigma
+    out += tone
+    return out
 
 
 def noise_sigma(snr):
@@ -168,7 +184,9 @@ def _tone(line, count, sample_rate):
 @functools.lru_cache(maxsize=1)
 def _workspace(count):
     """``detect_peak``'s read-only Hann window, and scratch for the windowed
-    samples, rFFT bins and magnitudes; a config has one trace length.
+    samples, rFFT bins and magnitudes; a config has one trace length. A
+    traced read draws its samples into the windowed scratch, and the window
+    is then applied in place.
     """
     window = np.hanning(count)
     window.flags.writeable = False

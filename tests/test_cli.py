@@ -893,6 +893,78 @@ class TestGateTaskMemo:
         assert program[1].endswith(f" 1.0 {second}")
 
 
+# JSON trees with what a report can hold, and more: empty containers at any
+# depth, non-ASCII keys and strings, signed zeros, ints beyond 64 bits.
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**200), 2**200),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, 1e308]),
+    st.text(),
+)
+JSON_TREES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=5),
+        st.dictionaries(st.text(max_size=5), children, max_size=5),
+    ),
+    max_leaves=30,
+)
+
+
+def reference_json(tree):
+    return json.dumps(tree, indent=2, sort_keys=True, allow_nan=False)
+
+
+class TestReportWriter:
+    @settings(deadline=None, max_examples=300)
+    @given(JSON_TREES)
+    def test_the_writer_equals_json_dumps(self, tree):
+        import spintip.cli as cli
+
+        assert cli._report_json(tree) == reference_json(tree)
+
+    def test_tuples_and_subclassed_scalars_write_as_json_dumps_writes_them(self):
+        import numpy as np
+
+        import spintip.cli as cli
+
+        tree = {"a": (1, (2.5, "x")), "b": [np.float64(0.1), True], "c": {"d": np.float64(-0.0)}}
+        assert cli._report_json(tree) == reference_json(tree)
+
+    @settings(deadline=None, max_examples=100)
+    @given(JSON_TREES, st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+           st.integers(0, 10))
+    def test_a_non_finite_number_anywhere_is_a_config_error(self, tree, bad, depth):
+        import spintip.cli as cli
+        from spintip.errors import ConfigError
+
+        node = {"tree": tree, "bad": bad}
+        for level in range(depth):
+            node = [tree, node] if level % 2 else {"k": node, "other": tree}
+        with pytest.raises(ConfigError, match="non-finite"):
+            cli._report_json(node)
+
+    def test_without_the_c_encoder_the_writer_is_json_dumps(self, monkeypatch):
+        import spintip.cli as cli
+        from spintip.errors import ConfigError
+
+        report = json.loads((DATA / "golden_traced_report.json").read_text(encoding="utf-8"))
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+        assert cli._report_json(report) == reference_json(report)
+        with pytest.raises(ConfigError, match="non-finite"):
+            cli._report_json({"a": [float("nan")]})
+
+    def test_the_exact_golden_report_bytes(self, capsys):
+        import spintip.cli as cli
+
+        assert cli.main(["--circuit", str(DATA / "golden.circuit"), "--seed", "42"]) == 0
+        produced = capsys.readouterr().out.encode("utf-8")
+        assert produced == (DATA / "golden_report.json").read_bytes()
+
+
 class TestGoldenReport:
     def test_report_matches_the_checked_in_golden_file(self, capsys):
         # Pin the whole report surface against a reviewed artifact; any

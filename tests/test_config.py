@@ -167,3 +167,41 @@ def test_loading_validates(tmp_path):
     path = write_config(tmp_path, "selectivity_tolerance = 5e7\n")
     with pytest.raises(ConfigError):
         load_machine_config(path)
+
+
+def test_every_value_is_a_float_from_construction_on():
+    import numpy as np
+
+    cfg = MachineConfig(measurement_dwell_time=1, tip_move_time=np.float32(2), temperature=True)
+    values = [getattr(cfg, field.name) for field in dataclasses.fields(cfg)]
+    assert all(type(value) is float for value in values)
+    assert (cfg.measurement_dwell_time, cfg.tip_move_time, cfg.temperature) == (1.0, 2.0, 1.0)
+    assert dataclasses.replace(cfg, coherence_time=3).coherence_time.hex() == (3.0).hex()
+
+
+@pytest.mark.parametrize("value", ["1.0", None, 1j, [1.0]])
+def test_a_value_that_is_not_a_number_is_rejected(value):
+    with pytest.raises(ConfigError, match="temperature must be a number"):
+        MachineConfig(temperature=value)
+
+
+def test_an_integer_beyond_float_is_rejected():
+    with pytest.raises(ConfigError, match="coherence_time must be finite"):
+        MachineConfig(coherence_time=10**400)
+
+
+def test_an_int_config_times_like_its_float_twin():
+    # Compiled after its float twin, an int config used to be served the
+    # twin's memoised tasks: the serial timing then listed 1.0 where the
+    # reference walk listed 1. Coerced at construction, the two agree.
+    from spintip import RegisterLayout, analyze_program, compiler, parse_circuit
+
+    circuit = parse_circuit("ROT 0 1.0\nCNOT 0 1\nMEASURE 1\n")
+    layout = RegisterLayout(2)
+    twin = MachineConfig(measurement_dwell_time=1.0, tip_move_time=2.0)
+    compiler.expand_tasks(circuit, layout, twin)
+    cfg = MachineConfig(measurement_dwell_time=1, tip_move_time=2)
+    tasks = compiler.expand_tasks(circuit, layout, cfg)
+    serial = compiler.serial_timing(tasks, layout, cfg).to_dict()
+    reference = analyze_program(compiler.link(tasks), layout, cfg).to_dict()
+    assert repr(serial) == repr(reference)

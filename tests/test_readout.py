@@ -281,3 +281,42 @@ class TestTracedReadAllocations:
         detect_peak(self.make(), CFG.trace_sample_rate)
         peak, samples = traced_peak(self.make)
         assert samples.nbytes <= peak < 2 * samples.nbytes
+
+
+class TestTracedReadInTheWorkspace:
+    # A traced read draws its samples into detect_peak's scratch; it must
+    # observe what synthesising a trace of its own and detecting its peak
+    # observes, from the same stream.
+    @settings(deadline=None, max_examples=60)
+    @given(bits=BITS, snr=SNRS, count=st.integers(2, 5_000), seed=SEEDS)
+    def test_a_traced_read_observes_the_oracle_peak(self, bits, snr, count, seed):
+        cfg = dataclasses.replace(CFG, trace_duration=count / RATE, trace_sample_rate=RATE)
+        state = PureState.from_bits((bits[0], 0, bits[1]))
+        stream = np.random.default_rng(seed)
+        stream.random(), stream.random()  # the nucleus and tip collapses
+        line = modulation_frequency(*bits, CFG) / CFG.trace_frequency_scale
+        samples = np.sin(2.0 * math.pi * line * (np.arange(count) / RATE))
+        sigma = math.sqrt(1.0 / (2.0 * snr))
+        if sigma > 0:
+            samples = samples + stream.normal(0.0, sigma, count)
+        expected = oracle_peak(samples, RATE) * CFG.trace_frequency_scale
+        try:
+            pair = classify_frequency(expected, cfg)
+        except UnclassifiableFrequency:
+            with pytest.raises(UnclassifiableFrequency):
+                measure_via_current(state, 0, LAYOUT, cfg, seed, trace_snr=snr)
+            return
+        record, _ = measure_via_current(state, 0, LAYOUT, cfg, seed, trace_snr=snr)
+        assert record.observed_frequency == expected
+        assert (record.inferred_p_bit, record.inferred_a_bit) == pair
+
+    def test_a_traced_read_allocates_less_than_one_trace(self):
+        state = PureState.from_bits((1, 0, 1))
+
+        def read():
+            return measure_via_current(state.copy(), 0, LAYOUT, CFG, 3, trace_snr=1.0)
+
+        read()
+        peak, (record, _) = traced_peak(read)
+        assert (record.inferred_p_bit, record.inferred_a_bit) == (1, 1)
+        assert peak < 8 * round(CFG.trace_duration * CFG.trace_sample_rate)
