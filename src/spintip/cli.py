@@ -183,7 +183,9 @@ def run_circuit_file(path, cfg, args, seed, dump_path):
     layout = RegisterLayout(circuit.num_qubits)
     tasks = compiler.expand_tasks(circuit, layout, cfg)
     state = engine.PureState.ground(layout)
-    result = compiler.execute(tasks, state, layout, cfg, rng=seed, trace_snr=args.trace_snr)
+    result = compiler.execute(
+        compiler.link(tasks), state, layout, cfg, rng=seed, trace_snr=args.trace_snr
+    )
 
     spectral_misses = sorted(
         index

@@ -216,9 +216,8 @@ class GateTask:
     """One schedulable unit: a gate's instructions and the qubits it binds.
 
     ``work`` holds the durations of the instructions after the first MoveTip,
-    entered with the tip at ``first_position``, and ``categories`` their
-    ``timing.duration_category``; ``end_position`` is where the task leaves
-    the tip, and ``lines`` are its instructions' listing lines.
+    entered with the tip at ``first_position``; ``end_position`` is where the
+    task leaves the tip, and ``lines`` are its instructions' listing lines.
     """
 
     gate_index: int
@@ -227,7 +226,6 @@ class GateTask:
     instructions: tuple
     work: tuple
     end_position: "int | None"
-    categories: tuple
     lines: tuple
 
     @property
@@ -260,9 +258,7 @@ def _gate_tasks(gate, text, num_qubits, coordinates, cfg):
         walked = timing.walk(chunk[1:], layout, cfg, chunk[0].target)
         work = tuple(duration for duration, _ in walked)
         end = [i.target for i in chunk if isinstance(i, MoveTip)][-1]
-        categories = tuple(category for _, category in walked)
-        lines = tuple(map(instruction_text, chunk))
-        tasks.append((label, qubits, chunk, work, end, categories, lines))
+        tasks.append((label, qubits, chunk, work, end, tuple(map(instruction_text, chunk))))
     return tuple(tasks)
 
 
@@ -270,11 +266,11 @@ def expand_tasks(circuit, layout, cfg):
     """Per-gate tasks in circuit order; INIT becomes one task per qubit.
 
     The one static pass over a circuit: the serial program (``link``), its
-    timing (``serial_timing``), its listing (``listing``) and the multi-tip
-    schedule are all read from this list. A gate's tasks come from a bounded
-    memo keyed by the gate, the register geometry and the config (by
-    equality, like ``drive_lines``), so a gate that recurs in a process is
-    compiled once; only the gate index is set per occurrence.
+    listing (``listing``) and the multi-tip schedule are all read from this
+    list. A gate's tasks come from a bounded memo keyed by the gate, the
+    register geometry and the config (by equality, like ``drive_lines``), so
+    a gate that recurs in a process is compiled once; only the gate index is
+    set per occurrence.
     """
     geometry = (layout.num_qubits, layout.coordinates, cfg)
     return [
@@ -289,23 +285,6 @@ def link(tasks):
     instructions = [instruction for task in tasks for instruction in task.instructions]
     instructions.append(MoveTip(PARKED))
     return PulseProgram(tuple(instructions), gate_count=len(tasks))
-
-
-def serial_timing(tasks, layout, cfg):
-    """``analyze_program(link(tasks), layout, cfg)``, bit for bit, summed from the tasks.
-
-    The move into each task, then its work, then the final park: the walk's
-    durations in the walk's order, with no instruction timed again.
-    """
-    moves = timing.move_table(layout.num_qubits, layout.coordinates, cfg)
-    tip = layout.tip_position
-    walked = []
-    for task in tasks:
-        walked.append((moves(tip, task.first_position), "tip_motion"))
-        walked += zip(task.work, task.categories)
-        tip = task.end_position
-    walked.append((moves(tip, PARKED), "tip_motion"))
-    return timing.summarize(walked, len(tasks), cfg)
 
 
 def listing(tasks):
@@ -330,23 +309,19 @@ class ExecutionResult:
 
 
 def execute(program, state, layout, cfg, rng, trace_snr=None):
-    """Run a pulse program, or a task list, against a state; return an ExecutionResult.
+    """Run a pulse program against a state; return an ExecutionResult.
 
     Instructions run in order; moves update the tip, conditional pulses fire
     when the most recent measurement inferred p-bit 1. ``rng`` seeds one
     stream that all measurements consume in order, so a seed pins the run.
-    The timing charges conditional pulses whether or not they fire: a
-    program's is ``timing.analyze_program``, the reference walk; a task list
-    from ``expand_tasks`` runs as ``link(tasks)``, timed by ``serial_timing``.
+    The timing is ``timing.analyze_program``, which charges conditional
+    pulses whether or not they fire.
 
     The caller's state is copied once, and every pulse and readout collapse
     then acts on that one state object, which replaces its tensor when a
     site wakes or drops; it becomes the final state. The input state is left
     alone.
     """
-    tasks = None
-    if not isinstance(program, PulseProgram):
-        tasks, program = program, link(program)
     validate_program(program, layout)
     if state.num_sites != layout.num_sites:
         raise MismatchedRegister(
@@ -377,11 +352,7 @@ def execute(program, state, layout, cfg, rng, trace_snr=None):
     return ExecutionResult(
         final_state=state,
         records=tuple(records),
-        timing=(
-            timing.analyze_program(program, layout, cfg)
-            if tasks is None
-            else serial_timing(tasks, layout, cfg)
-        ),
+        timing=timing.analyze_program(program, layout, cfg),
         pulse_log=tuple(pulse_log),
         final_tip_position=current.tip_position,
     )

@@ -222,24 +222,29 @@ def validate_program(program, layout):
     tip = layout.tip_position
     measured = False
     for position, instruction in enumerate(program.instructions):
-        where = f"instruction {position}"
         if isinstance(instruction, MoveTip):
             if instruction.target is not PARKED and not 0 <= instruction.target < layout.num_qubits:
-                raise IllFormedProgram(f"{where}: move to {instruction.target!r}, not a qubit")
+                raise IllFormedProgram(
+                    f"instruction {position}: move to {instruction.target!r}, not a qubit"
+                )
             tip = instruction.target
         elif isinstance(instruction, (ApplyPulse, ConditionalPulse)):
             if instruction.pulse.channel is not Channel.TIP_CARBON_NUCLEAR_RF and tip is PARKED:
                 raise IllFormedProgram(
-                    f"{where}: {instruction.pulse.channel.value} pulse with the tip parked"
+                    f"instruction {position}: {instruction.pulse.channel.value} pulse"
+                    " with the tip parked"
                 )
             if isinstance(instruction, ConditionalPulse) and not measured:
-                raise IllFormedProgram(f"{where}: conditional pulse before any measurement")
+                raise IllFormedProgram(
+                    f"instruction {position}: conditional pulse before any measurement"
+                )
         elif isinstance(instruction, MeasureViaCurrent):
             if tip != instruction.qubit:
                 raise IllFormedProgram(
-                    f"{where}: measuring qubit {instruction.qubit} with tip at {tip!r}"
+                    f"instruction {position}: measuring qubit {instruction.qubit}"
+                    f" with tip at {tip!r}"
                 )
             measured = True
         else:
-            raise IllFormedProgram(f"{where}: unknown instruction {instruction!r}")
+            raise IllFormedProgram(f"instruction {position}: unknown instruction {instruction!r}")
     return program

@@ -26,35 +26,6 @@ def move_table(num_qubits, coordinates, cfg):
     return functools.cache(lambda origin, target: move_duration(layout, cfg, origin, target))
 
 
-def instruction_duration(instruction, layout, cfg, tip_position):
-    """Wall time of one instruction with the tip currently at ``tip_position``.
-
-    Conditional pulses are charged whether or not they end up firing: the
-    controller reserves the slot, which keeps static analysis and execution
-    in exact agreement.
-    """
-    if isinstance(instruction, MoveTip):
-        return move_duration(layout, cfg, tip_position, instruction.target)
-    if isinstance(instruction, (ApplyPulse, ConditionalPulse)):
-        return instruction.pulse.duration
-    if isinstance(instruction, MeasureViaCurrent):
-        return cfg.measurement_dwell_time
-    raise TypeError(f"not an instruction: {instruction!r}")
-
-
-def duration_category(instruction):
-    """Accounting bucket an instruction's time goes into."""
-    if isinstance(instruction, MoveTip):
-        return "tip_motion"
-    if isinstance(instruction, (ApplyPulse, ConditionalPulse)):
-        if instruction.pulse.channel is Channel.ELECTRON_RF:
-            return "electron_pulses"
-        return "nuclear_pulses"
-    if isinstance(instruction, MeasureViaCurrent):
-        return "measurement"
-    raise TypeError(f"not an instruction: {instruction!r}")
-
-
 @dataclasses.dataclass(frozen=True)
 class TimingReport:
     """Per-instruction durations, category totals, and feasibility verdict."""
@@ -76,33 +47,48 @@ class TimingReport:
 
 
 def walk(instructions, layout, cfg, tip):
-    """(duration, category) of each instruction in order, the tip starting at ``tip``."""
+    """(duration, category) of each instruction in order, the tip starting at ``tip``.
+
+    The one place an instruction is priced. Tip moves are read from
+    ``move_table``. Conditional pulses are charged whether or not they end up
+    firing: the controller reserves the slot, which keeps static analysis and
+    execution in exact agreement.
+    """
+    moves = move_table(layout.num_qubits, layout.coordinates, cfg)
     walked = []
     for instruction in instructions:
-        walked.append(
-            (instruction_duration(instruction, layout, cfg, tip), duration_category(instruction))
-        )
         if isinstance(instruction, MoveTip):
+            walked.append((moves(tip, instruction.target), "tip_motion"))
             tip = instruction.target
+        elif isinstance(instruction, (ApplyPulse, ConditionalPulse)):
+            pulse = instruction.pulse
+            if pulse.channel is Channel.ELECTRON_RF:
+                walked.append((pulse.duration, "electron_pulses"))
+            else:
+                walked.append((pulse.duration, "nuclear_pulses"))
+        elif isinstance(instruction, MeasureViaCurrent):
+            walked.append((cfg.measurement_dwell_time, "measurement"))
+        else:
+            raise TypeError(f"not an instruction: {instruction!r}")
     return walked
 
 
-def summarize(walked, gate_count, cfg):
-    """TimingReport of (duration, category) pairs in program order.
+def analyze_program(program, layout, cfg):
+    """Static TimingReport of a program, walked from the layout's tip position.
 
-    The total and every category total are plain left-to-right sums, so two
-    routes that list the same pairs in the same order give the same report,
-    bit for bit.
+    The total and every category total are plain left-to-right sums of the
+    walk's durations.
     """
     categories = dict.fromkeys(
         ("tip_motion", "nuclear_pulses", "electron_pulses", "measurement"), 0.0
     )
     total = 0.0
+    walked = walk(program.instructions, layout, cfg, layout.tip_position)
     for duration, category in walked:
         categories[category] += duration
         total += duration
-    if gate_count and total > 0:
-        capacity = decoherence_budget(cfg, total / gate_count)
+    if program.gate_count and total > 0:
+        capacity = decoherence_budget(cfg, total / program.gate_count)
     else:
         capacity = None
     return TimingReport(
@@ -112,18 +98,6 @@ def summarize(walked, gate_count, cfg):
         gate_capacity=capacity,
         feasible=total <= cfg.coherence_time,
     )
-
-
-def analyze_program(program, layout, cfg):
-    """Static TimingReport of a program, walked from the layout's tip position.
-
-    The reference route: it times any program, instruction by instruction.
-    A circuit's tasks already hold their durations, so ``compiler`` sums a
-    task list's report from them (``compiler.serial_timing``), and tests hold
-    the two routes equal bit for bit.
-    """
-    walked = walk(program.instructions, layout, cfg, layout.tip_position)
-    return summarize(walked, program.gate_count, cfg)
 
 
 def decoherence_budget(cfg, mean_gate_time):

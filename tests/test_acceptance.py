@@ -289,8 +289,9 @@ def test_criterion_09_scheduler():
             position = {0: None, 1: None}
             for task, tip in zip(tasks, choice):
                 here = position[tip]
+                for duration, _ in spintip.timing.walk(task.instructions, layout, CFG, here):
+                    clock[tip] += duration
                 for instruction in task.instructions:
-                    clock[tip] += spintip.instruction_duration(instruction, layout, CFG, here)
                     if hasattr(instruction, "target"):
                         here = instruction.target
                 position[tip] = here

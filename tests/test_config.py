@@ -192,16 +192,32 @@ def test_an_integer_beyond_float_is_rejected():
 
 def test_an_int_config_times_like_its_float_twin():
     # Compiled after its float twin, an int config used to be served the
-    # twin's memoised tasks: the serial timing then listed 1.0 where the
-    # reference walk listed 1. Coerced at construction, the two agree.
-    from spintip import RegisterLayout, analyze_program, compiler, parse_circuit
+    # twin's memoised tasks: its timing then listed 1.0 where a fresh walk
+    # listed 1. Coerced at construction, the two agree.
+    from spintip import (
+        PureState,
+        RegisterLayout,
+        compiler,
+        parse_circuit,
+        schedule_multi_tip,
+        timing,
+    )
 
     circuit = parse_circuit("ROT 0 1.0\nCNOT 0 1\nMEASURE 1\n")
     layout = RegisterLayout(2)
-    twin = MachineConfig(measurement_dwell_time=1.0, tip_move_time=2.0)
-    compiler.expand_tasks(circuit, layout, twin)
+    state = PureState.ground(layout)
+
+    def run(cfg):
+        tasks = compiler.expand_tasks(circuit, layout, cfg)
+        result = compiler.execute(compiler.link(tasks), state, layout, cfg, rng=0)
+        schedule = schedule_multi_tip(tasks, 2, layout, cfg)
+        return repr(result.timing), compiler.listing(tasks), repr(schedule)
+
+    twin = run(MachineConfig(measurement_dwell_time=1.0, tip_move_time=2.0))
     cfg = MachineConfig(measurement_dwell_time=1, tip_move_time=2)
-    tasks = compiler.expand_tasks(circuit, layout, cfg)
-    serial = compiler.serial_timing(tasks, layout, cfg).to_dict()
-    reference = analyze_program(compiler.link(tasks), layout, cfg).to_dict()
-    assert repr(serial) == repr(reference)
+    after_twin = run(cfg)
+    assert after_twin[0] == twin[0]
+    compiler._gate_tasks.cache_clear()
+    timing.move_table.cache_clear()
+    fresh = run(cfg)
+    assert after_twin[1:] == fresh[1:]

@@ -156,6 +156,36 @@ class TestProgramValidation:
         pulse = Pulse(Channel.TIP_CARBON_NUCLEAR_RF, 5.35e7, math.pi, 0.0, 1e-5)
         validate_program(PulseProgram((ApplyPulse(pulse),)), layout)
 
+    @pytest.mark.parametrize(
+        "instructions, message",
+        [
+            (
+                (MoveTip(0), MoveTip(None), MoveTip(5)),
+                "instruction 2: move to 5, not a qubit",
+            ),
+            (
+                (MoveTip(0), MoveTip(None), ApplyPulse(electron_pulse())),
+                "instruction 2: electron_rf pulse with the tip parked",
+            ),
+            (
+                (MoveTip(0), ApplyPulse(electron_pulse()), ConditionalPulse(electron_pulse())),
+                "instruction 2: conditional pulse before any measurement",
+            ),
+            (
+                (MoveTip(0), MeasureViaCurrent(0), MeasureViaCurrent(1)),
+                "instruction 2: measuring qubit 1 with tip at 0",
+            ),
+            (
+                (MoveTip(0), MeasureViaCurrent(0), "PULSE"),
+                "instruction 2: unknown instruction 'PULSE'",
+            ),
+        ],
+    )
+    def test_each_message_names_the_instruction_exactly(self, instructions, message):
+        with pytest.raises(IllFormedProgram) as raised:
+            validate_program(PulseProgram(instructions), RegisterLayout(2))
+        assert str(raised.value) == message
+
 
 class TestCircuitContainer:
     def test_num_qubits_spans_the_largest_index(self):

@@ -5,10 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spintip import (
+    PARKED,
     ApplyPulse,
     Channel,
+    ConditionalPulse,
     ConfigError,
     MachineConfig,
     MeasureViaCurrent,
@@ -17,17 +21,86 @@ from spintip import (
     PulseProgram,
     PureState,
     RegisterLayout,
+    TimingReport,
     analyze_program,
+    compile_circuit,
     compile_cnot,
     decoherence_budget,
-    duration_category,
     execute,
-    instruction_duration,
     move_duration,
+    parse_circuit,
 )
+from spintip.timing import walk
 
 CFG = MachineConfig()
 CHAIN = RegisterLayout(4)
+
+
+def oracle_duration(instruction, layout, cfg, tip_position):
+    """Wall time of one instruction with the tip at ``tip_position``, judged on its own."""
+    if isinstance(instruction, MoveTip):
+        return move_duration(layout, cfg, tip_position, instruction.target)
+    if isinstance(instruction, (ApplyPulse, ConditionalPulse)):
+        return instruction.pulse.duration
+    if isinstance(instruction, MeasureViaCurrent):
+        return cfg.measurement_dwell_time
+    raise TypeError(f"not an instruction: {instruction!r}")
+
+
+def oracle_category(instruction):
+    """Accounting bucket of one instruction, judged on its own."""
+    if isinstance(instruction, MoveTip):
+        return "tip_motion"
+    if isinstance(instruction, (ApplyPulse, ConditionalPulse)):
+        if instruction.pulse.channel is Channel.ELECTRON_RF:
+            return "electron_pulses"
+        return "nuclear_pulses"
+    if isinstance(instruction, MeasureViaCurrent):
+        return "measurement"
+    raise TypeError(f"not an instruction: {instruction!r}")
+
+
+def oracle_report(program, layout, cfg):
+    """The TimingReport of plain left-to-right sums over the oracle's prices."""
+    categories = dict.fromkeys(
+        ("tip_motion", "nuclear_pulses", "electron_pulses", "measurement"), 0.0
+    )
+    durations = []
+    total = 0.0
+    tip = layout.tip_position
+    for instruction in program.instructions:
+        duration = oracle_duration(instruction, layout, cfg, tip)
+        categories[oracle_category(instruction)] += duration
+        durations.append(duration)
+        total += duration
+        if isinstance(instruction, MoveTip):
+            tip = instruction.target
+    capacity = None
+    if program.gate_count and total > 0:
+        capacity = decoherence_budget(cfg, total / program.gate_count)
+    return TimingReport(
+        per_instruction=tuple(durations),
+        category_totals=categories,
+        total_wall_time=total,
+        gate_capacity=capacity,
+        feasible=total <= cfg.coherence_time,
+    )
+
+
+def random_circuit(rng, num_qubits, gates):
+    lines = []
+    for _ in range(gates):
+        kind = rng.integers(4)
+        if kind == 0:
+            lines.append(f"ROT {rng.integers(num_qubits)} {rng.uniform(-7.0, 7.0)!r} 0.3")
+        elif kind == 1:
+            a, b = rng.choice(num_qubits, size=2, replace=False)
+            lines.append(f"CNOT {a} {b}")
+        elif kind == 2:
+            lines.append(f"MEASURE {rng.integers(num_qubits)}")
+        else:
+            lines.append("INIT")
+    return parse_circuit("\n".join(lines))
 
 
 class TestInstructionDurations:
@@ -40,24 +113,27 @@ class TestInstructionDurations:
 
     def test_pulse_duration_is_taken_from_the_pulse(self):
         pulse = Pulse(Channel.PHOSPHORUS_NUCLEAR_RF, 2.6e7, math.pi, 0.0, 5e-6)
-        assert instruction_duration(ApplyPulse(pulse), CHAIN, CFG, 0) == 5e-6
+        [(duration, _)] = walk([ApplyPulse(pulse)], CHAIN, CFG, 0)
+        assert duration == 5e-6
 
     def test_measurement_uses_the_dwell_time(self):
-        assert instruction_duration(MeasureViaCurrent(0), CHAIN, CFG, 0) == 15e-6
+        assert walk([MeasureViaCurrent(0)], CHAIN, CFG, 0) == [(15e-6, "measurement")]
 
     def test_unknown_objects_are_rejected(self):
-        with pytest.raises(TypeError):
-            instruction_duration("PULSE", CHAIN, CFG, 0)
-        with pytest.raises(TypeError):
-            duration_category("PULSE")
+        with pytest.raises(TypeError, match="not an instruction: 'PULSE'"):
+            walk([MoveTip(0), "PULSE"], CHAIN, CFG, 0)
 
     def test_categories(self):
         electron = Pulse(Channel.ELECTRON_RF, 1.4e11, math.pi, 0.0, 1e-7)
         nuclear = Pulse(Channel.TIP_CARBON_NUCLEAR_RF, 9.4e8, math.pi, 0.0, 1e-5)
-        assert duration_category(MoveTip(1)) == "tip_motion"
-        assert duration_category(ApplyPulse(electron)) == "electron_pulses"
-        assert duration_category(ApplyPulse(nuclear)) == "nuclear_pulses"
-        assert duration_category(MeasureViaCurrent(0)) == "measurement"
+        instructions = [
+            MoveTip(1),
+            ApplyPulse(electron),
+            ConditionalPulse(nuclear),
+            MeasureViaCurrent(1),
+        ]
+        categories = [category for _, category in walk(instructions, CHAIN, CFG, 0)]
+        assert categories == ["tip_motion", "electron_pulses", "nuclear_pulses", "measurement"]
 
 
 class TestBudget:
@@ -142,6 +218,28 @@ class TestProgramAnalysis:
         assert report.total_wall_time == 0.0
         assert report.gate_capacity is None
         assert report.feasible
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        num_qubits=st.integers(2, 4),
+        gates=st.integers(0, 12),
+        grid=st.booleans(),
+        tip=st.sampled_from([PARKED, 0, 1]),
+    )
+    def test_the_walk_agrees_with_an_instruction_by_instruction_oracle(
+        self, seed, num_qubits, gates, grid, tip
+    ):
+        rng = np.random.default_rng(seed)
+        coordinates = ()
+        if grid:
+            cells = rng.choice(36, size=num_qubits, replace=False)
+            coordinates = tuple((int(cell) // 6, int(cell) % 6) for cell in cells)
+        layout = RegisterLayout(num_qubits, coordinates=coordinates, tip_position=tip)
+        program = compile_circuit(random_circuit(rng, num_qubits, gates), layout, CFG)
+        assert repr(analyze_program(program, layout, CFG)) == repr(
+            oracle_report(program, layout, CFG)
+        )
 
     def test_feasibility_flag(self):
         layout = RegisterLayout(2)
