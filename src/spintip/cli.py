@@ -101,11 +101,12 @@ def _cnot_reference(amplitudes, layout, control, target):
 
 
 def run_verification(cfg):
-    """The --verify-frequencies payload: formula audit plus a CNOT self-test.
+    """(payload, failures) of --verify-frequencies: formula audit plus a CNOT self-test.
 
     The audit compares every closed-form line against engine transitions; the
     self-test entangles a superposed control with a ground target and checks
     fidelity against the ideal gate and the cleanliness of the ancillas.
+    ``failures`` names each check that failed, the self-test with its numbers.
     """
     audit = physics.frequency_audit(cfg)
     layout = RegisterLayout(2)
@@ -118,7 +119,10 @@ def run_verification(cfg):
     fidelity = float(np.abs(overlap) ** 2)
     diagnostics = engine.ancilla_diagnostics(result.final_state, layout)
     all_matched = all(entry["matched"] for entry in audit)
-    passed = all_matched and fidelity >= 1.0 - 1e-9 and diagnostics.purity >= 1.0 - 1e-9
+    failures = [] if all_matched else ["closed-form frequency audit failed"]
+    if not (fidelity >= 1.0 - 1e-9 and diagnostics.purity >= 1.0 - 1e-9):
+        failures.append(f"CNOT self-test failed: fidelity {fidelity!r}, "
+                        f"ancilla purity {diagnostics.purity!r}")
     return {
         "frequency_audit": audit,
         "all_formulas_matched": all_matched,
@@ -127,8 +131,8 @@ def run_verification(cfg):
         "cnot_fidelity": fidelity,
         "ancilla_purity": diagnostics.purity,
         "ancilla_ground_populations": diagnostics.populations,
-        "passed": passed,
-    }
+        "passed": not failures,
+    }, failures
 
 
 def _record_dict(record):
@@ -202,9 +206,8 @@ def run_circuit_file(path, cfg, args, seed, dump_path):
     reasons = []
     verification = None
     if args.verify_frequencies:
-        verification = run_verification(cfg)
-        if not verification["passed"]:
-            reasons.append("closed-form frequency audit failed")
+        verification, failures = run_verification(cfg)
+        reasons += failures
     if spectral_misses:
         reasons.append(
             f"pulses at instructions {spectral_misses} hit no transition line"

@@ -38,11 +38,12 @@ register-sized frequency or index array is built. The slabs come from a
 memoised plan (``_slab_plan``): the reshape and slice keys depend only on
 the axes of the addressed site and of the live sites its partners read, so a
 pulse reshapes once and indexes. Populations and measurement read and zero
-the halves of a site through the same plan. A pulse is resolved once per tip
-position, geometry and config (``_resolve``: its site, partners, resonant
-patterns and idle outcome), and one that can move nothing -- a dormant site
-whose every resonant pattern pins a dormant partner to 1 -- returns before
-any array is touched.
+the halves of a site through the same plan. A pulse is resolved once per
+pulse value, qubit count, tip position and config, in a bounded
+``lru_cache`` (``_resolve``: its site, partners, resonant patterns and idle
+outcome), and one that can move nothing -- a dormant site whose every
+resonant pattern pins a dormant partner to 1 -- returns before any array is
+touched.
 
 ``apply_selective_pulse`` and ``measure_spin`` drive or collapse the state
 they are given and return that same object, whose tensor is replaced when a
@@ -57,14 +58,13 @@ import enum
 import functools
 import itertools
 import math
-import threading
 
 import numpy as np
 
 from . import physics
 from .config import BOLTZMANN_CONSTANT, PLANCK_CONSTANT
 from .errors import DegenerateState, MismatchedRegister, TipParked
-from .register import PARKED
+from .register import PARKED, RegisterLayout
 
 #: Resonant-subspace weight below which a pulse counts as having done nothing.
 IDLE_POPULATION = 1e-12
@@ -420,45 +420,23 @@ def _plan(state, site, sources):
     return state.tensor.reshape(shape), slabs, one
 
 
-#: Most pulse resolutions ``_resolve`` keeps.
-_RESOLVED_BOUND = 1024
-_resolved = {}
-_resolved_lock = threading.Lock()  # a hit reads one dict entry; a miss evicts and inserts
-
-
-def _resolve(pulse, layout, cfg):
+@functools.lru_cache(maxsize=1024)
+def _resolve(pulse, num_qubits, tip_position, cfg):
     """(site, partners, hits, swap, idle outcome) of a pulse at this tip, memoised.
 
     ``hits`` are the resonant pattern indices and the idle outcome is the
-    ``PulseOutcome`` of a pulse that moves nothing. Entries are keyed by the
-    pulse's identity and the tip position, and hold the pulse, so its id is
-    not reused while they live; one is served only to that very pulse under
-    equal coordinates and an equal config. Hashing the pulse, layout and
-    config would cost most of what the memo saves. The oldest entry goes
-    first once ``_RESOLVED_BOUND`` are kept.
+    ``PulseOutcome`` of a pulse that moves nothing. A resolution is a pure
+    function of these values: coordinates never enter a flip line, so
+    registers that differ only there share an entry.
     """
-    key = (id(pulse), layout.tip_position)
-    entry = _resolved.get(key)
-    if (
-        entry is not None
-        and entry[0] is pulse
-        and (entry[1] is layout.coordinates or entry[1] == layout.coordinates)
-        and (entry[2] is cfg or entry[2] == cfg)
-    ):
-        return entry[3]
+    layout = RegisterLayout(num_qubits, tip_position=tip_position)
     site = _addressed_site(pulse.channel, layout)
     partners, lines = physics.pattern_lines(layout, cfg, site)
     hits = tuple(index for index, line in enumerate(lines)
                  if abs(line - pulse.frequency) <= cfg.selectivity_tolerance)
     count = len(hits) << (layout.num_sites - 1 - len(partners))
     swap = pulse.mode is PulseMode.LOGICAL_X and pulse.angle == math.pi
-    resolution = (site, partners, hits, swap, PulseOutcome(count, 0.0, True))
-    with _resolved_lock:
-        _resolved.pop(key, None)
-        if len(_resolved) >= _RESOLVED_BOUND:
-            del _resolved[next(iter(_resolved))]
-        _resolved[key] = (pulse, layout.coordinates, cfg, resolution)
-    return resolution
+    return site, partners, hits, swap, PulseOutcome(count, 0.0, True)
 
 
 def apply_selective_pulse(state, pulse, layout, cfg):
@@ -499,7 +477,7 @@ def apply_selective_pulse(state, pulse, layout, cfg):
         raise MismatchedRegister(
             f"state of {state.num_sites} sites under a {layout.num_sites}-site layout"
         )
-    site, partners, hits, swap, idle = _resolve(pulse, layout, cfg)
+    site, partners, hits, swap, idle = _resolve(pulse, layout.num_qubits, layout.tip_position, cfg)
     source = state.slaves.get(site)
     if source is None and state._axis(site) is None:
         # A dormant site is no slave's source, so nothing is materialised.

@@ -141,6 +141,50 @@ class TestSingleRuns:
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["verification"]["all_formulas_matched"] is True
 
+    def test_a_failed_cnot_self_test_is_named_with_its_numbers(self, tmp_path, capsys):
+        # With no tip-modified coupling every formula matches, but the
+        # compiled CNOT drives both target patterns.
+        import spintip.cli as cli
+
+        circuit = tmp_path / "c.circuit"
+        circuit.write_text("ROT 0 1.0\nCNOT 0 1\nMEASURE 1\n", encoding="utf-8")
+        config = tmp_path / "flat.config"
+        config.write_text("hyperfine_tip_modified = 0\n", encoding="utf-8")
+        argv = ["--circuit", str(circuit), "--config", str(config), "--seed", "0"]
+        assert cli.main([*argv, "--verify-frequencies"]) == 3
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        verification = report["verification"]
+        assert verification["all_formulas_matched"] is True
+        assert verification["passed"] is False
+        reason = (f"CNOT self-test failed: fidelity {verification['cnot_fidelity']!r}, "
+                  f"ancilla purity {verification['ancilla_purity']!r}")
+        assert verification["cnot_fidelity"] == pytest.approx(0.4096)
+        assert report["status"]["reasons"] == [reason]
+        assert err == f"error: {reason}\n"
+
+    def test_an_unmatched_formula_names_the_audit_alone(self, example_circuit, capsys,
+                                                        monkeypatch):
+        import spintip.cli as cli
+        from spintip import physics
+
+        exact = physics._closed_forms_exact
+
+        def shifted(cfg):
+            forms = dict(exact(cfg))
+            forms["tip_nucleus"] += 1.0
+            return forms
+
+        monkeypatch.setattr(physics, "_closed_forms_exact", shifted)
+        argv = ["--circuit", str(example_circuit), "--seed", "1", "--verify-frequencies"]
+        assert cli.main(argv) == 3
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert report["verification"]["all_formulas_matched"] is False
+        assert report["verification"]["cnot_fidelity"] >= 1.0 - 1e-9
+        assert report["status"]["reasons"] == ["closed-form frequency audit failed"]
+        assert err == "error: closed-form frequency audit failed\n"
+
     def test_trace_readout_still_infers_the_right_bits(self, example_circuit):
         done = run_cli(
             "--circuit", str(example_circuit), "--seed", "9", "--trace-snr", "10"

@@ -1,10 +1,14 @@
 """Pulse application, measurement, and thermal-state behaviour."""
 
 import bisect
+import contextlib
 import dataclasses
+import io
 import itertools
+import json
 import math
 import sys
+import tempfile
 import threading
 import tracemalloc
 
@@ -16,7 +20,9 @@ from hypothesis import strategies as st
 from spintip import (
     ApplyPulse,
     Channel,
+    CnotGate,
     ConditionalPulse,
+    InitGate,
     MachineConfig,
     MeasureViaCurrent,
     MoveTip,
@@ -25,6 +31,7 @@ from spintip import (
     PulseProgram,
     PureState,
     RegisterLayout,
+    RotGate,
     Species,
     ancilla_diagnostics,
     apply_selective_pulse,
@@ -1434,17 +1441,27 @@ class TestResolvedPulses:
         assert [o.resonant_pair_count for o in outcomes] == [2, 0, 8, 8, 2]
 
     def test_an_equal_config_is_served_the_same_resolution(self):
-        pulse = nuclear_pi(F_NUC_E0)
+        # An equal config, an equal pulse built twice and a register that
+        # differs only in its coordinates all share one entry.
         twin = MachineConfig(**{f.name: getattr(CFG, f.name) for f in dataclasses.fields(CFG)})
         assert twin == CFG and twin is not CFG
-        first = engine._resolve(pulse, LAYOUT, CFG)
-        assert engine._resolve(pulse, LAYOUT.with_tip(0), twin) is first
+        pulse, again = nuclear_pi(F_NUC_E0), nuclear_pi(F_NUC_E0)
+        assert pulse == again and pulse is not again
+        layout = RegisterLayout(2).with_tip(1)
+        moved = RegisterLayout(2, ((3, 0), (0, 5))).with_tip(1)
+        assert moved.coordinates != layout.coordinates
+        resolve = engine._resolve
+        first = resolve(pulse, layout.num_qubits, layout.tip_position, CFG)
+        assert resolve(again, moved.num_qubits, moved.tip_position, twin) is first
+        for at in (layout, moved):
+            state = PureState.product(at, {1: (0.6, 0.8)})
+            expected_state, expected = unmemoised_pulse(state.copy(), pulse, at, CFG)
+            after, outcome = apply_selective_pulse(state, again, at, twin)
+            assert held(after) == held(expected_state) and outcome == expected
 
-    def test_threads_sharing_the_memo_get_their_own_outcomes(self, monkeypatch):
-        # More threads than cores, a bound of 4 and a short switch interval,
-        # so misses evict and insert while other threads read.
-        monkeypatch.setattr(engine, "_RESOLVED_BOUND", 4)
-        monkeypatch.setattr(engine, "_resolved", {})
+    def test_threads_sharing_the_memo_get_their_own_outcomes(self):
+        # More threads than cores, a short switch interval, and a memo that
+        # every round clears, so misses insert while other threads read.
         state = PureState.product(LAYOUT, {0: (0.6, 0.8)})
         pulses = [nuclear_pi(angle=angle) for angle in np.linspace(0.1, 3.0, 40)]
         expected = [unmemoised_pulse(state.copy(), p, LAYOUT, CFG)[1] for p in pulses]
@@ -1453,12 +1470,14 @@ class TestResolvedPulses:
         def work():
             try:
                 for _ in range(20):
+                    engine._resolve.cache_clear()
                     for pulse, outcome in zip(pulses, expected):
                         if apply_selective_pulse(state.copy(), pulse, LAYOUT, CFG)[1] != outcome:
                             mismatches.append(pulse)
             except Exception as exc:  # reported by the assertion below
                 errors.append(exc)
 
+        engine._resolve.cache_clear()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -1471,12 +1490,226 @@ class TestResolvedPulses:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert (errors, mismatches) == ([], [])
-        assert len(engine._resolved) <= 4
+        assert engine._resolve.cache_info().currsize <= len(pulses)
 
     def test_the_memo_stays_at_its_bound_after_a_sweep_of_rot_gates(self):
         layout = RegisterLayout(1)
-        angles = np.linspace(0.1, 6.0, engine._RESOLVED_BOUND + 64)
+        maxsize = engine._resolve.cache_info().maxsize
+        angles = np.linspace(0.1, 6.0, maxsize + 64)
         text = "\n".join(f"ROT 0 {float(angle)!r}" for angle in angles)
         program = compile_circuit(parse_circuit(text), layout, CFG)
         execute(program, PureState.ground(layout), layout, CFG, rng=0)
-        assert len(engine._resolved) == engine._RESOLVED_BOUND
+        assert engine._resolve.cache_info().currsize == maxsize
+
+
+# -- Whole circuits against a gate-level oracle --------------------------------
+#
+# The oracle is an n-qubit vector, qubit 0 most significant like the sites:
+# ROT is exp(-i angle/2 (cos(phase) X + sin(phase) Y)), CNOT a permutation,
+# and a read consumes two draws as ``measure_via_current`` does, one for the
+# nucleus and one for the tip carbon, which a compiled gate leaves in |0>.
+# INIT is, per qubit: read, flip on 1, read again, flip on 1. The compiler
+# folds a rotation angle into (0, 2*pi], and a rotation by theta and by
+# theta + 2*pi differ by a global -1, so states agree up to that sign.
+
+ORACLE_SETTINGS = settings(deadline=None, max_examples=100)
+ORACLE_ANGLES = st.one_of(
+    st.floats(-4 * math.pi, 4 * math.pi),
+    st.floats(0.1, 3.0),
+    st.sampled_from([0.0, -0.0, math.pi, 2 * math.pi, -2 * math.pi, 4 * math.pi,
+                     1e-300, 5e-324, -5e-324]),
+)
+
+
+def oracle_bit_mask(n, qubit):
+    return ((np.arange(1 << n) >> (n - 1 - qubit)) & 1).astype(bool)
+
+
+def oracle_rot(vector, n, qubit, angle, phase):
+    c, s = math.cos(angle / 2), math.sin(angle / 2)
+    u = np.array([[c, -1j * s * np.exp(-1j * phase)], [-1j * s * np.exp(1j * phase), c]])
+    tensor = np.tensordot(u, vector.reshape((2,) * n), axes=([1], [qubit]))
+    return np.moveaxis(tensor, 0, qubit).reshape(-1)
+
+
+def oracle_flip(vector, n, qubit, control=None):
+    index = np.arange(1 << n)
+    flip = 1 << (n - 1 - qubit)
+    if control is not None:
+        flip = flip * oracle_bit_mask(n, control)
+    return vector[index ^ flip]
+
+
+def oracle_read(vector, n, qubit, rng):
+    """(bit, pre-measurement probability, collapsed vector)."""
+    ones = oracle_bit_mask(n, qubit)
+    weights = np.abs(vector) ** 2
+    p_one = weights[ones].sum() / weights.sum()
+    bit = 1 if rng.random() < p_one else 0
+    rng.random()  # the tip carbon's draw; it is |0> and reads 0
+    kept = np.where(ones == bool(bit), vector, 0.0)
+    return bit, (p_one if bit else 1.0 - p_one), kept / np.linalg.norm(kept)
+
+
+def oracle_gate(gate, vector, n, rng):
+    """(vector after ``gate``, [(bit, probability)] of its reads)."""
+    reads = []
+
+    def read(qubit):
+        nonlocal vector
+        bit, probability, vector = oracle_read(vector, n, qubit, rng)
+        reads.append((bit, probability))
+        return bit
+
+    if isinstance(gate, InitGate):
+        for qubit in range(n):
+            for _ in range(2):
+                if read(qubit):
+                    vector = oracle_flip(vector, n, qubit)
+    elif isinstance(gate, RotGate):
+        vector = oracle_rot(vector, n, gate.qubit, gate.angle, gate.phase)
+    elif isinstance(gate, CnotGate):
+        vector = oracle_flip(vector, n, gate.target, gate.control)
+    else:
+        read(gate.qubit)
+    return vector, reads
+
+
+def nuclear_index(layout):
+    """Index of the dense register tensor with every ancilla pinned to 0."""
+    return tuple(slice(None) if site < layout.tip_site and site % 2 == 0 else 0
+                 for site in range(layout.num_sites))
+
+
+def ground_vector(n):
+    vector = np.zeros(1 << n, dtype=np.complex128)
+    vector[0] = 1.0
+    return vector
+
+
+def assert_agree_up_to_sign(amplitudes, vector, tolerance=1e-12):
+    error = min(np.max(np.abs(amplitudes - vector)), np.max(np.abs(amplitudes + vector)))
+    assert error <= tolerance
+
+
+def assert_reads_agree(seen, reads):
+    """``seen`` holds (inferred p bit, inferred a bit, probability) per read."""
+    assert [(p_bit, a_bit) for p_bit, a_bit, _ in seen] == [(bit, 0) for bit, _ in reads]
+    for (_, _, seen_probability), (_, probability) in zip(seen, reads):
+        assert abs(seen_probability - probability) <= 1e-12
+
+
+@st.composite
+def oracle_circuits(draw, max_qubits=6):
+    """Circuit text on 1..``max_qubits`` qubits: ROT, CNOT, MEASURE and INIT."""
+    n = draw(st.integers(1, max_qubits))
+    qubits = st.integers(0, n - 1)
+    rot = st.builds("ROT {} {!r} {!r}".format, qubits, ORACLE_ANGLES, st.floats(-10.0, 10.0))
+    gates = [rot, rot, st.builds("MEASURE {}".format, qubits), st.just("INIT")]
+    if n > 1:  # rotations and CNOTs twice as often as reads
+        pair = st.lists(qubits, min_size=2, max_size=2, unique=True)
+        gates += [pair.map(lambda p: f"CNOT {p[0]} {p[1]}")] * 2
+    lines = draw(st.lists(st.one_of(gates), max_size=8))
+    return n, "\n".join(lines + [f"MEASURE {draw(qubits)}"])
+
+
+@st.composite
+def oracle_inputs(draw, n):
+    """(library state, oracle vector): ground, a random product, or entangled."""
+    layout = RegisterLayout(n)
+    kind = draw(st.sampled_from(["ground", "product", "entangled"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "ground":
+        return PureState.ground(layout), ground_vector(n)
+    if kind == "product":
+        factors = {q: tuple(rng.normal(size=2) + 1j * rng.normal(size=2))
+                   for q in range(n) if rng.random() < 0.7}
+        vector = np.ones(1, dtype=np.complex128)
+        for qubit in range(n):
+            factor = np.array(factors.get(qubit, (1.0, 0.0)))
+            vector = np.kron(vector, factor / np.linalg.norm(factor))
+        return PureState.product(layout, factors), vector
+    vector = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    vector /= np.linalg.norm(vector)
+    dense = np.zeros(layout.dimension, dtype=np.complex128)
+    dense.reshape((2,) * layout.num_sites)[nuclear_index(layout)] = vector.reshape((2,) * n)
+    state = PureState(dense, layout.num_sites)
+    for site in [*range(1, layout.tip_site, 2), layout.tip_site]:
+        measure_spin(state, site, 0)  # every electron and the tip read 0 and drop out
+    assert state.sites == tuple(range(0, layout.tip_site, 2))
+    return state, vector
+
+
+class TestWholeCircuitsAgainstTheGateOracle:
+    @ORACLE_SETTINGS
+    @given(oracle_circuits(), st.data(), st.integers(0, 2**32 - 1))
+    def test_compiled_circuits_do_what_their_gates_say(self, case, data, seed):
+        n, text = case
+        state, vector = data.draw(oracle_inputs(n))
+        layout = RegisterLayout(n)
+        circuit = parse_circuit(text)
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        start = state  # execute leaves its input alone
+        ancillas = {*range(1, layout.tip_site, 2), layout.tip_site}
+        real = engine.apply_selective_pulse
+
+        def checked(state, pulse, layout, cfg):
+            expected_state, expected = unmemoised_pulse(state.copy(), pulse, layout, cfg)
+            after, outcome = real(state, pulse, layout, cfg)
+            assert held(after) == held(expected_state) and outcome == expected
+            return after, outcome
+
+        records = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "apply_selective_pulse", checked)
+            for gate in circuit.gates:
+                result = execute(compiler.compile_gate(gate, layout, CFG), state, layout,
+                                 CFG, rng=rng)
+                state = result.final_state
+                vector, reads = oracle_gate(gate, vector, n, oracle_rng)
+                # Every ancilla is dormant; a CNOT onto a dormant target
+                # nucleus leaves it a copy of its control.
+                assert ancillas.isdisjoint(state.sites) and ancillas.isdisjoint(state.slaves)
+                dense = state.amplitudes.reshape((2,) * layout.num_sites)
+                assert_agree_up_to_sign(dense[nuclear_index(layout)].reshape(-1), vector)
+                assert_reads_agree([(r.inferred_p_bit, r.inferred_a_bit,
+                                     r.pre_measurement_probability) for r in result.records],
+                                   reads)
+                records += result.records
+        # The linked program, read from the memoised tasks, runs the same bits.
+        whole = execute(compile_circuit(circuit, layout, CFG), start, layout, CFG, rng=seed)
+        assert held(whole.final_state) == held(state)
+        assert whole.records == tuple(records)
+
+    @settings(deadline=None, max_examples=4)
+    @given(oracle_circuits(max_qubits=4), st.integers(0, 2**32 - 1))
+    def test_the_command_line_dumps_what_the_oracle_holds(self, case, seed):
+        text = case[1]
+        circuit = parse_circuit(text)
+        n = circuit.num_qubits  # the command line's register ends at the highest qubit named
+        vector, reads = ground_vector(n), []
+        oracle_rng = np.random.default_rng(seed)
+        for gate in circuit.gates:
+            vector, gate_reads = oracle_gate(gate, vector, n, oracle_rng)
+            reads += gate_reads
+        with tempfile.TemporaryDirectory() as scratch:
+            path, dump = f"{scratch}/c.circuit", f"{scratch}/final.state"
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(["--circuit", path, "--seed", str(seed), "--dump-state", dump])
+            with open(dump, encoding="utf-8") as handle:
+                lines = handle.read().splitlines()
+        assert code == 0
+        report = json.loads(out.getvalue())
+        assert_reads_agree([(m["inferred_p_bit"], m["inferred_a_bit"],
+                             m["pre_measurement_probability"]) for m in report["measurements"]],
+                           reads)
+        dumped = np.zeros(1 << n, dtype=np.complex128)
+        for line in lines:
+            bits, re, im = line.split()
+            assert set(bits[1::2] + bits[-1]) == {"0"}  # every electron and the tip in |0>
+            dumped[int(bits[0::2][:n], 2)] = complex(float(re), float(im))
+        # The dump leaves out amplitudes of modulus up to 1e-12.
+        assert_agree_up_to_sign(dumped, vector, tolerance=2e-12)
