@@ -282,12 +282,14 @@ def _report_json(report):
     try:
         if json.encoder.c_make_encoder is None:
             return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
-        return _json_text(report, 0)
+        chunks = []
+        _json_chunks(report, 0, chunks)
+        return "".join(chunks)
     except ValueError:
         raise ConfigError("the report would hold a non-finite number") from None
 
 
-#: Types json writes as one token; a subclass of one goes through ``_json_text`` alone.
+#: Types json writes as one token; a subclass of one goes through ``_json_chunks`` alone.
 _SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
 
 
@@ -300,31 +302,40 @@ def _flat_encoder(depth):
     )
 
 
-def _json_text(value, depth):
-    """``value`` at ``depth`` indents, as ``json.dumps(indent=2, sort_keys=True)`` writes it.
+def _json_chunks(value, depth, chunks):
+    """Append ``value`` at ``depth`` indents, as ``json.dumps(indent=2, sort_keys=True)`` writes it.
 
     A container whose values are all scalars goes through json's C encoder
     in one call, with the newline and indent in its item separator; only the
     nesting is written here. Keys of a nested dict are strings, as in every
     report.
     """
-    if not isinstance(value, (dict, list, tuple)):
-        return "".join(_flat_encoder(depth)(value, 0))
+    is_dict = isinstance(value, dict)
+    if not (is_dict or isinstance(value, (list, tuple))):
+        chunks += _flat_encoder(depth)(value, 0)
+        return
     if not value:
-        return "{}" if isinstance(value, dict) else "[]"
-    items = value.values() if isinstance(value, dict) else value
+        chunks.append("{}" if is_dict else "[]")
+        return
     inner, outer = "\n" + "  " * (depth + 1), "\n" + "  " * depth
-    if _SCALAR_TYPES.issuperset(map(type, items)):
+    if _SCALAR_TYPES.issuperset(map(type, value.values() if is_dict else value)):
         text = "".join(_flat_encoder(depth + 1)(value, 0))
-        return text[0] + inner + text[1:-1] + outer + text[-1]
-    if isinstance(value, dict):
-        parts = (
-            json.encoder.encode_basestring_ascii(key) + ": " + _json_text(value[key], depth + 1)
-            for key in sorted(value)
-        )
-        return "{" + inner + ("," + inner).join(parts) + outer + "}"
-    parts = (_json_text(item, depth + 1) for item in value)
-    return "[" + inner + ("," + inner).join(parts) + outer + "]"
+        chunks += (text[0], inner, text[1:-1], outer, text[-1])
+        return
+    separator = inner
+    if is_dict:
+        chunks.append("{")
+        for key in sorted(value):
+            chunks += (separator, json.encoder.encode_basestring_ascii(key), ": ")
+            _json_chunks(value[key], depth + 1, chunks)
+            separator = "," + inner
+    else:
+        chunks.append("[")
+        for item in value:
+            chunks.append(separator)
+            _json_chunks(item, depth + 1, chunks)
+            separator = "," + inner
+    chunks += (outer, "}" if is_dict else "]")
 
 
 def _fresh_seed():

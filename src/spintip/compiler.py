@@ -10,7 +10,9 @@ The lines are derived once per config on a one-qubit register (``drive_lines``)
 and reused for every qubit of every register. That holds because couplings are
 uniform across qubits: a site's ``pattern_lines`` depend only on the config and
 on the bits of its partners (its own nucleus or electron, and the tip carbon
-while the tip sits on its qubit), never on which qubit or how many.
+while the tip sits on its qubit), never on which qubit or how many. For the
+same reason one check on that register proves every drive selective
+(``unselective_drive``), which ``MachineConfig.validate`` requires.
 """
 
 import dataclasses
@@ -74,6 +76,32 @@ def drive_lines(cfg):
             "target_nucleus": nucleus[1],
         }
     )
+
+
+@functools.lru_cache(maxsize=8)
+def unselective_drive(cfg):
+    """(role, line count) of the first ``drive_lines`` role that is not selective, or None.
+
+    A pulse drives every partner pattern of its addressed site whose line
+    lies within ``selectivity_tolerance`` of its frequency (the engine's
+    resonance test), and only the channel and the tip pick that site. So a
+    compiled pulse does what its role says exactly when its own line is the
+    one line of its site in that window. That is checked on the one-qubit
+    register with the tip engaged, where every role is driven; couplings are
+    uniform across qubits, so it holds on every register. Memoised per
+    config, which ``MachineConfig.validate`` checks on every call.
+    """
+    layout = RegisterLayout(1, tip_position=0)
+    nucleus, electron, tip = layout.nucleus_site(0), layout.electron_site(0), layout.tip_site
+    sites = {"rotation": nucleus, "control_electron": electron, "tip_nucleus": tip,
+             "target_electron_n1": electron, "target_electron_n0": electron,
+             "target_nucleus": nucleus}
+    for role, drive in drive_lines(cfg).items():
+        lines = physics.pattern_lines(layout, cfg, sites[role])[1]
+        count = sum(abs(line - drive) <= cfg.selectivity_tolerance for line in lines)
+        if count > 1:
+            return role, count
+    return None
 
 
 def _nuclear_pulse(cfg, frequency, angle=_PI, phase=0.0, mode=PulseMode.LOGICAL_X):
@@ -235,7 +263,7 @@ class GateTask:
 
 @functools.lru_cache(maxsize=256)
 def _gate_tasks(gate, text, num_qubits, coordinates, cfg):
-    """Every GateTask field after ``gate_index``, for each task of one gate.
+    """Every GateTask field but ``gate_index``, as a dict, for each task of one gate.
 
     ``text`` is ``repr(gate)``: equal gates can compile to different bytes
     (``RotGate(0, 1.0, 0.0) == RotGate(0, 1.0, -0.0)``, and a phase is listed
@@ -258,7 +286,8 @@ def _gate_tasks(gate, text, num_qubits, coordinates, cfg):
         walked = timing.walk(chunk[1:], layout, cfg, chunk[0].target)
         work = tuple(duration for duration, _ in walked)
         end = [i.target for i in chunk if isinstance(i, MoveTip)][-1]
-        tasks.append((label, qubits, chunk, work, end, tuple(map(instruction_text, chunk))))
+        tasks.append(dict(label=label, qubits=qubits, instructions=chunk, work=work,
+                          end_position=end, lines=tuple(map(instruction_text, chunk))))
     return tuple(tasks)
 
 
@@ -270,14 +299,18 @@ def expand_tasks(circuit, layout, cfg):
     list. A gate's tasks come from a bounded memo keyed by the gate, the
     register geometry and the config (by equality, like ``drive_lines``), so
     a gate that recurs in a process is compiled once; only the gate index is
-    set per occurrence.
+    set per occurrence. The memoised fields are valid already, so a task is
+    built as ``RegisterLayout.with_tip`` builds its copy, without the frozen
+    dataclass ``__init__``.
     """
     geometry = (layout.num_qubits, layout.coordinates, cfg)
-    return [
-        GateTask(gate_index, *task)
-        for gate_index, gate in enumerate(circuit.gates)
-        for task in _gate_tasks(gate, repr(gate), *geometry)
-    ]
+    tasks = []
+    for gate_index, gate in enumerate(circuit.gates):
+        for fields in _gate_tasks(gate, repr(gate), *geometry):
+            task = object.__new__(GateTask)
+            task.__dict__.update(fields, gate_index=gate_index)
+            tasks.append(task)
+    return tasks
 
 
 def link(tasks):
@@ -333,22 +366,26 @@ def execute(program, state, layout, cfg, rng, trace_snr=None):
     records = []
     pulse_log = []
     last_inferred = None
+    # Most instructions are pulses, so they are tested for first.
     for position, instruction in enumerate(program.instructions):
-        if isinstance(instruction, MoveTip):
-            current = current.with_tip(instruction.target)
-        elif isinstance(instruction, (ApplyPulse, ConditionalPulse)):
-            outcome = None
-            if isinstance(instruction, ApplyPulse) or last_inferred == 1:
-                state, outcome = engine.apply_selective_pulse(
-                    state, instruction.pulse, current, cfg
-                )
+        if isinstance(instruction, ApplyPulse):
+            state, outcome = engine.apply_selective_pulse(state, instruction.pulse, current, cfg)
             pulse_log.append((position, outcome))
+        elif isinstance(instruction, MoveTip):
+            current = current.with_tip(instruction.target)
         elif isinstance(instruction, MeasureViaCurrent):
             record, state = readout.measure_via_current(
                 state, instruction.qubit, current, cfg, rng, trace_snr
             )
             records.append(record)
             last_inferred = record.inferred_p_bit
+        elif isinstance(instruction, ConditionalPulse):
+            outcome = None
+            if last_inferred == 1:
+                state, outcome = engine.apply_selective_pulse(
+                    state, instruction.pulse, current, cfg
+                )
+            pulse_log.append((position, outcome))
     return ExecutionResult(
         final_state=state,
         records=tuple(records),

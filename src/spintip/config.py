@@ -65,7 +65,8 @@ class MachineConfig:
     lengths in m, field in T, temperature in K. Every value is a float from
     construction on, so two equal configs list, time and hash alike; a value
     that is not a real number, or one beyond the float range, is a
-    ConfigError.
+    ConfigError. The hash is the dataclass hash of the values, computed once
+    at construction: the memos keyed by a config hash it on every lookup.
     """
 
     magnetic_field: float = 5.0
@@ -85,14 +86,20 @@ class MachineConfig:
     trace_duration: float = 0.05             # s of synthetic trace
 
     def __post_init__(self):
+        values = []
         for field in dataclasses.fields(self):
             value = getattr(self, field.name)
             if not isinstance(value, numbers.Real):
                 raise ConfigError(f"{field.name} must be a number, got {value!r}")
             try:
-                object.__setattr__(self, field.name, float(value))
+                values.append(float(value))
             except OverflowError:
                 raise ConfigError(f"{field.name} must be finite, got one beyond float") from None
+            object.__setattr__(self, field.name, values[-1])
+        object.__setattr__(self, "_hash", hash(tuple(values)))
+
+    def __hash__(self):
+        return self._hash
 
     def validate(self):
         """Raise ConfigError on nonsense; warn on merely questionable values.
@@ -118,13 +125,21 @@ class MachineConfig:
             )
         # Selectivity must resolve individual transition lines, otherwise a
         # "selective" pulse would drive several of them at once.
-        from . import physics  # deferred: physics imports this module
+        from . import compiler, physics  # deferred: both import this module
 
         gap = physics.min_spectral_gap(self)
         if gap > 0 and self.selectivity_tolerance >= gap:
             raise ConfigError(
                 f"selectivity_tolerance {self.selectivity_tolerance:g} Hz does not "
                 f"resolve the smallest transition-line gap {gap:g} Hz"
+            )
+        # The gap clusters coinciding lines, so check each compiled drive too.
+        unselective = compiler.unselective_drive(self)
+        if unselective is not None:
+            role, count = unselective
+            raise ConfigError(
+                f"the {role} drive is not selective: {count} lines of its site lie within "
+                f"selectivity_tolerance {self.selectivity_tolerance:g} Hz of it"
             )
         return self
 

@@ -39,11 +39,13 @@ memoised plan (``_slab_plan``): the reshape and slice keys depend only on
 the axes of the addressed site and of the live sites its partners read, so a
 pulse reshapes once and indexes. Populations and measurement read and zero
 the halves of a site through the same plan. A pulse is resolved once per
-pulse value, qubit count, tip position and config, in a bounded
+channel, frequency, qubit count, tip position and config, in a bounded
 ``lru_cache`` (``_resolve``: its site, partners, resonant patterns and idle
-outcome), and one that can move nothing -- a dormant site whose every
-resonant pattern pins a dormant partner to 1 -- returns before any array is
-touched.
+outcome), so ROT pulses of any angle and phase share one entry; one that can
+move nothing -- a dormant site whose every resonant pattern pins a dormant
+partner to 1 -- returns before any array is touched. A pulse or collapse
+finds each axis it reads once per call, and a state with no slaved site
+skips the slave map.
 
 ``apply_selective_pulse`` and ``measure_spin`` drive or collapse the state
 they are given and return that same object, whose tensor is replaced when a
@@ -248,29 +250,29 @@ class PureState:
         return _half(self.tensor, axis, bit)
 
     def _wake(self, site):
-        """Give a dormant site its axis, with an all-zero |1> half."""
+        """Give a dormant site its axis, with an all-zero |1> half; return the axis."""
         axis = bisect.bisect_left(self.sites, site)
         woken = np.zeros(2 * self.tensor.size, dtype=np.complex128)
         half = _half(woken, axis, 0)
         half[...] = self.tensor.reshape(half.shape)
         self.sites = self.sites[:axis] + (site,) + self.sites[axis:]
         self.tensor = woken
+        return axis
 
-    def _drop(self, site):
-        """Make a live site whose |1> half is zero dormant: keep its |0> half.
+    def _drop(self, axis):
+        """Make the live site at ``axis``, whose |1> half is zero, dormant: keep its |0> half.
 
         The half is copied, so the old tensor's buffer is freed even where a
         reshape of the half could have been a view into it.
         """
-        axis = self._axis(site)
         self.tensor = _half(self.tensor, axis, 0).copy().reshape(-1)
         self.sites = self.sites[:axis] + self.sites[axis + 1 :]
 
     def _materialise(self, site):
         """Give a slaved site its axis, holding its source's bit."""
         source = self.slaves.pop(site)
-        self._wake(site)
-        shape, slabs, _ = _slab_plan(self._axis(site), (self._axis(source),))
+        axis = self._wake(site)
+        shape, slabs, _ = _slab_plan(axis, (self._axis(source),))
         zero, one = slabs[1]  # the site's 0 and 1 slabs where the source is 1
         view = self.tensor.reshape(shape)
         view[one] = view[zero]
@@ -377,8 +379,13 @@ def _half(tensor, axis, bit):
 
 
 def _sum_squares(view):
-    """Sum of |amplitude|^2 over ``view``: the C reduction ``np.sum`` reaches."""
-    return float(np.add.reduce(np.abs(view) ** 2, axis=None))
+    """Sum of |amplitude|^2 over ``view``: the C reduction ``np.sum`` reaches.
+
+    The moduli are squared in place; ``np.square`` is what ``** 2`` calls.
+    """
+    squares = np.abs(view)
+    np.square(squares, out=squares)
+    return float(np.add.reduce(squares, axis=None))
 
 
 def _any(view):
@@ -414,29 +421,24 @@ def _addressed_site(channel, layout):
     return layout.nucleus_site(layout.tip_position)
 
 
-def _plan(state, site, sources):
-    """The tensor reshaped for a pulse on ``site``, its slab keys and |1> half key."""
-    shape, slabs, one = _slab_plan(state._axis(site), tuple(map(state._axis, sources)))
-    return state.tensor.reshape(shape), slabs, one
-
-
 @functools.lru_cache(maxsize=1024)
-def _resolve(pulse, num_qubits, tip_position, cfg):
-    """(site, partners, hits, swap, idle outcome) of a pulse at this tip, memoised.
+def _resolve(channel, frequency, num_qubits, tip_position, cfg):
+    """(site, partners, hits, idle outcome) of a drive at this tip, memoised.
 
     ``hits`` are the resonant pattern indices and the idle outcome is the
     ``PulseOutcome`` of a pulse that moves nothing. A resolution is a pure
-    function of these values: coordinates never enter a flip line, so
-    registers that differ only there share an entry.
+    function of these values: a pulse's angle, phase, duration and mode never
+    enter it, and coordinates never enter a flip line, so ROT pulses of any
+    angle, and registers that differ only in their coordinates, share an
+    entry.
     """
     layout = RegisterLayout(num_qubits, tip_position=tip_position)
-    site = _addressed_site(pulse.channel, layout)
+    site = _addressed_site(channel, layout)
     partners, lines = physics.pattern_lines(layout, cfg, site)
     hits = tuple(index for index, line in enumerate(lines)
-                 if abs(line - pulse.frequency) <= cfg.selectivity_tolerance)
+                 if abs(line - frequency) <= cfg.selectivity_tolerance)
     count = len(hits) << (layout.num_sites - 1 - len(partners))
-    swap = pulse.mode is PulseMode.LOGICAL_X and pulse.angle == math.pi
-    return site, partners, hits, swap, PulseOutcome(count, 0.0, True)
+    return site, partners, hits, PulseOutcome(count, 0.0, True)
 
 
 def apply_selective_pulse(state, pulse, layout, cfg):
@@ -477,49 +479,67 @@ def apply_selective_pulse(state, pulse, layout, cfg):
         raise MismatchedRegister(
             f"state of {state.num_sites} sites under a {layout.num_sites}-site layout"
         )
-    site, partners, hits, swap, idle = _resolve(pulse, layout.num_qubits, layout.tip_position, cfg)
-    source = state.slaves.get(site)
-    if source is None and state._axis(site) is None:
-        # A dormant site is no slave's source, so nothing is materialised.
-        axes = tuple(state._axis(state.slaves.get(partner, partner)) for partner in partners)
-        slabs = _slab_plan(None, axes)[1]
-        if all(slabs[index] is None for index in hits):
-            return state, idle
-
-    for slave in [slave for slave, of in state.slaves.items() if of == site]:
-        state._materialise(slave)
-    sources = tuple(state.slaves.get(partner, partner) for partner in partners)
-    copied = None
-    if swap and state._axis(site) is None:
-        copied = _copied_axis(tuple(map(state._axis, sources)), hits)
-    if copied is not None and source in (None, state.sites[copied]):
-        half = _half(state.tensor, copied, 1)
-        population = _sum_squares(half)
-        if source is not None:
-            del state.slaves[site]
-        elif population > 0.0 or _any(half):  # a live-site engine wakes no empty site
-            state.slaves[site] = state.sites[copied]
-    else:
+    site, partners, hits, idle = _resolve(
+        pulse.channel, pulse.frequency, layout.num_qubits, layout.tip_position, cfg
+    )
+    swap = pulse.mode is PulseMode.LOGICAL_X and pulse.angle == math.pi
+    slaves = state.slaves
+    source = slaves.get(site)
+    axis = state._axis(site)
+    if axis is not None and slaves:
+        for slave in [slave for slave, of in slaves.items() if of == site]:
+            state._materialise(slave)
+        axis = state._axis(site)
+    sources = tuple(slaves.get(partner, partner) for partner in partners) if slaves else partners
+    axes = tuple(map(state._axis, sources))
+    if axis is None:
+        # A site that is not live is no slave's source, so nothing was materialised.
+        if source is None:
+            slabs = _slab_plan(None, axes)[1]
+            if not any(map(slabs.__getitem__, hits)):  # each is None or a tuple of keys
+                return state, idle
+        copied = _copied_axis(axes, hits) if swap else None
+        if copied is not None and source in (None, state.sites[copied]):
+            half = _half(state.tensor, copied, 1)
+            population = _sum_squares(half)
+            if source is not None:
+                del slaves[site]
+            elif population > 0.0 or _any(half):  # a live-site engine wakes no empty site
+                slaves[site] = state.sites[copied]
+            return state, _outcome(idle, population)
         if source is not None:
             state._materialise(site)
-        population = _drive(state, pulse, site, sources, hits, swap)
+            axis = state._axis(site)
+            axes = tuple(map(state._axis, sources))
+    population = _drive(state, pulse, site, axis, axes, hits, swap)
+    return state, _outcome(idle, population)
+
+
+def _outcome(idle, population):
+    """The outcome of a pulse that moved ``population``: the shared idle one for 0.0."""
     if population == 0.0:
-        return state, idle
-    outcome = PulseOutcome(
+        return idle
+    return PulseOutcome(
         resonant_pair_count=idle.resonant_pair_count,
         resonant_population=population,
         no_resonant_transition=population <= IDLE_POPULATION,
     )
-    return state, outcome
 
 
-def _drive(state, pulse, site, sources, hits, swap):
-    """Swap or rotate the resonant slabs of a live or dormant ``site``; return their weight."""
-    view, slabs, one = _plan(state, site, sources)
+def _drive(state, pulse, site, axis, axes, hits, swap):
+    """Swap or rotate the resonant slabs of ``site``; return their weight.
+
+    ``axis`` is the site's live axis, or None while it is dormant, and
+    ``axes`` the live axes its partners read.
+    """
+    shape, slabs, one = _slab_plan(axis, axes)
+    view = state.tensor.reshape(shape)
     occupied = [index for index in hits if slabs[index] is not None]
     if one is None and any(_any(view[slabs[index][0]]) for index in occupied):
-        state._wake(site)
-        view, slabs, one = _plan(state, site, sources)
+        axis = state._wake(site)
+        axes = tuple(a if a is None or a < axis else a + 1 for a in axes)
+        shape, slabs, one = _slab_plan(axis, axes)
+        view = state.tensor.reshape(shape)
     population = 0.0
     if one is not None:
         if not swap:
@@ -537,7 +557,7 @@ def _drive(state, pulse, site, sources, hits, swap):
                 a1[...] = u10 * a0 + u11 * a1
                 a0[...] = rotated0
         if not _any(view[one]):
-            state._drop(site)
+            state._drop(axis)
     return population
 
 
@@ -556,18 +576,24 @@ def measure_spin(state, site, rng):
     rng = np.random.default_rng(rng)
     for slave in tuple(state.slaves):
         state._materialise(slave)
-    total = _sum_squares(state.tensor)
+    tensor = state.tensor
+    total = _sum_squares(tensor)
     if not math.sqrt(total) >= 1e-9:
         raise DegenerateState(f"state norm {math.sqrt(total):.3e} is too small to measure")
-    p_one = state.population(site, 1) / total
+    axis = state._axis(site)
+    p_one = 0.0  # a dormant site
+    if axis is not None:
+        shape, slabs, _ = _slab_plan(axis, ())
+        view = tensor.reshape(shape)
+        halves = slabs[0]
+        p_one = _sum_squares(view[halves[1]]) / total
     bit = 1 if rng.random() < p_one else 0
     probability = p_one if bit == 1 else 1.0 - p_one
-    lost = state._slab(site, 1 - bit)
-    if lost is not None:
-        lost[...] = 0.0
-    norm = np.linalg.norm(state.tensor)
-    if bit == 0 and state._axis(site) is not None:
-        state._drop(site)
+    if axis is not None:
+        view[halves[1 - bit]] = 0.0
+    norm = np.linalg.norm(tensor)
+    if bit == 0 and axis is not None:
+        state._drop(axis)
     state.tensor /= norm
     return bit, state, float(probability)
 

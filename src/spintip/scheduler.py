@@ -58,18 +58,21 @@ def schedule_multi_tip(tasks, num_tips, layout, cfg):
     result is the plain ``num_tips`` plan unless fewer tips are strictly
     shorter. The search stops at the first plan that leaves a tip idle: idle
     tips are identical and ties go to the lowest index, so every larger k
-    gives that same plan.
+    gives that same plan. Only the kept plan's rows become ``TimelineEntry``
+    objects.
     """
     if num_tips < 1:
         raise ValueError(f"need at least one tip, got {num_tips}")
     best = None
     for tips in range(1, max(1, min(num_tips, len(tasks))) + 1):
-        plan = _list_schedule(tasks, tips, layout, cfg)  # (per-task tips, timeline, makespan)
+        plan = _list_schedule(tasks, tips, layout, cfg)  # (per-task tips, rows, makespan)
         if best is None or plan[2] <= best[2]:
             best = plan
         if len(set(plan[0])) < tips:
             break
-    return TipAssignment(num_tips, *best)
+    per_task_tip, rows, makespan = best
+    return TipAssignment(num_tips, per_task_tip, tuple(TimelineEntry(*row) for row in rows),
+                         makespan)
 
 
 def _list_schedule(tasks, num_tips, layout, cfg):
@@ -79,7 +82,8 @@ def _list_schedule(tasks, num_tips, layout, cfg):
     a qubit) and by the chosen tip's travel; ties go to the lowest tip index.
     Every tip that worked parks afterwards, and the makespan includes those
     final retreats — mirroring what serial compilation emits. Returns the
-    per-task tips, the timeline and the makespan.
+    per-task tips, the timeline as ``TimelineEntry`` field tuples and the
+    makespan.
     """
     moves = timing.move_table(layout.num_qubits, layout.coordinates, cfg)
     free = [0.0] * num_tips
@@ -88,7 +92,11 @@ def _list_schedule(tasks, num_tips, layout, cfg):
     assignment = []
     timeline = []
     for task in tasks:
-        ready = max((qubit_release.get(q, 0.0) for q in task.qubits), default=0.0)
+        ready = 0.0  # the latest release of the task's qubits; times are never negative
+        for qubit in task.qubits:
+            release = qubit_release.get(qubit, 0.0)
+            if release > ready:
+                ready = release
         first = task.first_position
         best = None
         for tip in range(num_tips):
@@ -101,7 +109,7 @@ def _list_schedule(tasks, num_tips, layout, cfg):
         for duration in task.work:
             end += duration
         assignment.append(tip)
-        timeline.append(TimelineEntry(tip, start, end, task.label, task.gate_index))
+        timeline.append((tip, start, end, task.label, task.gate_index))
         free[tip] = end
         position[tip] = task.end_position
         for qubit in task.qubits:
@@ -110,7 +118,7 @@ def _list_schedule(tasks, num_tips, layout, cfg):
         if position[tip] is PARKED:
             continue
         park = moves(position[tip], PARKED)
-        timeline.append(TimelineEntry(tip, free[tip], free[tip] + park, "PARK", None))
+        timeline.append((tip, free[tip], free[tip] + park, "PARK", None))
         free[tip] += park
     return tuple(assignment), tuple(timeline), max(free)
 

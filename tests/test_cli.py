@@ -141,11 +141,15 @@ class TestSingleRuns:
         assert done.returncode == 0, done.stderr
         assert json.loads(done.stdout)["verification"]["all_formulas_matched"] is True
 
-    def test_a_failed_cnot_self_test_is_named_with_its_numbers(self, tmp_path, capsys):
+    def test_a_failed_cnot_self_test_is_named_with_its_numbers(self, tmp_path, capsys,
+                                                               monkeypatch):
         # With no tip-modified coupling every formula matches, but the
-        # compiled CNOT drives both target patterns.
+        # compiled CNOT drives both target patterns. Such a config is refused
+        # at load, so the selectivity check is switched off to reach the test.
         import spintip.cli as cli
+        from spintip import compiler
 
+        monkeypatch.setattr(compiler, "unselective_drive", lambda cfg: None)
         circuit = tmp_path / "c.circuit"
         circuit.write_text("ROT 0 1.0\nCNOT 0 1\nMEASURE 1\n", encoding="utf-8")
         config = tmp_path / "flat.config"
@@ -459,18 +463,53 @@ class TestFailureModes:
         assert done.stderr.startswith("error: sample rate 1000 cannot represent")
         assert done.stderr.count("\n") == 1
 
-    def test_coinciding_readout_lines_exit_three(self, example_circuit, tmp_path):
-        # Without tip coupling the tip bit no longer moves the readout line,
-        # so a traced read cannot tell the lines apart.
+    def test_coinciding_readout_lines_exit_two_at_load(self, example_circuit, tmp_path):
+        # Without tip coupling the tip bit no longer moves the electron's
+        # lines, so neither a CNOT nor a traced read can tell them apart. The
+        # config is refused before any run; the library's classifier still
+        # raises on such lines.
+        from spintip import MachineConfig, classify_frequency, modulation_frequency
+        from spintip.errors import UnclassifiableFrequency
+
         config = tmp_path / "untipped.config"
         config.write_text("tip_hyperfine = 0\n", encoding="utf-8")
         done = run_cli(
             "--circuit", str(example_circuit), "--config", str(config),
             "--seed", "0", "--trace-snr", "10",
         )
-        assert done.returncode == 3
-        assert done.stderr.startswith("error: ")
+        assert done.returncode == 2
+        assert done.stdout == ""
+        assert done.stderr.startswith("error: the control_electron drive is not selective")
         assert done.stderr.count("\n") == 1
+        untipped = MachineConfig(tip_hyperfine=0.0)
+        with pytest.raises(UnclassifiableFrequency, match="matched 2 modulation lines"):
+            classify_frequency(modulation_frequency(0, 0, untipped), untipped)
+
+    @pytest.mark.parametrize(
+        "setting, role",
+        [
+            ("hyperfine_tip_modified = 0", "rotation"),
+            ("tip_hyperfine = 0", "control_electron"),
+            ("magnetic_field = 1e16", "control_electron"),
+        ],
+    )
+    @pytest.mark.parametrize("flags", [[], ["--verify-frequencies"]])
+    def test_a_config_whose_cnot_would_be_wrong_exits_two(self, tmp_path, capsys, setting, role,
+                                                          flags):
+        # Each of these ran a wrong CNOT and exited 0 (fidelity 0.4096, 0.4096
+        # and 0.1296 under --verify-frequencies, which exited 3).
+        import spintip.cli as cli
+
+        circuit = tmp_path / "c.circuit"
+        circuit.write_text("ROT 0 1.0\nCNOT 0 1\nMEASURE 1\n", encoding="utf-8")
+        config = tmp_path / "wrong.config"
+        config.write_text(setting + "\n", encoding="utf-8")
+        argv = ["--circuit", str(circuit), "--config", str(config), "--seed", "0", *flags]
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: the {role} drive is not selective: ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("setting", ["trace_duration = 1e-30", "trace_sample_rate = 1e30"])
     def test_trace_length_out_of_range_exits_two(self, example_circuit, tmp_path, setting):

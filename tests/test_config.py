@@ -3,6 +3,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spintip import SPECIES_INFO, MachineConfig, Species, config, load_machine_config
 from spintip.errors import ConfigError
@@ -111,10 +113,108 @@ def test_positive_quantities_enforced(field):
         cfg.validate()
 
 
-@pytest.mark.parametrize("field", COUPLINGS)
+@pytest.mark.parametrize("field", ["hyperfine_bare"])
 def test_a_coupling_may_vanish(field):
+    # No compiled drive addresses a site whose line the bare coupling splits.
     cfg = dataclasses.replace(MachineConfig(), **{field: 0.0})
     assert cfg.validate() is cfg
+
+
+@pytest.mark.parametrize(
+    "field, value, role, count",
+    [
+        ("hyperfine_tip_modified", 0.0, "rotation", 2),
+        ("tip_hyperfine", 0.0, "control_electron", 2),
+        # Electron lines near 2.8e26 Hz, whose ulp of 3.4e10 Hz exceeds every coupling.
+        ("magnetic_field", 1e16, "control_electron", 4),
+    ],
+)
+def test_a_drive_that_meets_several_lines_of_its_site_is_refused(field, value, role, count):
+    # min_spectral_gap clusters lines that coincide, so it accepts all three;
+    # each compiled CNOT would then drive several partner patterns.
+    cfg = dataclasses.replace(MachineConfig(), **{field: value})
+    from spintip import physics
+
+    gap = physics.min_spectral_gap(cfg)
+    assert not (gap > 0 and cfg.selectivity_tolerance >= gap)
+    with pytest.raises(ConfigError, match=f"^the {role} drive is not selective: {count} lines "):
+        cfg.validate()
+
+
+def test_the_selectivity_check_runs_once_per_config():
+    from spintip import compiler
+
+    cfg = dataclasses.replace(MachineConfig(), magnetic_field=4.25)
+    cfg.validate()
+    misses = compiler.unselective_drive.cache_info().misses
+    for twin in (cfg, dataclasses.replace(cfg), MachineConfig(**_values(cfg))):
+        assert twin.validate() is twin
+    assert compiler.unselective_drive.cache_info().misses == misses
+
+
+def _values(cfg):
+    return {field.name: getattr(cfg, field.name) for field in dataclasses.fields(cfg)}
+
+
+def _decades(low, high):
+    return st.floats(low, high).map(lambda exponent: 10.0**exponent)
+
+
+@settings(deadline=None, max_examples=120)
+@given(
+    field=st.one_of(st.just(5.0), _decades(-3, 17)),
+    couplings=st.tuples(*[st.one_of(st.just(0.0), _decades(0, 12))] * 3),
+    tolerance=st.one_of(st.just(1e3), _decades(-9, 10)),
+)
+def test_an_accepted_config_runs_every_compiled_pulse_on_its_one_line(field, couplings, tolerance):
+    from spintip import MoveTip, RegisterLayout, cli, compiler, engine
+
+    bare, modified, tip = couplings
+    cfg = MachineConfig(magnetic_field=field, hyperfine_bare=bare, hyperfine_tip_modified=modified,
+                        tip_hyperfine=tip, selectivity_tolerance=tolerance)
+    try:
+        cfg.validate()
+    except ConfigError:
+        return
+    layout = RegisterLayout(2)
+    programs = [compiler.compile_cnot(0, 1, layout, cfg), compiler.compile_cnot(1, 0, layout, cfg),
+                compiler.compile_rotation(1, 1.0, 0.5, layout, cfg),
+                compiler.compile_init(layout, cfg)]
+    for program in programs:
+        tip = layout.tip_position
+        for instruction in program.instructions:
+            if isinstance(instruction, MoveTip):
+                tip = instruction.target
+            else:
+                pulse = getattr(instruction, "pulse", None)
+                if pulse is not None:
+                    hits = engine._resolve(pulse.channel, pulse.frequency, 2, tip, cfg)[2]
+                    assert len(hits) == 1, (pulse, hits)
+    verification, _ = cli.run_verification(cfg)
+    assert verification["cnot_fidelity"] >= 1.0 - 1e-9
+    assert verification["ancilla_purity"] >= 1.0 - 1e-9
+
+
+def test_equal_configs_hash_equal_through_copies_and_pickles():
+    import copy
+    import pickle
+
+    cfg = MachineConfig(magnetic_field=3, tip_hyperfine=1.5e9)
+    twins = [
+        MachineConfig(**_values(cfg)),
+        copy.copy(cfg),
+        copy.deepcopy(cfg),
+        dataclasses.replace(cfg),
+        pickle.loads(pickle.dumps(cfg)),
+        MachineConfig(magnetic_field=3.0, tip_hyperfine=1500000000),
+    ]
+    for twin in twins:
+        assert twin == cfg and hash(twin) == hash(cfg)
+        assert hash(twin) == hash(tuple(_values(twin).values()))
+    changed = dataclasses.replace(cfg, magnetic_field=4.0)
+    assert changed != cfg and hash(changed) == hash(tuple(_values(changed).values()))
+    assert pickle.loads(pickle.dumps(changed)) == changed
+    assert len({cfg, *twins, changed}) == 2
 
 
 def test_constants_of_nature_are_not_settable():

@@ -1319,7 +1319,45 @@ class TestSlavedReaders:
 # ones returned early: every call finds its site, lines and resonant
 # patterns afresh, plans its slabs and builds its own outcome. The memoised
 # route must leave the same state bits and slave map and give an equal
-# outcome, on a memo miss and on the hit that follows it.
+# outcome, on a memo miss and on the hit that follows it. Its slab drive and
+# its sum of squares are frozen too, as they were before each axis was found
+# once per call, so the oracle does not follow the kernel it checks.
+
+
+def frozen_sum_squares(view):
+    return float(np.add.reduce(np.abs(view) ** 2, axis=None))
+
+
+def frozen_plan(state, site, sources):
+    shape, slabs, one = engine._slab_plan(state._axis(site), tuple(map(state._axis, sources)))
+    return state.tensor.reshape(shape), slabs, one
+
+
+def frozen_drive(state, pulse, site, sources, hits, swap):
+    view, slabs, one = frozen_plan(state, site, sources)
+    occupied = [index for index in hits if slabs[index] is not None]
+    if one is None and any(engine._any(view[slabs[index][0]]) for index in occupied):
+        state._wake(site)
+        view, slabs, one = frozen_plan(state, site, sources)
+    population = 0.0
+    if one is not None:
+        if not swap:
+            u00, u01, u10, u11 = engine._pair_unitary(pulse)
+        for index in occupied:
+            key0, key1 = slabs[index]
+            a0, a1 = view[key0], view[key1]
+            population += frozen_sum_squares(a0) + frozen_sum_squares(a1)
+            if swap:
+                held = a0.copy()
+                a0[...] = a1
+                a1[...] = held
+            else:
+                rotated0 = u00 * a0 + u01 * a1
+                a1[...] = u10 * a0 + u11 * a1
+                a0[...] = rotated0
+        if not engine._any(view[one]):
+            state._drop(state._axis(site))
+    return population
 
 
 def unmemoised_pulse(state, pulse, layout, cfg):
@@ -1337,7 +1375,7 @@ def unmemoised_pulse(state, pulse, layout, cfg):
         copied = engine._copied_axis(tuple(map(state._axis, sources)), hits)
     if copied is not None and source in (None, state.sites[copied]):
         half = engine._half(state.tensor, copied, 1)
-        population = engine._sum_squares(half)
+        population = frozen_sum_squares(half)
         if source is not None:
             del state.slaves[site]
         elif population > 0.0 or engine._any(half):
@@ -1345,7 +1383,7 @@ def unmemoised_pulse(state, pulse, layout, cfg):
     else:
         if source is not None:
             state._materialise(site)
-        population = engine._drive(state, pulse, site, sources, hits, swap)
+        population = frozen_drive(state, pulse, site, sources, hits, swap)
     outcome = engine.PulseOutcome(
         resonant_pair_count=len(hits) << (layout.num_sites - 1 - len(partners)),
         resonant_population=population,
@@ -1356,6 +1394,51 @@ def unmemoised_pulse(state, pulse, layout, cfg):
 
 def held(state):
     return state.sites, state.tensor.tobytes(), state.slaves
+
+
+#: Moduli from subnormal to huge; the huge ones overflow a square or a sum.
+MODULI = st.one_of(
+    st.floats(0.0, 1.0),
+    st.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308, 1e-160, 1e150, 1e154, 1e200]),
+    st.floats(1e-320, 1e-300),
+    st.floats(1e150, 1e200),
+)
+
+
+@st.composite
+def slab_views(draw):
+    """A view the kernels sum over: a whole tensor of 1 to 2^12 amplitudes, or one
+    of its ``_slab_plan`` slabs, contiguous or not."""
+    k = draw(st.integers(0, 12))
+    size = 1 << k
+    parts = draw(st.lists(MODULI, min_size=2, max_size=2 * size)) * (2 * size)
+    values = np.array(parts[: 2 * size]) * draw(st.sampled_from([1.0, -1.0]))
+    tensor = values[0::2] + 1j * values[1::2]
+    if k == 0 or draw(st.booleans()):
+        return tensor
+    axes = st.one_of(st.none(), st.integers(0, k - 1))
+    axis = draw(axes)
+    partner_axes = tuple(draw(st.lists(axes, max_size=2)))
+    shape, slabs, one = engine._slab_plan(axis, partner_axes)
+    keys = [key for slab in slabs if slab is not None for key in slab]
+    if one is not None:
+        keys.append(one)
+    if not keys:
+        return tensor
+    return tensor.reshape(shape)[draw(st.sampled_from(keys))]
+
+
+class TestSumOfSquares:
+    @PROPERTY_SETTINGS
+    @given(slab_views())
+    @example(np.array([5e-324 + 1e-310j]))
+    @example(np.full(4096, 1e154 + 1e154j))
+    def test_the_sum_is_the_former_expression_bit_for_bit(self, view):
+        with np.errstate(over="ignore", under="ignore"):
+            expected = float(np.add.reduce(np.abs(view) ** 2, axis=None))
+            produced = engine._sum_squares(view)
+        assert type(produced) is float
+        assert np.float64(produced).tobytes() == np.float64(expected).tobytes()
 
 
 @st.composite
@@ -1451,8 +1534,9 @@ class TestResolvedPulses:
         moved = RegisterLayout(2, ((3, 0), (0, 5))).with_tip(1)
         assert moved.coordinates != layout.coordinates
         resolve = engine._resolve
-        first = resolve(pulse, layout.num_qubits, layout.tip_position, CFG)
-        assert resolve(again, moved.num_qubits, moved.tip_position, twin) is first
+        first = resolve(pulse.channel, pulse.frequency, layout.num_qubits, layout.tip_position, CFG)
+        assert resolve(again.channel, again.frequency, moved.num_qubits, moved.tip_position,
+                       twin) is first
         for at in (layout, moved):
             state = PureState.product(at, {1: (0.6, 0.8)})
             expected_state, expected = unmemoised_pulse(state.copy(), pulse, at, CFG)
@@ -1492,14 +1576,36 @@ class TestResolvedPulses:
         assert (errors, mismatches) == ([], [])
         assert engine._resolve.cache_info().currsize <= len(pulses)
 
-    def test_the_memo_stays_at_its_bound_after_a_sweep_of_rot_gates(self):
-        layout = RegisterLayout(1)
+    def test_rot_pulses_of_any_angle_and_phase_share_one_resolution(self):
+        # A resolution reads the channel, frequency, register size, tip and
+        # config, not the angle, phase, duration or mode.
+        layout = RegisterLayout(3).with_tip(1)
+        state = PureState.product(layout, {0: (0.6, 0.8), 1: (0.8, 0.6), 2: (0.0, 1.0)})
+        rng = np.random.default_rng(50)
+        engine._resolve.cache_clear()
+        for angle, phase in zip(rng.uniform(1e-3, 2 * math.pi, 50), rng.uniform(-7.0, 7.0, 50)):
+            program = compiler.compile_rotation(1, float(angle), float(phase), layout, CFG)
+            pulse = program.instructions[-1].pulse
+            expected_state, expected = unmemoised_pulse(state.copy(), pulse, layout, CFG)
+            state, outcome = apply_selective_pulse(state, pulse, layout, CFG)
+            assert held(state) == held(expected_state) and outcome == expected
+        info = engine._resolve.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 49)
+
+    def test_the_memo_stays_at_its_bound_after_a_sweep_of_drive_frequencies(self):
+        # Distinct drives, each off every line but the first, and a register
+        # size per round, so every resolution is its own entry.
         maxsize = engine._resolve.cache_info().maxsize
-        angles = np.linspace(0.1, 6.0, maxsize + 64)
-        text = "\n".join(f"ROT 0 {float(angle)!r}" for angle in angles)
-        program = compile_circuit(parse_circuit(text), layout, CFG)
-        execute(program, PureState.ground(layout), layout, CFG, rng=0)
-        assert engine._resolve.cache_info().currsize == maxsize
+        frequencies = F_NUC_E0 + np.arange(maxsize + 64) * 10 * CFG.selectivity_tolerance
+        for num_qubits in (1, 2):
+            layout = RegisterLayout(num_qubits).with_tip(0)
+            state = PureState.product(layout, {0: (0.6, 0.8)})
+            for frequency in frequencies:
+                pulse = nuclear_pi(float(frequency))
+                expected_state, expected = unmemoised_pulse(state.copy(), pulse, layout, CFG)
+                after, outcome = apply_selective_pulse(state.copy(), pulse, layout, CFG)
+                assert held(after) == held(expected_state) and outcome == expected
+            assert engine._resolve.cache_info().currsize == maxsize
 
 
 # -- Whole circuits against a gate-level oracle --------------------------------

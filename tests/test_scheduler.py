@@ -26,7 +26,7 @@ from spintip import (
     schedule_multi_tip,
     validate_assignment,
 )
-from spintip import cli, compiler
+from spintip import cli, compiler, scheduler, timing
 from spintip.timing import walk
 
 CFG = MachineConfig()
@@ -320,3 +320,91 @@ class TestOneTaskList:
         assert surplus.timeline == enough.timeline
         assert surplus.makespan == enough.makespan
         assert validate_assignment(surplus, tasks, layout, CFG) == []
+
+
+# -- The schedule against a frozen copy of the plan-per-tip-count search -------
+#
+# The scheduler as it was before only the kept plan built its timeline
+# entries: every candidate plan builds a frozen entry per task. The kept
+# assignment must be the same, by repr, so every float of it is the same.
+
+
+def frozen_list_schedule(tasks, num_tips, layout, cfg):
+    moves = timing.move_table(layout.num_qubits, layout.coordinates, cfg)
+    free = [0.0] * num_tips
+    position = [PARKED] * num_tips
+    qubit_release = {}
+    assignment = []
+    timeline = []
+    for task in tasks:
+        ready = max((qubit_release.get(q, 0.0) for q in task.qubits), default=0.0)
+        first = task.first_position
+        best = None
+        for tip in range(num_tips):
+            arrival = free[tip] + moves(position[tip], first)
+            start = arrival if arrival >= ready else ready
+            if best is None or start < best[1]:
+                best = (tip, start)
+        tip, start = best
+        end = start
+        for duration in task.work:
+            end += duration
+        assignment.append(tip)
+        timeline.append(scheduler.TimelineEntry(tip, start, end, task.label, task.gate_index))
+        free[tip] = end
+        position[tip] = task.end_position
+        for qubit in task.qubits:
+            qubit_release[qubit] = end
+    for tip in range(num_tips):
+        if position[tip] is PARKED:
+            continue
+        park = moves(position[tip], PARKED)
+        timeline.append(scheduler.TimelineEntry(tip, free[tip], free[tip] + park, "PARK", None))
+        free[tip] += park
+    return tuple(assignment), tuple(timeline), max(free)
+
+
+def frozen_schedule_multi_tip(tasks, num_tips, layout, cfg):
+    best = None
+    for tips in range(1, max(1, min(num_tips, len(tasks))) + 1):
+        plan = frozen_list_schedule(tasks, tips, layout, cfg)
+        if best is None or plan[2] <= best[2]:
+            best = plan
+        if len(set(plan[0])) < tips:
+            break
+    return scheduler.TipAssignment(num_tips, *best)
+
+
+GRID = ((0, 0), (0, 3), (2, 1), (5, 5), (4, 0))
+
+
+@st.composite
+def scheduled_cases(draw):
+    """Tasks of a random circuit on 1 to 5 qubits, a row or grid layout, and 1 to 4 tips."""
+    num_qubits = draw(st.integers(1, 5))
+    qubit = st.integers(0, num_qubits - 1)
+    gates = [st.just("INIT"), st.builds("ROT {} {!r} {!r}".format, qubit,
+                                        st.floats(-7.0, 7.0), st.floats(-7.0, 7.0)),
+             st.builds("MEASURE {}".format, qubit)]
+    if num_qubits > 1:
+        gates.append(st.lists(qubit, min_size=2, max_size=2, unique=True).map(
+            lambda pair: f"CNOT {pair[0]} {pair[1]}"))
+    lines = draw(st.lists(st.one_of(gates), min_size=1, max_size=16))
+    # The circuit's register ends at its highest qubit, as on the command line.
+    circuit = parse_circuit("\n".join(lines))
+    size = circuit.num_qubits
+    coordinates = GRID[:size] if draw(st.booleans()) else ()
+    layout = RegisterLayout(size, coordinates=coordinates)
+    return expand_tasks(circuit, layout, CFG), draw(st.integers(1, 4)), layout
+
+
+class TestAgainstTheFrozenScheduler:
+    @settings(deadline=None, max_examples=150)
+    @given(case=scheduled_cases())
+    def test_the_kept_plan_is_the_frozen_one_by_repr(self, case):
+        tasks, tips, layout = case
+        expected = frozen_schedule_multi_tip(tasks, tips, layout, CFG)
+        produced = schedule_multi_tip(tasks, tips, layout, CFG)
+        assert repr(produced) == repr(expected)
+        assert produced == expected
+        assert all(type(entry) is scheduler.TimelineEntry for entry in produced.timeline)
