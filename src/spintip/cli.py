@@ -338,6 +338,17 @@ def _json_chunks(value, depth, chunks):
     chunks += (outer, "}" if is_dict else "]")
 
 
+@functools.cache
+def _default_config():
+    """The default config, built once per process.
+
+    Every run without ``--config`` shares this one object, so each memo
+    keyed by a config finds it by identity, not by comparing fields. Each
+    run still validates it, as it validates a config file.
+    """
+    return MachineConfig()
+
+
 def _fresh_seed():
     return int(np.random.SeedSequence().entropy)
 
@@ -386,7 +397,7 @@ def main(argv=None):
         # whatever the interpreter's warning filters say.
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            cfg = load_machine_config(args.config) if args.config else MachineConfig().validate()
+            cfg = load_machine_config(args.config) if args.config else _default_config().validate()
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -133,6 +133,28 @@ def _electron_pulse(cfg, frequency):
     )
 
 
+def _rotation_pulse(angle, phase, cfg):
+    """The nuclear pulse of a rotation by ``angle`` at ``phase``, or None for the bare move.
+
+    The angle is folded into (0, 2*pi]; a zero rotation, or one too small
+    for its pulse duration to stay above 0.0 s, has no pulse. A non-finite
+    angle or phase is a ValueError.
+    """
+    for name, value in (("angle", angle), ("phase", phase)):
+        if not math.isfinite(value):
+            raise ValueError(f"rotation {name} must be finite, got {value!r}")
+    folded = math.fmod(angle, 2.0 * _PI)
+    if folded < 0:
+        folded += 2.0 * _PI
+    if folded == 0.0 and angle != 0.0:
+        folded = 2.0 * _PI
+    if not cfg.nuclear_pi_duration * folded / _PI > 0.0:  # the duration _nuclear_pulse gives
+        return None
+    return _nuclear_pulse(
+        cfg, drive_lines(cfg)["rotation"], folded, phase, PulseMode.PHASED_ROTATION
+    )
+
+
 def compile_rotation(qubit, angle, phase, layout, cfg):
     """Rotate one qubit nucleus: park the tip on it, drive its shifted line.
 
@@ -144,21 +166,10 @@ def compile_rotation(qubit, angle, phase, layout, cfg):
     phase is a ValueError.
     """
     layout.check_qubit(qubit)
-    for name, value in (("angle", angle), ("phase", phase)):
-        if not math.isfinite(value):
-            raise ValueError(f"rotation {name} must be finite, got {value!r}")
-    folded = math.fmod(angle, 2.0 * _PI)
-    if folded < 0:
-        folded += 2.0 * _PI
-    if folded == 0.0 and angle != 0.0:
-        folded = 2.0 * _PI
-    instructions = [MoveTip(qubit)]
-    if cfg.nuclear_pi_duration * folded / _PI > 0.0:  # the duration _nuclear_pulse gives
-        pulse = _nuclear_pulse(
-            cfg, drive_lines(cfg)["rotation"], folded, phase, PulseMode.PHASED_ROTATION
-        )
-        instructions.append(ApplyPulse(pulse))
-    return PulseProgram(tuple(instructions), gate_count=1)
+    pulse = _rotation_pulse(angle, phase, cfg)
+    if pulse is None:
+        return PulseProgram((MoveTip(qubit),), gate_count=1)
+    return PulseProgram((MoveTip(qubit), ApplyPulse(pulse)), gate_count=1)
 
 
 def compile_cnot(control, target, layout, cfg):
@@ -261,15 +272,9 @@ class GateTask:
         return self.instructions[0].target
 
 
-@functools.lru_cache(maxsize=256)
-def _gate_tasks(gate, text, num_qubits, coordinates, cfg):
-    """Every GateTask field but ``gate_index``, as a dict, for each task of one gate.
-
-    ``text`` is ``repr(gate)``: equal gates can compile to different bytes
-    (``RotGate(0, 1.0, 0.0) == RotGate(0, 1.0, -0.0)``, and a phase is listed
-    as given), and the repr tells them apart.
-    """
-    layout = RegisterLayout(num_qubits, coordinates)
+def _compile_tasks(gate, layout, cfg):
+    """Every GateTask field but ``gate_index``, as a dict, for each task of one gate."""
+    num_qubits = layout.num_qubits
     instructions = compile_gate(gate, layout, cfg).instructions
     if isinstance(gate, InitGate):
         units = [(f"INIT {qubit}", (qubit,)) for qubit in range(num_qubits)]
@@ -291,6 +296,47 @@ def _gate_tasks(gate, text, num_qubits, coordinates, cfg):
     return tuple(tasks)
 
 
+@functools.lru_cache(maxsize=256)
+def _gate_tasks(gate, text, num_qubits, coordinates, cfg):
+    """``_compile_tasks`` of a gate on one register geometry, memoised.
+
+    ``text`` is ``repr(gate)``: equal gates can compile to different bytes
+    (a qubit ``1`` and ``1.0`` are equal and list differently), and the repr
+    tells them apart.
+    """
+    return _compile_tasks(gate, RegisterLayout(num_qubits, coordinates), cfg)
+
+
+@functools.lru_cache(maxsize=256, typed=True)
+def _rotation_frame(qubit, num_qubits, coordinates, cfg):
+    """The task fields of a zero rotation of ``qubit``: the part of a ROT task no angle enters.
+
+    Its move, label, qubits, end position and MOVE line are those of every
+    ROT of that qubit. ``typed`` keeps qubits that are equal but list
+    differently (``1``, ``1.0``, ``np.int64(1)``) apart.
+    """
+    layout = RegisterLayout(num_qubits, coordinates)
+    (fields,) = _compile_tasks(RotGate(qubit, 0.0), layout, cfg)
+    return fields
+
+
+def _rotation_fields(gate, layout, cfg):
+    """The GateTask fields of one ROT but ``gate_index``: its frame, then its pulse.
+
+    Only the pulse (``compile_rotation``'s folding), its listing line and its
+    priced duration depend on the angle and phase, so only they are built
+    per occurrence; a rotation with no pulse is its frame.
+    """
+    frame = _rotation_frame(gate.qubit, layout.num_qubits, layout.coordinates, cfg)
+    pulse = _rotation_pulse(gate.angle, gate.phase, cfg)
+    if pulse is None:
+        return frame
+    apply = ApplyPulse(pulse)
+    ((duration, _),) = timing.walk((apply,), layout, cfg, gate.qubit)
+    return dict(frame, instructions=frame["instructions"] + (apply,), work=(duration,),
+                lines=frame["lines"] + (instruction_text(apply),))
+
+
 def expand_tasks(circuit, layout, cfg):
     """Per-gate tasks in circuit order; INIT becomes one task per qubit.
 
@@ -299,14 +345,20 @@ def expand_tasks(circuit, layout, cfg):
     list. A gate's tasks come from a bounded memo keyed by the gate, the
     register geometry and the config (by equality, like ``drive_lines``), so
     a gate that recurs in a process is compiled once; only the gate index is
-    set per occurrence. The memoised fields are valid already, so a task is
-    built as ``RegisterLayout.with_tip`` builds its copy, without the frozen
-    dataclass ``__init__``.
+    set per occurrence. A ROT's angle is rarely seen twice, so a ROT is
+    memoised without it (``_rotation_frame``) and builds only its pulse, its
+    PULSE line and its work per occurrence. The memoised fields are valid
+    already, so a task is built as ``RegisterLayout.with_tip`` builds its
+    copy, without the frozen dataclass ``__init__``.
     """
     geometry = (layout.num_qubits, layout.coordinates, cfg)
     tasks = []
     for gate_index, gate in enumerate(circuit.gates):
-        for fields in _gate_tasks(gate, repr(gate), *geometry):
+        if isinstance(gate, RotGate):
+            units = (_rotation_fields(gate, layout, cfg),)
+        else:
+            units = _gate_tasks(gate, repr(gate), *geometry)
+        for fields in units:
             task = object.__new__(GateTask)
             task.__dict__.update(fields, gate_index=gate_index)
             tasks.append(task)

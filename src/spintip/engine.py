@@ -45,7 +45,13 @@ outcome), so ROT pulses of any angle and phase share one entry; one that can
 move nothing -- a dormant site whose every resonant pattern pins a dormant
 partner to 1 -- returns before any array is touched. A pulse or collapse
 finds each axis it reads once per call, and a state with no slaved site
-skips the slave map.
+skips the slave map. A collapse sums each half of the measured site once,
+takes p(1) from the two sums and divides the kept half by the root of its
+own sum (not at all when that is exactly 1.0). Every sum a collapse, a
+population or ``PureState.norm`` takes is ``_sum_squares``' pairwise C
+reduction, never a BLAS call, so those bits do not depend on the host's
+BLAS threads; ``ancilla_diagnostics``' Gram product and ``vdot`` still go
+through BLAS.
 
 ``apply_selective_pulse`` and ``measure_spin`` drive or collapse the state
 they are given and return that same object, whose tensor is replaced when a
@@ -78,6 +84,11 @@ class Channel(enum.Enum):
     ELECTRON_RF = "electron_rf"
     PHOSPHORUS_NUCLEAR_RF = "phosphorus_nuclear_rf"
     TIP_CARBON_NUCLEAR_RF = "tip_carbon_nuclear_rf"
+
+    # Members compare by identity and pickle and copy by name, so the C
+    # identity hash is valid; ``Enum.__hash__`` is Python code, and every
+    # ``_resolve`` lookup hashes a channel.
+    __hash__ = object.__hash__
 
 
 class PulseMode(enum.Enum):
@@ -214,7 +225,8 @@ class PureState:
         return PureState._over(self.num_sites, self.sites, self.tensor.copy(), self.slaves)
 
     def norm(self):
-        return float(np.linalg.norm(self._materialised().tensor))
+        """Root of ``_sum_squares`` over the tensor: no BLAS call, so no thread count moves it."""
+        return math.sqrt(_sum_squares(self._materialised().tensor))
 
     def population(self, site, bit):
         """Total weight with ``site`` in ``bit``."""
@@ -567,35 +579,43 @@ def measure_spin(state, site, rng):
     ``rng`` is a seeded ``numpy.random.Generator`` (or a seed for one); exactly
     one draw is consumed, so measurement streams are reproducible. Every
     slaved site is materialised first, so the collapse's sums run over the
-    layout a live-site engine holds and no source with slaves drops. A
-    dormant site reads 0 with probability 1. The losing half is zeroed and
-    the tensor renormalised; a site that keeps bit 0 then drops out, keeping
-    half the tensor. The given state is collapsed (its tensor may be
+    layout a live-site engine holds and no source with slaves drops.
+
+    Each half of the site is summed once, s0 and s1 (a dormant site's s0 is
+    the whole tensor and its s1 is 0.0), and p(1) = s1 / (s0 + s1). The
+    losing half is zeroed and the kept tensor divided by sqrt of its own
+    sum, unless that is exactly 1.0; a site that keeps bit 0 then drops out,
+    keeping half the tensor. The sums are ``_sum_squares``' pairwise C
+    reductions and no BLAS call is made, so the bits do not depend on the
+    host's BLAS threads. The given state is collapsed (its tensor may be
     replaced) and returned.
     """
     rng = np.random.default_rng(rng)
     for slave in tuple(state.slaves):
         state._materialise(slave)
     tensor = state.tensor
-    total = _sum_squares(tensor)
-    if not math.sqrt(total) >= 1e-9:
-        raise DegenerateState(f"state norm {math.sqrt(total):.3e} is too small to measure")
     axis = state._axis(site)
-    p_one = 0.0  # a dormant site
-    if axis is not None:
+    if axis is None:
+        s0, s1 = _sum_squares(tensor), 0.0
+    else:
         shape, slabs, _ = _slab_plan(axis, ())
         view = tensor.reshape(shape)
         halves = slabs[0]
-        p_one = _sum_squares(view[halves[1]]) / total
+        s0, s1 = _sum_squares(view[halves[0]]), _sum_squares(view[halves[1]])
+    total = s0 + s1
+    if not math.sqrt(total) >= 1e-9:
+        raise DegenerateState(f"state norm {math.sqrt(total):.3e} is too small to measure")
+    p_one = s1 / total
     bit = 1 if rng.random() < p_one else 0
     probability = p_one if bit == 1 else 1.0 - p_one
     if axis is not None:
         view[halves[1 - bit]] = 0.0
-    norm = np.linalg.norm(tensor)
-    if bit == 0 and axis is not None:
-        state._drop(axis)
-    state.tensor /= norm
-    return bit, state, float(probability)
+        if bit == 0:
+            state._drop(axis)
+    norm = math.sqrt(s1 if bit == 1 else s0)
+    if norm != 1.0:
+        state.tensor /= norm
+    return bit, state, probability
 
 
 def thermal_ground_probability(species, cfg):

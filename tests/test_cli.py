@@ -45,6 +45,23 @@ def example_circuit(tmp_path):
     return path
 
 
+@pytest.fixture
+def fresh_task_memos():
+    """Clear the gate task memos before and after a test that patches what they compile.
+
+    Otherwise a gate compiled earlier in the process is served from the memo
+    and the patch never takes effect, and the patched tasks outlive the test.
+    """
+    from spintip import compiler
+
+    memos = (compiler._gate_tasks, compiler._rotation_frame)
+    for memo in memos:
+        memo.cache_clear()
+    yield
+    for memo in memos:
+        memo.cache_clear()
+
+
 class TestSingleRuns:
     def test_example_circuit_reports_ones(self, example_circuit):
         done = run_cli("--circuit", str(example_circuit), "--seed", "3")
@@ -268,6 +285,7 @@ class TestFailureModes:
         finals = json.loads(done.stdout)["measurements"][-2:]
         assert [m["inferred_p_bit"] for m in finals] == [1, 1]
 
+    @pytest.mark.usefixtures("fresh_task_memos")
     def test_unphysical_drive_line_exits_three(self, monkeypatch, tmp_path, capsys):
         # Force the compiler to emit a drive at 1 Hz: it can hit nothing, and
         # the run must say so loudly rather than quietly doing nothing.
@@ -566,6 +584,7 @@ class TestFailureModes:
         assert json.loads(done.stdout)["status"]["exit_code"] == 4
         assert done.stderr == "error: program exceeds the coherence time\n"
 
+    @pytest.mark.usefixtures("fresh_task_memos")
     def test_spectral_misses_print_their_error_line(self, monkeypatch, tmp_path, capsys):
         import spintip.cli as cli
         import spintip.compiler as compiler
@@ -952,6 +971,49 @@ class TestOneParserPerProcess:
             code = cli.main(base + extra)
             alone = run_cli(*base, *extra)
             assert (code, capsys.readouterr().out) == (alone.returncode, alone.stdout)
+
+
+class TestDefaultConfig:
+    def test_runs_without_a_config_share_one_object(self, monkeypatch, example_circuit, capsys):
+        import spintip.cli as cli
+
+        seen = []
+        original = cli.run_circuit_file
+        monkeypatch.setattr(
+            cli, "run_circuit_file", lambda path, cfg, *rest: seen.append(cfg) or original(
+                path, cfg, *rest
+            )
+        )
+        for _ in range(2):
+            assert cli.main(["--circuit", str(example_circuit), "--seed", "1"]) == 0
+        capsys.readouterr()
+        assert seen[0] is seen[1] is cli._default_config()
+
+    def test_every_run_validates_its_config(self, monkeypatch, example_circuit, tmp_path, capsys):
+        # The shared default as much as a config file, which is loaded anew.
+        import spintip.cli as cli
+        from spintip import MachineConfig
+
+        validated = []
+        original = MachineConfig.validate
+        monkeypatch.setattr(
+            MachineConfig, "validate", lambda cfg: validated.append(cfg) or original(cfg)
+        )
+        good = tmp_path / "good.config"
+        good.write_text("coherence_time = 20\n", encoding="utf-8")
+        bad = tmp_path / "bad.config"
+        bad.write_text("coherence_time = -1\n", encoding="utf-8")
+        for _ in range(2):
+            assert cli.main(["--circuit", str(example_circuit), "--seed", "1"]) == 0
+            argv = ["--circuit", str(example_circuit), "--seed", "1", "--config", str(good)]
+            assert cli.main(argv) == 0
+            argv[-1] = str(bad)
+            assert cli.main(argv) == 2
+        files = [MachineConfig(coherence_time=20.0), MachineConfig(coherence_time=-1.0)]
+        assert validated[1:3] + validated[4:] == files * 2
+        assert validated[0] is validated[3] is cli._default_config()
+        assert validated[1] is not validated[4]
+        assert "coherence_time must be positive" in capsys.readouterr().err
 
 
 class TestGateTaskMemo:

@@ -460,6 +460,9 @@ class TestGateTaskMemo:
             (RotGate(0, 1, 0), RotGate(0, 1.0, 0.0)),
             (RotGate(0, 2.0, 1), RotGate(0, 2.0, 1.0)),
             (RotGate(0, 2.0, np.float64(0.5)), RotGate(0, 2.0, 0.5)),
+            (RotGate(1.0, 2.0, 0.5), RotGate(1, 2.0, 0.5)),
+            (RotGate(np.int64(1), 2.0, 0.5), RotGate(1.0, 2.0, 0.5)),
+            (MeasureGate(1.0), MeasureGate(1)),
         ],
     )
     def test_library_gates_list_their_values_as_given(self, gate, twin):
@@ -487,13 +490,59 @@ class TestGateTaskMemo:
         assert len(calls) == 6
 
     def test_the_task_memo_is_bounded(self):
-        # Distinct rotation angles each compile their own tasks; the memo keeps
-        # at most its bound of them.
+        # Distinct gates each compile their own tasks; the memo keeps at most
+        # its bound of them.
         bound = compiler._gate_tasks.cache_info().maxsize
         assert bound is not None
-        for step in range(3 * bound):
-            expand_tasks(Circuit((RotGate(0, 1.0 + step / 1024, 0.0),)), PAIR, CFG)
+        wide = RegisterLayout(3 * bound)
+        for qubit in range(3 * bound):
+            expand_tasks(Circuit((MeasureGate(qubit),)), wide, CFG)
         assert compiler._gate_tasks.cache_info().currsize == bound
+
+    def test_the_rotation_frame_memo_is_bounded(self):
+        bound = compiler._rotation_frame.cache_info().maxsize
+        assert bound is not None
+        wide = RegisterLayout(3 * bound)
+        for qubit in range(3 * bound):
+            expand_tasks(Circuit((RotGate(qubit, 1.0, 0.0),)), wide, CFG)
+        assert compiler._rotation_frame.cache_info().currsize == bound
+
+    @staticmethod
+    def general_route(gate, layout):
+        """The fields ``_gate_tasks`` compiles for a gate: a ROT as every other gate."""
+        (fields,) = compiler._compile_tasks(gate, layout, CFG)
+        return fields
+
+    def test_a_sweep_of_rotation_angles_fills_one_frame(self):
+        # Every ROT of a qubit shares its frame, and builds per occurrence
+        # what the general route compiles, bit for bit.
+        compiler._gate_tasks.cache_clear()
+        compiler._rotation_frame.cache_clear()
+        gates = [RotGate(1, 0.1 + step / 7, math.sin(step)) for step in range(50)]
+        tasks = expand_tasks(Circuit(tuple(gates)), PAIR, CFG)
+        frames = compiler._rotation_frame.cache_info()
+        assert (frames.misses, frames.hits) == (1, 49)
+        assert compiler._gate_tasks.cache_info().currsize == 0
+        for index, (gate, task) in enumerate(zip(gates, tasks)):
+            expected = dataclasses.replace(task, **self.general_route(gate, PAIR))
+            assert repr(task) == repr(expected) and task.gate_index == index
+
+    @pytest.mark.parametrize("angle", [0.0, -0.0, 5e-324, 2 * math.pi, -4 * math.pi, 7.5])
+    def test_a_rotation_is_its_frame_exactly_when_it_has_no_pulse(self, angle):
+        gate = RotGate(0, angle, 0.25)
+        (task,) = expand_tasks(Circuit((gate,)), PAIR, CFG)
+        assert task.__dict__ == dict(self.general_route(gate, PAIR), gate_index=0)
+        bare = task.instructions == (MoveTip(0),)
+        assert bare == (angle in (0.0, 5e-324))
+        assert bare == (task.work == ()) == (task.lines == ("MOVE 0",))
+
+    def test_a_rotation_is_checked_as_compile_rotation_checks_it(self):
+        # The qubit first, then the angle and phase, on every occurrence.
+        with pytest.raises(MismatchedRegister):
+            expand_tasks(Circuit((RotGate(2, math.nan, 0.0),)), PAIR, CFG)
+        for gate in (RotGate(0, math.inf, 0.0), RotGate(0, 1.0, math.nan)):
+            with pytest.raises(ValueError, match="must be finite"):
+                expand_tasks(Circuit((RotGate(0, 1.0, 0.0), gate)), PAIR, CFG)
 
     def test_the_move_table_memo_is_bounded(self):
         bound = move_table.cache_info().maxsize

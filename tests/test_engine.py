@@ -2,11 +2,15 @@
 
 import bisect
 import contextlib
+import copy
 import dataclasses
 import io
 import itertools
 import json
 import math
+import os
+import pickle
+import subprocess
 import sys
 import tempfile
 import threading
@@ -424,17 +428,19 @@ def oracle_population(state, site, bit):
 
 
 def oracle_measure(state, site, rng):
+    """The collapse by index masks: each half summed once, the kept one rescaled by its root."""
     rng = np.random.default_rng(rng)
     amps = state.amplitudes
-    total = float(np.sum(np.abs(amps) ** 2))
     indices = np.arange(len(amps))
     site_bits = (indices >> (state.num_sites - 1 - site)) & 1
-    p_one = float(np.sum(np.abs(amps[site_bits == 1]) ** 2)) / total
+    sums = [float(np.sum(np.abs(amps[site_bits == b]) ** 2)) for b in (0, 1)]
+    p_one = sums[1] / (sums[0] + sums[1])
     bit = 1 if rng.random() < p_one else 0
     probability = p_one if bit == 1 else 1.0 - p_one
     collapsed = amps.copy()
     collapsed[site_bits != bit] = 0.0
-    collapsed /= np.linalg.norm(collapsed)
+    if math.sqrt(sums[bit]) != 1.0:
+        collapsed /= math.sqrt(sums[bit])
     return bit, collapsed, float(probability)
 
 
@@ -1092,21 +1098,27 @@ def dict_pulse(state, pulse, layout, cfg):
 
 
 def dict_measure(state, site, rng):
-    """(bit, probability, sites, tensor) of the dict-and-``_pinned`` collapse."""
+    """(bit, probability, sites, tensor) of the dict-and-``_pinned`` collapse.
+
+    Each half is summed once (a dormant site's |1> half is empty), and the
+    kept tensor is divided by the root of its own sum unless that is 1.0.
+    """
     rng = np.random.default_rng(rng)
     sites, tensor = list(state.sites), state.tensor.copy()
-    total = float(np.sum(np.abs(tensor) ** 2))
-    slab = dict_slab(sites, tensor, {site: 1})
-    p_one = (0.0 if slab is None else float(np.sum(np.abs(slab) ** 2))) / total
+    sums = []
+    for bit in (0, 1):
+        slab = dict_slab(sites, tensor, {site: bit})
+        sums.append(0.0 if slab is None else float(np.sum(np.abs(slab) ** 2)))
+    p_one = sums[1] / (sums[0] + sums[1])
     bit = 1 if rng.random() < p_one else 0
     probability = p_one if bit == 1 else 1.0 - p_one
     lost = dict_slab(sites, tensor, {site: 1 - bit})
     if lost is not None:
         lost[...] = 0.0
-    norm = np.linalg.norm(tensor)
     if bit == 0 and site in sites:
         sites, tensor = dict_drop(sites, tensor, site)
-    tensor /= norm
+    if math.sqrt(sums[bit]) != 1.0:
+        tensor /= math.sqrt(sums[bit])
     return bit, float(probability), tuple(sites), tensor
 
 
@@ -1441,6 +1453,99 @@ class TestSumOfSquares:
         assert np.float64(produced).tobytes() == np.float64(expected).tobytes()
 
 
+# -- The collapse against the former BLAS-normalised one ---------------------
+#
+# A frozen copy of ``measure_spin`` before each half was summed once: p(1)
+# was the |1> half's sum over the whole tensor's, and the kept tensor was
+# divided by ``np.linalg.norm``, a BLAS dot whose bits depend on the host's
+# thread count. The two sum the same squares in other orders, so they must
+# read the same bit, and agree to a few ulps in the probability and in every
+# amplitude.
+
+#: Largest gap between the two probabilities: 4 ulps of 1.0. (A probability
+#: of bit 0 is 1 - p(1), so a gap of an ulp of p(1) is not an ulp of it.)
+PROBABILITY_GAP = 4 * np.finfo(float).eps
+#: Largest relative gap between the two routes' amplitudes: 8 ulps.
+AMPLITUDE_RTOL = 8 * np.finfo(float).eps
+
+
+def frozen_measure_spin(state, site, rng):
+    rng = np.random.default_rng(rng)
+    for slave in tuple(state.slaves):
+        state._materialise(slave)
+    tensor = state.tensor
+    total = frozen_sum_squares(tensor)
+    axis = state._axis(site)
+    p_one = 0.0
+    if axis is not None:
+        shape, slabs, _ = engine._slab_plan(axis, ())
+        view = tensor.reshape(shape)
+        halves = slabs[0]
+        p_one = frozen_sum_squares(view[halves[1]]) / total
+    bit = 1 if rng.random() < p_one else 0
+    probability = p_one if bit == 1 else 1.0 - p_one
+    if axis is not None:
+        view[halves[1 - bit]] = 0.0
+    norm = np.linalg.norm(tensor)
+    if bit == 0 and axis is not None:
+        state._drop(axis)
+    state.tensor /= norm
+    return bit, state, float(probability)
+
+
+class TestAgainstTheFrozenCollapse:
+    @PROPERTY_SETTINGS
+    @given(live_subset_states(), st.integers(0, 8), st.integers(0, 2**32 - 1))
+    def test_the_collapse_moves_only_ulps(self, case, site_draw, seed):
+        layout, state = case
+        site = site_draw % layout.num_sites
+        bit, former, probability = frozen_measure_spin(state.copy(), site, seed)
+        observed, after, reported = measure_spin(state, site, seed)
+        assert (observed, after.sites, after.slaves) == (bit, former.sites, former.slaves)
+        assert abs(reported - probability) <= PROBABILITY_GAP
+        np.testing.assert_allclose(after.tensor, former.tensor, rtol=AMPLITUDE_RTOL, atol=0)
+
+    def test_a_rescale_by_one_is_skipped(self):
+        # Reading a dormant site of a state of norm exactly 1.0 zeroes nothing
+        # and divides by nothing, so it never writes to the tensor.
+        state = PureState.from_bits((1, 0, 1))
+        state.tensor.flags.writeable = False
+        assert measure_spin(state, 1, 0)[::2] == (0, 1.0)
+        assert state.sites == (0, 2)
+
+
+# Collapses of 2^18-amplitude library states, one line per seed: the bit, the
+# probability, the collapsed tensor's digest and the state's norm. Long
+# enough that OpenBLAS splits a dot across threads; the state is normalised
+# by a pairwise sum, not by a BLAS norm.
+BLAS_PROBE = """
+import hashlib, math
+import numpy as np
+from spintip import PureState, measure_spin
+for seed in range(6):
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=1 << 18) + 1j * rng.normal(size=1 << 18)
+    amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2)))
+    bit, state, probability = measure_spin(PureState(amps, 18), 0, seed)
+    digest = hashlib.sha256(state.tensor.tobytes()).hexdigest()
+    print(seed, bit, probability.hex(), digest, state.norm().hex())
+"""
+
+
+class TestBlasThreads:
+    def test_a_collapse_does_not_depend_on_the_blas_thread_count(self):
+        # At most two BLAS threads, so the check is safe on a small host.
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            done = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout.splitlines())
+        assert len(outputs[0]) == 6
+        assert outputs[0] == outputs[1]
+
+
 @st.composite
 def compiled_pulse_cases(draw):
     """A live-subset state and one pulse of a compiled gate, at its tip position.
@@ -1465,6 +1570,32 @@ def compiled_pulse_cases(draw):
             cases.append((instruction.pulse, current))
     pulse, at = draw(st.sampled_from(cases))
     return state, pulse, at, CFG
+
+
+class TestChannelHash:
+    @pytest.mark.parametrize("channel", list(Channel))
+    def test_round_trips_give_the_same_member_and_hash(self, channel):
+        pulse = Pulse(channel, 1e8, 1.0, 0.5, 1e-6)
+        for twin in (pickle.loads(pickle.dumps(channel)), copy.copy(channel),
+                     copy.deepcopy(channel)):
+            assert twin is channel and hash(twin) == hash(channel)
+        for twin in (pickle.loads(pickle.dumps(pulse)), copy.deepcopy(pulse)):
+            assert twin == pulse and hash(twin) == hash(pulse)
+
+    def test_resolve_hits_and_misses_on_a_small_batch_circuit(self, tmp_path, capsys):
+        # The counts the Enum hash gave: a second run resolves nothing anew.
+        path = tmp_path / "job.circuit"
+        path.write_text("INIT\nROT 0 1.1 0.3\nCNOT 0 2\nROT 2 0.7 0.0\nCNOT 2 1\n"
+                        "MEASURE 1\nMEASURE 0\n", encoding="utf-8")
+        argv = ["--circuit", str(path), "--seed", "5", "--tips", "2"]
+        engine._resolve.cache_clear()
+        counts = []
+        for _ in range(2):
+            assert cli.main(argv) == 0
+            info = engine._resolve.cache_info()
+            counts.append((info.hits, info.misses))
+        capsys.readouterr()
+        assert counts == [(8, 12), (28, 12)]
 
 
 class TestResolvedPulses:

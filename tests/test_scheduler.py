@@ -298,6 +298,7 @@ class TestOneTaskList:
 
         monkeypatch.setattr(compiler, "compile_gate", counting)
         compiler._gate_tasks.cache_clear()  # gates compiled earlier in the session
+        compiler._rotation_frame.cache_clear()
         path = tmp_path / "job.circuit"
         path.write_text("INIT\nROT 0 1.2 0.0\nCNOT 0 1\nMEASURE 1\n", encoding="utf-8")
         argv = ["--circuit", str(path), "--seed", "0", "--tips", "2"]
