@@ -7,15 +7,29 @@ detection on a synthesized noisy trace. Both routes read one line table in Hz;
 a trace is set up by the config alone, and its frequency scale divides the
 lines in ``synth_trace`` and multiplies the detected peak back to Hz once.
 
-A traced read draws its noisy samples into, and peak detection reuses, one
-module-level workspace per trace length, so neither is reentrant: two
-threads must not read traces or detect peaks at the same time.
+A traced read draws its noisy samples into a module-level spare or
+workspace per trace length, and peak detection reuses the workspace, so
+neither is reentrant: two threads must not read traces or detect peaks at
+the same time.
+
+With two usable CPUs and a PCG64 stream (numpy's default), a traced read
+also draws the next read's normals ahead, on one lazily started worker
+thread, while this read runs its window, rFFT and classification. The
+worker draws from a clone of the stream, set to where the next read's
+draws would start if only its two collapses drew in between, into a spare
+buffer it owns until it finishes. The next read adopts those normals only
+if its stream stands at exactly that state, and then sets the stream to
+the clone's end state; equal bit-generator states give equal draws, so
+every read and the caller's stream are bit for bit what drawing inline
+gives. Otherwise the read draws inline and leaves the stale work alone. A
+forked child forgets its parent's worker and pending work.
 """
 
 import dataclasses
 import functools
 import itertools
 import math
+import os
 
 import numpy as np
 
@@ -84,7 +98,10 @@ def measure_via_current(state, qubit, layout, cfg, rng, trace_snr=None):
     with the same stream. Noise-free mode reports the exact modulation line;
     with ``trace_snr`` set, a noisy trace is synthesized and the line is
     recovered by peak detection before classification. The given state is
-    collapsed (its tensor may be replaced) and returned.
+    collapsed (its tensor may be replaced) and returned. ``rng`` is consumed
+    exactly as two collapse draws and, for a noisy trace, one
+    ``standard_normal`` per sample, whether or not those normals were drawn
+    ahead (see the module docstring).
     """
     if layout.tip_position != qubit:
         raise TipParked(f"cannot read qubit {qubit} with tip at {layout.tip_position!r}")
@@ -96,8 +113,7 @@ def measure_via_current(state, qubit, layout, cfg, rng, trace_snr=None):
         inferred_p, inferred_a = p_bit, a_bit
     else:
         sigma, tone = _clean_trace(p_bit, a_bit, cfg, trace_snr)
-        # The noisy samples are drawn into detect_peak's own windowing scratch.
-        samples = tone if sigma == 0 else _noisy(tone, sigma, rng, _workspace(tone.size)[1])
+        samples = tone if sigma == 0 else _noisy(tone, sigma, _normals(rng, tone.size))
         observed = detect_peak(samples, cfg.trace_sample_rate) * cfg.trace_frequency_scale
         inferred_p, inferred_a = classify_frequency(observed, cfg)
     record = MeasurementRecord(
@@ -126,7 +142,7 @@ def synth_trace(p_bit, a_bit, cfg, snr, rng):
     sigma, tone = _clean_trace(p_bit, a_bit, cfg, snr)
     if sigma == 0:
         return tone
-    return _noisy(tone, sigma, np.random.default_rng(rng), np.empty(tone.size))
+    return _noisy(tone, sigma, np.random.default_rng(rng).standard_normal(tone.size))
 
 
 def _clean_trace(p_bit, a_bit, cfg, snr):
@@ -155,16 +171,116 @@ def _clean_trace(p_bit, a_bit, cfg, snr):
     return sigma, _tone(line, int(round(total)), sample_rate)
 
 
-def _noisy(tone, sigma, rng, out):
-    """``tone`` plus white noise of deviation ``sigma``, drawn into ``out``.
+def _noisy(tone, sigma, normals):
+    """``tone`` plus white noise of deviation ``sigma``, in place of ``normals``.
 
     The bits of ``rng.normal(0.0, sigma, n) + tone``: numpy draws that as
     ``0.0 + sigma * z`` from the same standard normals.
     """
-    rng.standard_normal(out=out)
-    out *= sigma
-    out += tone
-    return out
+    normals *= sigma
+    normals += tone
+    return normals
+
+
+#: (spare, stream state its draws start from) of the read drawn ahead, or None.
+_pending = None
+#: The worker thread's executor, started by the first read drawn ahead.
+_executor = None
+
+
+class _Spare:
+    """A buffer and a clone stream; one read drawn ahead at a time owns both."""
+
+    def __init__(self, count):
+        self.samples = np.empty(count)
+        self.clone = None
+        self.future = None
+
+    def idle(self):
+        return self.future is None or self.future.done()
+
+
+@functools.lru_cache(maxsize=1)
+def _spares(count):
+    """Two spares per trace length, allocated here, in the reading thread."""
+    return _Spare(count), _Spare(count)
+
+
+@functools.cache
+def _spare_cpu():
+    """Whether a second usable CPU can draw ahead; with one, nothing does."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0)) >= 2
+    return (os.cpu_count() or 1) >= 2
+
+
+def _normals(rng, count):
+    """``count`` standard normals off ``rng``, as ``rng.standard_normal(count)`` draws them.
+
+    Adopts the pending read drawn ahead when ``rng`` stands where it started,
+    and otherwise draws into ``detect_peak``'s windowing scratch. Either way
+    it then draws the next read's normals ahead, when a spare is idle.
+    """
+    global _pending
+    pending, _pending = _pending, None
+    # Only PCG64 states are drawn ahead: they hold no arrays, so ``==`` compares
+    # them. numpy.random is looked up here: importing it would slow every start.
+    ahead = _spare_cpu() and type(rng.bit_generator) in (np.random.PCG64, np.random.PCG64DXSM)
+    if (ahead and pending is not None and pending[0].samples.size == count
+            and rng.bit_generator.state == pending[1]):
+        spare = pending[0]
+        rng.bit_generator.state = spare.future.result()
+        samples = spare.samples
+    else:
+        samples = _workspace(count)[1]
+        rng.standard_normal(out=samples)
+    if ahead:
+        _pending = _draw_ahead(rng, count, samples)
+    return samples
+
+
+def _draw_ahead(rng, count, busy):
+    """Start the next read's normals on the worker; (spare, start state) or None."""
+    spare = next((s for s in _spares(count) if s.samples is not busy and s.idle()), None)
+    if spare is None:
+        return None
+    kind = type(rng.bit_generator)
+    if spare.clone is None or type(spare.clone.bit_generator) is not kind:
+        spare.clone = np.random.Generator(kind())
+    clone = spare.clone
+    clone.bit_generator.state = rng.bit_generator.state
+    clone.random(), clone.random()  # the next read's nucleus and tip collapses
+    start = clone.bit_generator.state
+    spare.future = _worker().submit(_draw, clone, spare.samples)
+    return spare, start
+
+
+def _draw(clone, out):
+    """The worker's task: fill ``out`` off ``clone``; return its end state."""
+    clone.standard_normal(out=out)
+    return clone.bit_generator.state
+
+
+def _worker():
+    """The one worker thread's executor, started on first use."""
+    global _executor
+    if _executor is None:
+        # Imported here: importing it would slow every start, traced or not.
+        from concurrent.futures import ThreadPoolExecutor
+
+        _executor = ThreadPoolExecutor(max_workers=1, thread_name_prefix="spintip-readout")
+    return _executor
+
+
+def _forget_worker():
+    """In a forked child: the parent's worker thread and its work are gone."""
+    global _pending, _executor
+    _pending = _executor = None
+    _spares.cache_clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
 
 
 def noise_sigma(snr):
@@ -185,8 +301,8 @@ def _tone(line, count, sample_rate):
 def _workspace(count):
     """``detect_peak``'s read-only Hann window, and scratch for the windowed
     samples, rFFT bins and magnitudes; a config has one trace length. A
-    traced read draws its samples into the windowed scratch, and the window
-    is then applied in place.
+    traced read that was not drawn ahead draws its samples into the windowed
+    scratch, and the window is then applied in place.
     """
     window = np.hanning(count)
     window.flags.writeable = False
@@ -204,12 +320,12 @@ def detect_peak(samples, sample_rate):
     read, so a read allocates no trace-sized array and is not reentrant.
     """
     samples = np.asarray(samples, dtype=np.float64)
+    if len(samples) < 2:
+        raise ValueError("trace too short for peak detection")
     window, windowed, bins, spectrum = _workspace(len(samples))
     np.multiply(samples, window, out=windowed)
     np.fft.rfft(windowed, out=bins)
     np.abs(bins, out=spectrum)
-    if len(spectrum) < 2:
-        raise ValueError("trace too short for peak detection")
     peak = 1 + int(np.argmax(spectrum[1:]))  # skip the DC bin
     offset = 0.0
     if 1 <= peak < len(spectrum) - 1:

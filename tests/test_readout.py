@@ -2,7 +2,14 @@
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +18,7 @@ from hypothesis import strategies as st
 
 from spintip import (
     MachineConfig,
+    MeasurementRecord,
     PureState,
     RegisterLayout,
     classify_frequency,
@@ -21,6 +29,7 @@ from spintip import (
     synth_trace,
     transition_frequency,
 )
+from spintip import readout
 from spintip.errors import AliasingError, ConfigError, TipParked, UnclassifiableFrequency
 
 CFG = MachineConfig()
@@ -182,9 +191,9 @@ def oracle_samples(p_bit, a_bit, snr, count, seed):
 
 
 def oracle_peak(samples, sample_rate):
-    spectrum = np.abs(np.fft.rfft(samples * np.hanning(len(samples))))
-    if len(spectrum) < 2:
+    if len(samples) < 2:
         raise ValueError("trace too short for peak detection")
+    spectrum = np.abs(np.fft.rfft(samples * np.hanning(len(samples))))
     peak = 1 + int(np.argmax(spectrum[1:]))
     offset = 0.0
     if 1 <= peak < len(spectrum) - 1:
@@ -246,6 +255,15 @@ class TestTracedRouteOracles:
         with pytest.raises(ValueError) as raised:
             detect_peak(samples, RATE)
         assert str(raised.value) == str(expected.value)
+
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_short_traces_leave_the_workspace_alone(self, count):
+        length = round(CFG.trace_duration * CFG.trace_sample_rate)
+        workspace = readout._workspace(length)
+        with pytest.raises(ValueError, match="^trace too short for peak detection$"):
+            detect_peak(np.zeros(count), RATE)
+        assert readout._workspace(length) is workspace
+        assert readout._workspace.cache_info().currsize == 1
 
     @pytest.mark.parametrize("count", [0, 1])
     def test_traces_under_two_samples_are_refused(self, count):
@@ -320,3 +338,242 @@ class TestTracedReadInTheWorkspace:
         peak, (record, _) = traced_peak(read)
         assert (record.inferred_p_bit, record.inferred_a_bit) == (1, 1)
         assert peak < 8 * round(CFG.trace_duration * CFG.trace_sample_rate)
+
+
+# The reads drawn ahead on the worker thread must be invisible: every record,
+# collapsed state and caller stream equals the inline route's, which draws a
+# read's normals off the caller's stream where the read stands.
+def inline_read(state, cfg, rng, snr):
+    """The traced read with its normals drawn inline, from public pieces."""
+    p_bit, state, probability = measure_spin(state, LAYOUT.nucleus_site(0), rng)
+    a_bit, state, _ = measure_spin(state, LAYOUT.tip_site, rng)
+    samples = synth_trace(p_bit, a_bit, cfg, snr, rng)
+    observed = detect_peak(samples, cfg.trace_sample_rate) * cfg.trace_frequency_scale
+    p_bit, a_bit = classify_frequency(observed, cfg)
+    return MeasurementRecord(0, float(observed), p_bit, a_bit, probability), state
+
+
+def outcome(read, state, cfg, rng, snr):
+    """What a read shows: its record and collapsed amplitudes, or its error."""
+    try:
+        record, after = read(state.copy(), cfg, rng, snr)
+    except UnclassifiableFrequency as error:
+        return type(error), str(error)
+    return record, after.amplitudes.tobytes()
+
+
+def current_read(state, cfg, rng, snr):
+    return measure_via_current(state, 0, LAYOUT, cfg, rng, trace_snr=snr)
+
+
+def plain(state):
+    """A bit generator's state with its arrays as lists, so ``==`` compares it."""
+    if isinstance(state, dict):
+        return {key: plain(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+def run_both(steps, kind, seed):
+    """Outcomes and final caller states of ``steps`` down both routes."""
+    results = []
+    for read in (current_read, inline_read):
+        stream = np.random.Generator(kind(seed))
+        seen = [
+            outcome(read, SUPERPOSED, STEP_CONFIGS[config], stream, snr)
+            if action == "read" else draw(stream, action)
+            for action, config, snr in steps
+        ]
+        results.append((seen, plain(stream.bit_generator.state)))
+    return results
+
+
+def draw(stream, action):
+    if action == "random":
+        return stream.random()
+    return stream.standard_normal(3).tobytes()
+
+
+SUPERPOSED = PureState.product(LAYOUT, {0: (0.6, 0.8)})
+STEP_CONFIGS = (
+    CFG,
+    dataclasses.replace(CFG, trace_duration=64 / RATE, trace_sample_rate=RATE),
+    dataclasses.replace(CFG, trace_duration=3_000 / RATE, trace_sample_rate=RATE),
+)
+STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["read", "read", "read", "random", "normals"]),
+        st.integers(0, len(STEP_CONFIGS) - 1),
+        st.one_of(st.floats(1e-3, 1e3), st.just(math.inf)),
+    ),
+    min_size=1,
+    max_size=8,
+)
+KINDS = st.sampled_from(
+    [np.random.PCG64, np.random.PCG64DXSM, np.random.Philox, np.random.MT19937]
+)
+
+
+def drawing_ahead():
+    """Draw reads ahead whatever the host's CPU count."""
+    return mock.patch.object(readout, "_spare_cpu", lambda: True)
+
+
+def holding_draws(release):
+    """Make the worker wait for ``release`` before each draw."""
+    original = readout._draw
+
+    def held(clone, out):
+        release.wait(timeout=30)
+        return original(clone, out)
+
+    return mock.patch.object(readout, "_draw", held)
+
+
+def spare_samples(call):
+    """``call()``'s value and, per traced read, whether its samples were drawn ahead."""
+    seen = []
+    detect = readout.detect_peak
+
+    def spy(samples, sample_rate):
+        workspace = readout._workspace(len(samples))[1]
+        seen.append(samples is not workspace)
+        return detect(samples, sample_rate)
+
+    with mock.patch.object(readout, "detect_peak", spy):
+        return call(), seen
+
+
+def settle():
+    """Wait for every read drawn ahead to finish."""
+    if readout._executor is not None:
+        readout._executor.submit(lambda: None).result(timeout=30)
+
+
+class TestReadsDrawnAhead:
+    @settings(deadline=None, max_examples=40)
+    @given(steps=STEPS, kind=KINDS, seed=SEEDS)
+    def test_every_read_and_the_stream_match_the_inline_route(self, steps, kind, seed):
+        with drawing_ahead():
+            ahead, inline = run_both(steps, kind, seed)
+        assert ahead == inline
+
+    def test_consecutive_reads_take_the_normals_drawn_ahead(self):
+        steps = [("read", 0, 3.0)] * 4
+        with drawing_ahead():
+            (ahead, inline), drawn_ahead = spare_samples(
+                lambda: run_both(steps, np.random.PCG64, 11)
+            )
+        assert ahead == inline
+        # Only the first read draws inline; the spy sees the current route alone.
+        assert drawn_ahead == [False, True, True, True]
+
+    def test_a_slow_worker_gives_the_same_bits(self):
+        original = readout._draw
+
+        def slow(clone, out):
+            time.sleep(0.02)
+            return original(clone, out)
+
+        steps = [("read", 0, 3.0), ("read", 1, 10.0), ("read", 1, 10.0), ("read", 0, 1.0)]
+        with drawing_ahead(), mock.patch.object(readout, "_draw", slow):
+            (ahead, inline), drawn_ahead = spare_samples(
+                lambda: run_both(steps, np.random.PCG64, 5)
+            )
+        assert ahead == inline
+        # A new trace length draws inline; the same one takes the slow work.
+        assert drawn_ahead == [False, False, True, False]
+
+    def test_stale_work_is_neither_waited_for_nor_written_over(self):
+        release = threading.Event()
+        streams = [np.random.default_rng(seed) for seed in (1, 2, 3)]
+        expected = [outcome(inline_read, SUPERPOSED, CFG, np.random.default_rng(seed), 3.0)
+                    for seed in (1, 2, 3)]
+        settle()
+        try:
+            with drawing_ahead(), holding_draws(release):
+                seen = [outcome(current_read, SUPERPOSED, CFG, streams[0], 3.0)]
+                first = readout._pending[0]
+                # Another stream: the held work is stale and is not waited for.
+                seen.append(outcome(current_read, SUPERPOSED, CFG, streams[1], 3.0))
+                second = readout._pending[0]
+                assert second is not first
+                # Both spares are held, so the third read draws nothing ahead.
+                seen.append(outcome(current_read, SUPERPOSED, CFG, streams[2], 3.0))
+                assert readout._pending is None
+                assert not first.future.done() and not second.future.done()
+                assert not release.is_set()
+        finally:
+            release.set()
+            settle()
+        assert seen == expected
+
+    @pytest.mark.parametrize("probe", ["affinity", "cpu_count"])
+    def test_one_cpu_draws_nothing_ahead(self, monkeypatch, probe):
+        if probe == "affinity":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(readout, "_worker", lambda: pytest.fail("a worker was asked for"))
+        readout._spare_cpu.cache_clear()
+        try:
+            steps = [("read", 0, 3.0)] * 3
+            (ahead, inline), drawn_ahead = spare_samples(
+                lambda: run_both(steps, np.random.PCG64, 7)
+            )
+        finally:
+            readout._spare_cpu.cache_clear()
+        assert ahead == inline
+        assert not any(drawn_ahead)
+        assert readout._pending is None
+
+    def test_importing_spintip_starts_no_thread(self):
+        # Importing concurrent.futures or numpy.random would add milliseconds to every start.
+        probe = (
+            "import sys, threading, spintip\n"
+            "print('concurrent.futures' in sys.modules, 'numpy.random' in sys.modules,"
+            " threading.active_count())\n"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True, timeout=60
+        )
+        assert completed.stdout.split() == ["False", "False", "1"]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_reads_without_its_parents_worker(self):
+        release = threading.Event()
+        stream = np.random.default_rng(9)
+        twin = np.random.default_rng(9)
+        outcome(inline_read, SUPERPOSED, CFG, twin, 3.0)
+        expected = outcome(inline_read, SUPERPOSED, CFG, twin, 3.0)
+        settle()
+        reader, writer = os.pipe()
+        try:
+            with drawing_ahead(), holding_draws(release):
+                outcome(current_read, SUPERPOSED, CFG, stream, 3.0)
+                assert readout._pending is not None  # held until after the fork
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", DeprecationWarning)
+                    pid = os.fork()
+                if pid == 0:  # pragma: no cover - the child
+                    try:
+                        record, amplitudes = outcome(current_read, SUPERPOSED, CFG, stream, 3.0)
+                        line = repr((dataclasses.astuple(record), amplitudes.hex()))
+                        os.write(writer, line.encode())
+                    finally:
+                        os._exit(0)
+        finally:
+            release.set()
+            settle()
+        os.close(writer)
+        deadline = time.monotonic() + 30
+        while os.waitpid(pid, os.WNOHANG) == (0, 0):
+            if time.monotonic() > deadline:
+                os.kill(pid, 9)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child waited on its parent's worker")
+            time.sleep(0.01)
+        with os.fdopen(reader, "rb") as pipe:
+            received = pipe.read().decode()
+        record, amplitudes = expected
+        assert received == repr((dataclasses.astuple(record), amplitudes.hex()))
