@@ -10,10 +10,14 @@ memory, a trace sample rate that aliases the readout lines, a non-finite
 report number), 3 physics failure (a compiled pulse that hits no transition
 line, a failed --verify-frequencies check, or a readout line that matches no
 or several modulation lines), 4 infeasible decoherence budget under
---enforce-budget. Every failure prints one ``error:`` line to stderr.
+--enforce-budget, 130 interrupted (SIGINT), 141 stdout closed early (a
+closed pipe, as ``| head`` leaves it). Every failure but 141 prints one
+``error:`` line to stderr; 141 prints nothing. A write to stdout that
+fails for another reason exits 2.
 """
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -41,6 +45,8 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PHYSICS = 3
 EXIT_BUDGET = 4
+EXIT_INTERRUPTED = 130  # 128 + SIGINT
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 
 #: Peak bytes of a run over the bytes of a 2^(n+1)-amplitude state, the most a
 #: compiled gate keeps live: the state a site is woken into next to the one it
@@ -372,12 +378,47 @@ def _run_batch(args, cfg):
             code = _failure_code(exc)
         else:
             _print_reasons(report)
-        print(f"{path.name}: exit {code}")
+        failed = _print_stdout(f"{path.name}: exit {code}")
+        if failed is not None:
+            return failed
         worst = max(worst, code)
     return worst
 
 
+def _print_stdout(text):
+    """Print ``text`` to stdout and flush it; None, or the exit code of a failed write.
+
+    The flush makes a write fail here, not at interpreter exit. After a
+    failure, stdout's file descriptor (an in-memory stdout has none) points
+    at ``os.devnull``, so the output still buffered writes nowhere at exit
+    instead of failing again with an "Exception ignored" line.
+    """
+    try:
+        print(text, flush=True)
+    except OSError as exc:
+        # io.UnsupportedOperation, a ValueError, says stdout has no descriptor.
+        with contextlib.suppress(AttributeError, ValueError):
+            fd = sys.stdout.fileno()
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
+        if isinstance(exc, BrokenPipeError):
+            return EXIT_BROKEN_PIPE
+        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return None
+
+
 def main(argv=None):
+    """Run the command line; return its exit code (see the module docstring)."""
+    try:
+        return _main(argv)
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
+
+
+def _main(argv):
     parser = build_parser()
     args = parser.parse_args(argv)
     if bool(args.circuit) == bool(args.batch):
@@ -420,7 +461,9 @@ def main(argv=None):
     except (SimulationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _failure_code(exc)
-    print(text)
+    failed = _print_stdout(text)
+    if failed is not None:
+        return failed
     _print_reasons(report)
     return code
 

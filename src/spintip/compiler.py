@@ -43,12 +43,30 @@ from .register import PARKED, RegisterLayout
 _PI = math.pi
 
 
+#: Each drive role's (site, partner pattern) on the one-qubit register with
+#: the tip engaged: nucleus 0 (partner: its electron), electron 1 (partners:
+#: nucleus, tip carbon) and tip carbon 2 (partner: the electron).
+_DRIVES = {
+    "rotation": (0, 0),
+    "control_electron": (1, 0b10),
+    "tip_nucleus": (2, 1),
+    "target_electron_n1": (1, 0b11),
+    "target_electron_n0": (1, 0b01),
+    "target_nucleus": (0, 1),
+}
+
+
+def _site_lines(cfg):
+    """The ``physics.pattern_lines`` of each site of the one-qubit register, tip engaged."""
+    layout = RegisterLayout(1, tip_position=0)
+    return [physics.pattern_lines(layout, cfg, site)[1] for site in range(layout.num_sites)]
+
+
 @functools.lru_cache(maxsize=8)
 def drive_lines(cfg):
     """The six distinct drive lines of the gate set, as a read-only mapping.
 
-    Each is the ``physics.pattern_lines`` entry of the intended flip on a
-    one-qubit register with the tip engaged, keyed by role:
+    Each is the line of the intended flip in ``_DRIVES``, keyed by role:
 
     - rotation: the qubit nucleus with its electron ground (Rot, and INIT's
       first correction)
@@ -60,21 +78,9 @@ def drive_lines(cfg):
     - target_nucleus: the qubit nucleus with its electron excited (the CNOT's
       conditional flip, and INIT's second correction)
     """
-    layout = RegisterLayout(1, tip_position=0)
-    # Partners: nucleus -> (electron,), electron -> (nucleus, tip), tip -> (electron,).
-    nucleus, electron, tip = (
-        physics.pattern_lines(layout, cfg, site)[1]
-        for site in (layout.nucleus_site(0), layout.electron_site(0), layout.tip_site)
-    )
+    lines = _site_lines(cfg)
     return types.MappingProxyType(
-        {
-            "rotation": nucleus[0],
-            "control_electron": electron[0b10],
-            "tip_nucleus": tip[1],
-            "target_electron_n1": electron[0b11],
-            "target_electron_n0": electron[0b01],
-            "target_nucleus": nucleus[1],
-        }
+        {role: lines[site][pattern] for role, (site, pattern) in _DRIVES.items()}
     )
 
 
@@ -91,14 +97,10 @@ def unselective_drive(cfg):
     uniform across qubits, so it holds on every register. Memoised per
     config, which ``MachineConfig.validate`` checks on every call.
     """
-    layout = RegisterLayout(1, tip_position=0)
-    nucleus, electron, tip = layout.nucleus_site(0), layout.electron_site(0), layout.tip_site
-    sites = {"rotation": nucleus, "control_electron": electron, "tip_nucleus": tip,
-             "target_electron_n1": electron, "target_electron_n0": electron,
-             "target_nucleus": nucleus}
-    for role, drive in drive_lines(cfg).items():
-        lines = physics.pattern_lines(layout, cfg, sites[role])[1]
-        count = sum(abs(line - drive) <= cfg.selectivity_tolerance for line in lines)
+    lines = _site_lines(cfg)
+    for role, (site, pattern) in _DRIVES.items():
+        drive = lines[site][pattern]
+        count = sum(abs(line - drive) <= cfg.selectivity_tolerance for line in lines[site])
         if count > 1:
             return role, count
     return None
@@ -133,28 +135,6 @@ def _electron_pulse(cfg, frequency):
     )
 
 
-def _rotation_pulse(angle, phase, cfg):
-    """The nuclear pulse of a rotation by ``angle`` at ``phase``, or None for the bare move.
-
-    The angle is folded into (0, 2*pi]; a zero rotation, or one too small
-    for its pulse duration to stay above 0.0 s, has no pulse. A non-finite
-    angle or phase is a ValueError.
-    """
-    for name, value in (("angle", angle), ("phase", phase)):
-        if not math.isfinite(value):
-            raise ValueError(f"rotation {name} must be finite, got {value!r}")
-    folded = math.fmod(angle, 2.0 * _PI)
-    if folded < 0:
-        folded += 2.0 * _PI
-    if folded == 0.0 and angle != 0.0:
-        folded = 2.0 * _PI
-    if not cfg.nuclear_pi_duration * folded / _PI > 0.0:  # the duration _nuclear_pulse gives
-        return None
-    return _nuclear_pulse(
-        cfg, drive_lines(cfg)["rotation"], folded, phase, PulseMode.PHASED_ROTATION
-    )
-
-
 def compile_rotation(qubit, angle, phase, layout, cfg):
     """Rotate one qubit nucleus: park the tip on it, drive its shifted line.
 
@@ -166,10 +146,21 @@ def compile_rotation(qubit, angle, phase, layout, cfg):
     phase is a ValueError.
     """
     layout.check_qubit(qubit)
-    pulse = _rotation_pulse(angle, phase, cfg)
-    if pulse is None:
-        return PulseProgram((MoveTip(qubit),), gate_count=1)
-    return PulseProgram((MoveTip(qubit), ApplyPulse(pulse)), gate_count=1)
+    for name, value in (("angle", angle), ("phase", phase)):
+        if not math.isfinite(value):
+            raise ValueError(f"rotation {name} must be finite, got {value!r}")
+    folded = math.fmod(angle, 2.0 * _PI)
+    if folded < 0:
+        folded += 2.0 * _PI
+    if folded == 0.0 and angle != 0.0:
+        folded = 2.0 * _PI
+    instructions = [MoveTip(qubit)]
+    if cfg.nuclear_pi_duration * folded / _PI > 0.0:  # the duration _nuclear_pulse gives
+        pulse = _nuclear_pulse(
+            cfg, drive_lines(cfg)["rotation"], folded, phase, PulseMode.PHASED_ROTATION
+        )
+        instructions.append(ApplyPulse(pulse))
+    return PulseProgram(tuple(instructions), gate_count=1)
 
 
 def compile_cnot(control, target, layout, cfg):
@@ -307,36 +298,6 @@ def _gate_tasks(gate, text, num_qubits, coordinates, cfg):
     return _compile_tasks(gate, RegisterLayout(num_qubits, coordinates), cfg)
 
 
-@functools.lru_cache(maxsize=256, typed=True)
-def _rotation_frame(qubit, num_qubits, coordinates, cfg):
-    """The task fields of a zero rotation of ``qubit``: the part of a ROT task no angle enters.
-
-    Its move, label, qubits, end position and MOVE line are those of every
-    ROT of that qubit. ``typed`` keeps qubits that are equal but list
-    differently (``1``, ``1.0``, ``np.int64(1)``) apart.
-    """
-    layout = RegisterLayout(num_qubits, coordinates)
-    (fields,) = _compile_tasks(RotGate(qubit, 0.0), layout, cfg)
-    return fields
-
-
-def _rotation_fields(gate, layout, cfg):
-    """The GateTask fields of one ROT but ``gate_index``: its frame, then its pulse.
-
-    Only the pulse (``compile_rotation``'s folding), its listing line and its
-    priced duration depend on the angle and phase, so only they are built
-    per occurrence; a rotation with no pulse is its frame.
-    """
-    frame = _rotation_frame(gate.qubit, layout.num_qubits, layout.coordinates, cfg)
-    pulse = _rotation_pulse(gate.angle, gate.phase, cfg)
-    if pulse is None:
-        return frame
-    apply = ApplyPulse(pulse)
-    ((duration, _),) = timing.walk((apply,), layout, cfg, gate.qubit)
-    return dict(frame, instructions=frame["instructions"] + (apply,), work=(duration,),
-                lines=frame["lines"] + (instruction_text(apply),))
-
-
 def expand_tasks(circuit, layout, cfg):
     """Per-gate tasks in circuit order; INIT becomes one task per qubit.
 
@@ -345,17 +306,18 @@ def expand_tasks(circuit, layout, cfg):
     list. A gate's tasks come from a bounded memo keyed by the gate, the
     register geometry and the config (by equality, like ``drive_lines``), so
     a gate that recurs in a process is compiled once; only the gate index is
-    set per occurrence. A ROT's angle is rarely seen twice, so a ROT is
-    memoised without it (``_rotation_frame``) and builds only its pulse, its
-    PULSE line and its work per occurrence. The memoised fields are valid
-    already, so a task is built as ``RegisterLayout.with_tip`` builds its
-    copy, without the frozen dataclass ``__init__``.
+    set per occurrence. A ROT is compiled on every occurrence
+    (``_compile_tasks``, with the caller's layout) and never memoised: its
+    angle is rarely seen twice, so an entry would seldom be read again, and
+    each would evict a gate that recurs. The fields are valid already, so a
+    task is built as ``RegisterLayout.with_tip`` builds its copy, without the
+    frozen dataclass ``__init__``.
     """
     geometry = (layout.num_qubits, layout.coordinates, cfg)
     tasks = []
     for gate_index, gate in enumerate(circuit.gates):
         if isinstance(gate, RotGate):
-            units = (_rotation_fields(gate, layout, cfg),)
+            units = _compile_tasks(gate, layout, cfg)
         else:
             units = _gate_tasks(gate, repr(gate), *geometry)
         for fields in units:

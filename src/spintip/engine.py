@@ -229,9 +229,12 @@ class PureState:
         return math.sqrt(_sum_squares(self._materialised().tensor))
 
     def population(self, site, bit):
-        """Total weight with ``site`` in ``bit``."""
-        slab = self._materialised()._slab(site, bit)
-        return 0.0 if slab is None else _sum_squares(slab)
+        """Total weight with ``site`` in ``bit``; a dormant site is all in bit 0."""
+        state = self._materialised()
+        axis = state._axis(site)
+        if axis is None:
+            return 0.0 if bit else _sum_squares(state.tensor)
+        return _sum_squares(_half(state.tensor, axis, bit))
 
     def dump_text(self):
         """One ``bitstring re im`` line per amplitude of modulus above 1e-12."""
@@ -249,17 +252,6 @@ class PureState:
         """Position of ``site`` among the live sites, or None if it is not live."""
         axis = bisect.bisect_left(self.sites, site)
         return axis if axis < len(self.sites) and self.sites[axis] == site else None
-
-    def _slab(self, site, bit):
-        """View of the tensor with ``site`` pinned to ``bit``; ``site`` is not slaved.
-
-        A dormant site pinned to 0 selects everything and one pinned to 1
-        selects nothing, so the slab is then None.
-        """
-        axis = self._axis(site)
-        if axis is None:
-            return None if bit else self.tensor
-        return _half(self.tensor, axis, bit)
 
     def _wake(self, site):
         """Give a dormant site its axis, with an all-zero |1> half; return the axis."""

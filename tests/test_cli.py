@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -47,19 +48,16 @@ def example_circuit(tmp_path):
 
 @pytest.fixture
 def fresh_task_memos():
-    """Clear the gate task memos before and after a test that patches what they compile.
+    """Clear the gate task memo before and after a test that patches what it compiles.
 
     Otherwise a gate compiled earlier in the process is served from the memo
     and the patch never takes effect, and the patched tasks outlive the test.
     """
     from spintip import compiler
 
-    memos = (compiler._gate_tasks, compiler._rotation_frame)
-    for memo in memos:
-        memo.cache_clear()
+    compiler._gate_tasks.cache_clear()
     yield
-    for memo in memos:
-        memo.cache_clear()
+    compiler._gate_tasks.cache_clear()
 
 
 class TestSingleRuns:
@@ -762,6 +760,72 @@ class TestBatchRuns:
     def test_empty_batch_directory_exits_two(self, tmp_path):
         done = run_cli("--batch", str(tmp_path))
         assert done.returncode == 2
+
+
+class TestOutputFaults:
+    """Output that cannot be written ends in a documented code, never a traceback."""
+
+    def test_a_pipe_closed_early_stops_quietly_with_141(self, tmp_path):
+        path = tmp_path / "long.circuit"
+        path.write_text("CNOT 0 1\n" * 400, encoding="utf-8")  # a report past a pipe's buffer
+        process = subprocess.Popen(
+            [sys.executable, "-m", "spintip", "--circuit", str(path), "--seed", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert process.stdout.read(10) == b'{\n  "circu'
+        process.stdout.close()
+        stderr = process.stderr.read()
+        process.stderr.close()
+        assert process.wait(timeout=60) == 141
+        assert stderr == b""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+    def test_a_full_stdout_exits_two_with_one_error_line(self):
+        argv = ["--circuit", str(DATA / "golden.circuit"), "--seed", "42"]
+        with open("/dev/full", "w") as full:
+            done = subprocess.run([sys.executable, "-m", "spintip", *argv], stdout=full,
+                                  stderr=subprocess.PIPE, text=True)
+        assert done.returncode == 2
+        assert done.stderr.splitlines() == [
+            "error: cannot write the output: [Errno 28] No space left on device"
+        ]
+
+    @pytest.mark.parametrize("mode", ["--circuit", "--batch"])
+    def test_a_failing_stdout_write_exits_two_with_one_error_line(
+        self, example_circuit, monkeypatch, capsys, mode
+    ):
+        import spintip.cli as cli
+
+        class Unwritable(io.StringIO):
+            def write(self, text):
+                raise OSError(5, "Input/output error")
+
+        target = example_circuit.parent if mode == "--batch" else example_circuit
+        monkeypatch.setattr(sys, "stdout", Unwritable())
+        assert cli.main([mode, str(target), "--seed", "0"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: cannot write the output: [Errno 5] Input/output error"
+        ]
+
+    @pytest.mark.parametrize("mode", ["--circuit", "--batch"])
+    def test_an_interrupt_prints_one_line_and_exits_130(self, tmp_path, monkeypatch, capsys,
+                                                         mode):
+        import spintip.cli as cli
+
+        for name in ("a", "b"):
+            (tmp_path / f"{name}.circuit").write_text(EXAMPLE, encoding="utf-8")
+        calls = []
+
+        def interrupted(path, *args, **kwargs):
+            calls.append(Path(path).name)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_circuit_file", interrupted)
+        target = tmp_path if mode == "--batch" else tmp_path / "a.circuit"
+        assert cli.main([mode, str(target), "--seed", "0"]) == 130
+        assert capsys.readouterr() == ("", "error: interrupted\n")
+        assert calls == ["a.circuit"]  # a batch stops at the interrupted file
+        assert not list(tmp_path.glob("*.report.json"))
 
 
 QUBIT = st.sampled_from(["0", "1", "2", "-1", "x", "600"])

@@ -20,6 +20,7 @@ from spintip import (
     ApplyPulse,
     Channel,
     Circuit,
+    CnotGate,
     ConditionalPulse,
     MachineConfig,
     MeasureGate,
@@ -499,29 +500,34 @@ class TestGateTaskMemo:
             expand_tasks(Circuit((MeasureGate(qubit),)), wide, CFG)
         assert compiler._gate_tasks.cache_info().currsize == bound
 
-    def test_the_rotation_frame_memo_is_bounded(self):
-        bound = compiler._rotation_frame.cache_info().maxsize
-        assert bound is not None
-        wide = RegisterLayout(3 * bound)
-        for qubit in range(3 * bound):
-            expand_tasks(Circuit((RotGate(qubit, 1.0, 0.0),)), wide, CFG)
-        assert compiler._rotation_frame.cache_info().currsize == bound
+    def test_rotations_evict_no_memoised_gate(self, monkeypatch):
+        # More distinct ROT angles than the memo holds, between two equal
+        # CNOTs: the second CNOT is still a hit, and the memo holds no ROT.
+        calls = []
+        original = compiler.compile_gate
+        monkeypatch.setattr(
+            compiler, "compile_gate", lambda *args: calls.append(args[0]) or original(*args)
+        )
+        compiler._gate_tasks.cache_clear()
+        rotations = tuple(RotGate(0, 0.1 + step / 100, 0.0) for step in range(300))
+        assert len(set(rotations)) > compiler._gate_tasks.cache_info().maxsize
+        cnot = CnotGate(0, 1)
+        expand_tasks(Circuit((cnot,) + rotations + (cnot,)), PAIR, CFG)
+        assert calls.count(cnot) == 1
+        assert compiler._gate_tasks.cache_info().currsize == 1
 
     @staticmethod
     def general_route(gate, layout):
-        """The fields ``_gate_tasks`` compiles for a gate: a ROT as every other gate."""
+        """The fields ``_compile_tasks`` compiles for one gate on ``layout``."""
         (fields,) = compiler._compile_tasks(gate, layout, CFG)
         return fields
 
-    def test_a_sweep_of_rotation_angles_fills_one_frame(self):
-        # Every ROT of a qubit shares its frame, and builds per occurrence
-        # what the general route compiles, bit for bit.
+    def test_a_sweep_of_rotation_angles_memoises_nothing(self):
+        # Every ROT is what the general route compiles, bit for bit, and
+        # none enters the task memo.
         compiler._gate_tasks.cache_clear()
-        compiler._rotation_frame.cache_clear()
         gates = [RotGate(1, 0.1 + step / 7, math.sin(step)) for step in range(50)]
         tasks = expand_tasks(Circuit(tuple(gates)), PAIR, CFG)
-        frames = compiler._rotation_frame.cache_info()
-        assert (frames.misses, frames.hits) == (1, 49)
         assert compiler._gate_tasks.cache_info().currsize == 0
         for index, (gate, task) in enumerate(zip(gates, tasks)):
             expected = dataclasses.replace(task, **self.general_route(gate, PAIR))

@@ -318,7 +318,6 @@ def test_an_int_config_times_like_its_float_twin():
     after_twin = run(cfg)
     assert after_twin[0] == twin[0]
     compiler._gate_tasks.cache_clear()
-    compiler._rotation_frame.cache_clear()
     timing.move_table.cache_clear()
     fresh = run(cfg)
     assert after_twin[1:] == fresh[1:]

@@ -1297,6 +1297,21 @@ def readings(state, layout):
     )
 
 
+def slab_population(state, site, bit):
+    """A frozen copy of ``PureState.population`` as it read through a ``_slab`` view.
+
+    A dormant site pinned to 0 selected the whole tensor and one pinned to 1
+    selected nothing.
+    """
+    state = state._materialised()
+    axis = state._axis(site)
+    if axis is None:
+        slab = None if bit else state.tensor
+    else:
+        slab = engine._half(state.tensor, axis, bit)
+    return 0.0 if slab is None else engine._sum_squares(slab)
+
+
 class TestSlavedReaders:
     @PROPERTY_SETTINGS
     @given(cnot_runs())
@@ -1320,6 +1335,9 @@ class TestSlavedReaders:
             held_tensor = state.tensor
             held = (state.sites, held_tensor.tobytes(), dict(state.slaves))
             assert readings(state, layout) == readings(reference, layout)
+            for site in range(layout.num_sites):  # live, dormant and slaved sites
+                for bit in (0, 1):
+                    assert state.population(site, bit) == slab_population(state, site, bit)
             assert state.tensor is held_tensor
             assert (state.sites, state.tensor.tobytes(), state.slaves) == held
         assert state.slaves == {} or all(site % 2 == 0 for site in state.slaves)
