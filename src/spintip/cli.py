@@ -5,15 +5,16 @@ repr — so the same inputs and seed produce byte-identical output, which is
 what makes them diffable regression artifacts.
 
 Exit codes: 0 success, 2 unusable input (flags, a negative seed, a trace SNR
-whose noise deviation overflows, config, circuit, a register too large for
-memory, a trace sample rate that aliases the readout lines, a non-finite
-report number), 3 physics failure (a compiled pulse that hits no transition
-line, a failed --verify-frequencies check, or a readout line that matches no
-or several modulation lines), 4 infeasible decoherence budget under
+whose noise deviation overflows, config, circuit, a register or a gate count
+too large for memory, a trace sample rate that aliases the readout lines, a
+non-finite report number), 3 physics failure (a compiled pulse that hits no
+transition line, a failed --verify-frequencies check, or a readout line that
+matches no or several modulation lines), 4 infeasible decoherence budget under
 --enforce-budget, 130 interrupted (SIGINT), 141 stdout closed early (a
 closed pipe, as ``| head`` leaves it). Every failure but 141 prints one
 ``error:`` line to stderr; 141 prints nothing. A write to stdout that
-fails for another reason exits 2.
+fails for another reason exits 2. A stderr line that cannot be written is
+dropped, and the run keeps its code.
 """
 
 import argparse
@@ -55,6 +56,15 @@ EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE
 #: MEASURE, exact and traced readout and ``--tips 2``; below n = 17 fixed
 #: buffers of about 2 MiB, such as the traced readout's, weigh more.
 PEAK_STATE_COPIES = 2.0
+
+#: Peak bytes of a run's bookkeeping per gate, an INIT counting once per
+#: qubit: its tasks, instructions and timing, the report and its JSON text.
+#: tracemalloc measured 2.64-2.70 kB per gate between 1,000 and 8,000 CNOTs,
+#: the costliest gate, on 2 and 6 qubits with ``--tips`` 2 to 4 (2.55 kB
+#: without), and a run of 1,500 CNOTs on 6 qubits peaked at 2.97 kB per gate
+#: with its fixed part. Resident memory grew by 2.8-3.0 KiB per gate, so the
+#: bound rounds up to 4 KiB for the allocator's slack.
+GATE_BYTES = 4096
 
 
 @functools.cache
@@ -151,16 +161,17 @@ def _record_dict(record):
     }
 
 
-def _check_memory(num_qubits):
-    """Raise RegisterTooLarge if a run on ``num_qubits`` would not fit in memory.
+def _check_memory(num_qubits, num_gates):
+    """Raise RegisterTooLarge if a run of ``num_gates`` gates on ``num_qubits`` would not fit.
 
     A run starts in the ground state, where every site is dormant, and
     compiled gates keep at most n + 1 sites live: the n nuclei, and during a
     CNOT the target electron. The control electron and the tip carbon only
     copy the control nucleus, so they stay slaved and take no axis. The
-    estimate is ``PEAK_STATE_COPIES`` states of 2^(n+1) 16-byte amplitudes,
-    against the host's physical memory, before the layout or any state is
-    built. It is an integer byte count, printed as its leading power of two,
+    estimate is ``PEAK_STATE_COPIES`` states of 2^(n+1) 16-byte amplitudes
+    plus ``GATE_BYTES`` per gate, against the host's physical memory, before
+    the layout or any state is built and before anything compiles. The state
+    alone is an integer byte count, printed as its leading power of two,
     because the dimension of a register a circuit can name exceeds the float
     range, and converting such an integer to decimal takes seconds. The bit
     lengths are compared before any shift, so a huge qubit index never builds
@@ -176,6 +187,13 @@ def _check_memory(num_qubits):
             f"2^{estimate_bits - 31} GiB at peak, more than the "
             f"{physical / 2**30:.3g} GiB of physical memory"
         )
+    estimate = (bytes_per_amplitude << shift) + GATE_BYTES * num_gates
+    if estimate > physical:
+        raise RegisterTooLarge(
+            f"{num_gates} gates on {num_qubits} qubits need about "
+            f"{estimate / 2**30:.3g} GiB at peak, more than the "
+            f"{physical / 2**30:.3g} GiB of physical memory"
+        )
 
 
 def run_circuit_file(path, cfg, args, seed, dump_path):
@@ -189,8 +207,11 @@ def run_circuit_file(path, cfg, args, seed, dump_path):
     except UnicodeDecodeError as exc:
         raise CircuitParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     circuit = program.parse_circuit(text, source=str(path))
-    _check_memory(circuit.num_qubits)
-    layout = RegisterLayout(circuit.num_qubits)
+    num_qubits = circuit.num_qubits
+    _check_memory(num_qubits, sum(
+        num_qubits if isinstance(gate, program.InitGate) else 1 for gate in circuit.gates
+    ))
+    layout = RegisterLayout(num_qubits)
     tasks = compiler.expand_tasks(circuit, layout, cfg)
     state = engine.PureState.ground(layout)
     result = compiler.execute(
@@ -264,19 +285,6 @@ def run_circuit_file(path, cfg, args, seed, dump_path):
         "status": {"exit_code": code, "reasons": reasons},
     }
     return report, code, result.final_state
-
-
-def _failure_code(exc):
-    """Exit code of a run that raised: 3 if the readout failed, else 2."""
-    if isinstance(exc, (UnclassifiableFrequency, DegenerateState)):
-        return EXIT_PHYSICS
-    return EXIT_USAGE
-
-
-def _print_reasons(report):
-    """The one ``error:`` line of a run that failed through its report."""
-    if report["status"]["reasons"]:
-        print(f"error: {'; '.join(report['status']['reasons'])}", file=sys.stderr)
 
 
 def _report_json(report):
@@ -355,34 +363,33 @@ def _default_config():
     return MachineConfig()
 
 
-def _fresh_seed():
-    return int(np.random.SeedSequence().entropy)
+def _run_file(path, cfg, args, seed, report_path=None):
+    """Run one circuit file and write its report; return the run's exit code.
 
-
-def _run_batch(args, cfg):
-    directory = Path(args.batch)
-    files = sorted(directory.glob("*.circuit"))
-    if not files:
-        print(f"error: no *.circuit files in {directory}", file=sys.stderr)
-        return EXIT_USAGE
-    base_seed = args.seed if args.seed is not None else _fresh_seed()
-    worst = EXIT_OK
-    for index, path in enumerate(files):
-        seed = base_seed + index
-        try:
-            report, code, _ = run_circuit_file(path, cfg, args, seed, dump_path=None)
-            out = path.with_suffix(".report.json")
-            out.write_text(_report_json(report) + "\n", encoding="utf-8")
-        except (SimulationError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            code = _failure_code(exc)
-        else:
-            _print_reasons(report)
-        failed = _print_stdout(f"{path.name}: exit {code}")
+    The report goes to ``report_path``, or to stdout when that is None. The
+    dump (``--dump-state``, single runs only) is written once the report has
+    serialised. A run that raises prints one ``error:`` line and exits 3 if
+    its readout failed, else 2; a run that fails through its report prints
+    the report, then its reasons as one ``error:`` line.
+    """
+    try:
+        report, code, final_state = run_circuit_file(path, cfg, args, seed, args.dump_state)
+        text = _report_json(report)
+        if args.dump_state:
+            Path(args.dump_state).write_text(final_state.dump_text(), encoding="utf-8")
+        if report_path is not None:
+            report_path.write_text(text + "\n", encoding="utf-8")
+    except (SimulationError, OSError) as exc:
+        _print_stderr(f"error: {exc}")
+        readout_failed = isinstance(exc, (UnclassifiableFrequency, DegenerateState))
+        return EXIT_PHYSICS if readout_failed else EXIT_USAGE
+    if report_path is None:
+        failed = _print_stdout(text)
         if failed is not None:
             return failed
-        worst = max(worst, code)
-    return worst
+    if report["status"]["reasons"]:
+        _print_stderr(f"error: {'; '.join(report['status']['reasons'])}")
+    return code
 
 
 def _print_stdout(text):
@@ -404,9 +411,15 @@ def _print_stdout(text):
             os.close(devnull)
         if isinstance(exc, BrokenPipeError):
             return EXIT_BROKEN_PIPE
-        print(f"error: cannot write the output: {exc}", file=sys.stderr)
+        _print_stderr(f"error: cannot write the output: {exc}")
         return EXIT_USAGE
     return None
+
+
+def _print_stderr(line):
+    """Print one line to stderr; a failed write is dropped, as nowhere is left to report it."""
+    with contextlib.suppress(OSError):
+        print(line, file=sys.stderr, flush=True)
 
 
 def main(argv=None):
@@ -414,7 +427,7 @@ def main(argv=None):
     try:
         return _main(argv)
     except KeyboardInterrupt:
-        print("error: interrupted", file=sys.stderr)
+        _print_stderr("error: interrupted")
         return EXIT_INTERRUPTED
 
 
@@ -440,32 +453,32 @@ def _main(argv):
             warnings.simplefilter("always")
             cfg = load_machine_config(args.config) if args.config else _default_config().validate()
     except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_stderr(f"error: {exc}")
         return EXIT_USAGE
     for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
+        _print_stderr(f"warning: {warning.message}")
 
     if args.batch:
-        return _run_batch(args, cfg)
+        files = sorted(Path(args.batch).glob("*.circuit"))
+        if not files:
+            _print_stderr(f"error: no *.circuit files in {Path(args.batch)}")
+            return EXIT_USAGE
 
-    seed = args.seed if args.seed is not None else _fresh_seed()
-    if args.seed is None:
-        print(f"seed: {seed}", file=sys.stderr)
-    try:
-        report, code, final_state = run_circuit_file(
-            args.circuit, cfg, args, seed, args.dump_state
-        )
-        text = _report_json(report)
-        if args.dump_state:
-            Path(args.dump_state).write_text(final_state.dump_text(), encoding="utf-8")
-    except (SimulationError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return _failure_code(exc)
-    failed = _print_stdout(text)
-    if failed is not None:
-        return failed
-    _print_reasons(report)
-    return code
+    # File k runs with base seed + k; a single run is file 0.
+    base_seed = args.seed
+    if base_seed is None:
+        base_seed = int(np.random.SeedSequence().entropy)
+        _print_stderr(f"seed: {base_seed}")
+    if args.circuit:
+        return _run_file(args.circuit, cfg, args, base_seed)
+    worst = EXIT_OK
+    for index, path in enumerate(files):
+        code = _run_file(path, cfg, args, base_seed + index, path.with_suffix(".report.json"))
+        failed = _print_stdout(f"{path.name}: exit {code}")
+        if failed is not None:
+            return failed
+        worst = max(worst, code)
+    return worst
 
 
 if __name__ == "__main__":

@@ -42,4 +42,4 @@ class AliasingError(SimulationError):
 
 
 class RegisterTooLarge(SimulationError):
-    """A dense run of the register would need more memory than the host has."""
+    """A run would need more memory than the host has, for its state or its gates."""

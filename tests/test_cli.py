@@ -1,14 +1,18 @@
 """End-to-end command line behaviour: exit codes, reports, batch runs."""
 
 import contextlib
+import errno
 import io
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
+from unittest import mock
 from pathlib import Path
 
 import pytest
@@ -364,6 +368,46 @@ class TestFailureModes:
         assert done.stderr.startswith("error: a 2000001-qubit register needs about 2^")
         assert done.stderr.count("\n") == 1
 
+    def test_a_gate_count_past_physical_memory_exits_two_before_compiling(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # 1 MiB of physical memory: the 4-qubit state fits, the bookkeeping of
+        # 100 INITs on 4 qubits (400 gates) and one MEASURE does not.
+        import spintip.cli as cli
+        from spintip import compiler
+
+        pages = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 256}
+        monkeypatch.setattr(os, "sysconf", lambda name: pages[name])
+        monkeypatch.setattr(compiler, "expand_tasks", lambda *args: pytest.fail("compiled"))
+        path = tmp_path / "long.circuit"
+        path.write_text("INIT\n" * 100 + "MEASURE 3\n", encoding="utf-8")
+        assert cli.main(["--circuit", str(path), "--seed", "0"]) == 2
+        assert capsys.readouterr() == ("", (
+            "error: 401 gates on 4 qubits need about 0.00153 GiB at peak, "
+            "more than the 0.000977 GiB of physical memory\n"
+        ))
+
+    def test_a_long_cnot_run_peaks_within_the_memory_estimate(self, tmp_path):
+        # The whole run, report text and its write included, against the
+        # state copies plus GATE_BYTES a gate; CNOT is the costliest gate.
+        import spintip.cli as cli
+
+        num_qubits, num_gates = 6, 1500
+        path = tmp_path / "long.circuit"
+        path.write_text(f"CNOT 0 {num_qubits - 1}\n" * num_gates, encoding="utf-8")
+        argv = ["--circuit", str(path), "--seed", "0", "--tips", "4"]
+        with open(os.devnull, "w") as devnull, contextlib.redirect_stdout(devnull):
+            assert cli.main(argv) == 0  # fill the memos first
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                assert cli.main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+        state = cli.PEAK_STATE_COPIES * 16 * 2 ** (num_qubits + 1)
+        assert peak <= state + cli.GATE_BYTES * num_gates
+
     def test_an_index_past_any_shift_exits_two(self, tmp_path, capsys):
         # The estimate's exponent is compared before its bytes are built: a
         # 2^(10^21)-byte integer cannot be built at all.
@@ -646,6 +690,20 @@ class TestBatchRuns:
         assert report_a["seed"] == 7
         assert report_b["seed"] == 8
 
+    def test_an_unseeded_batch_announces_its_base_seed_once(self, tmp_path, capsys):
+        import spintip.cli as cli
+
+        for name in ("a", "b", "c"):
+            (tmp_path / f"{name}.circuit").write_text("MEASURE 0\n", encoding="utf-8")
+        assert cli.main(["--batch", str(tmp_path)]) == 0
+        out = capsys.readouterr()
+        [announced] = out.err.splitlines()
+        assert announced.startswith("seed: ")
+        base = int(announced.removeprefix("seed: "))
+        for index, name in enumerate(("a", "b", "c")):
+            report = json.loads((tmp_path / f"{name}.report.json").read_text(encoding="utf-8"))
+            assert report["seed"] == base + index
+
     def test_batch_keeps_going_after_a_bad_file(self, tmp_path):
         (tmp_path / "bad.circuit").write_text("NOPE\n", encoding="utf-8")
         (tmp_path / "good.circuit").write_text(EXAMPLE, encoding="utf-8")
@@ -790,6 +848,23 @@ class TestOutputFaults:
             "error: cannot write the output: [Errno 28] No space left on device"
         ]
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+    def test_a_full_stderr_drops_the_seed_line_and_the_run_succeeds(self, example_circuit):
+        with open("/dev/full", "w") as full:
+            done = subprocess.run([sys.executable, "-m", "spintip", "--circuit",
+                                   str(example_circuit)], stdout=subprocess.PIPE,
+                                  stderr=full, text=True)
+        assert done.returncode == 0
+        assert strict_json(done.stdout)["status"]["exit_code"] == 0
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full here")
+    def test_a_full_stdout_and_stderr_exit_two(self):
+        argv = ["--circuit", str(DATA / "golden.circuit"), "--seed", "42"]
+        with open("/dev/full", "w") as full:
+            done = subprocess.run([sys.executable, "-m", "spintip", *argv], stdout=full,
+                                  stderr=full)
+        assert done.returncode == 2
+
     @pytest.mark.parametrize("mode", ["--circuit", "--batch"])
     def test_a_failing_stdout_write_exits_two_with_one_error_line(
         self, example_circuit, monkeypatch, capsys, mode
@@ -844,6 +919,40 @@ GATE_LINES = st.lists(
 )
 
 
+def stdout_faults(max_chars):
+    """A stdout fault: a closed pipe or a full device after 0..max_chars characters, or none."""
+    return st.one_of(
+        st.none(), st.tuples(st.sampled_from(["pipe", "full"]), st.integers(0, max_chars))
+    )
+
+
+class FaultyStdout(io.StringIO):
+    """A stdout that takes ``limit`` characters, then raises on every write.
+
+    ``fault`` is None, or a (kind, limit) draw of ``stdout_faults``; ``raised``
+    says whether a write failed.
+    """
+
+    def __init__(self, fault):
+        super().__init__()
+        self.kind, self.limit = fault if fault is not None else (None, math.inf)
+        self.raised = False
+
+    def write(self, text):
+        room = self.limit - self.tell()
+        if len(text) <= room:
+            return super().write(text)
+        super().write(text[:room])
+        self.raised = True
+        if self.kind == "pipe":
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+#: The one stderr line of a stdout write that fails other than by a closed pipe.
+CANNOT_WRITE = "error: cannot write the output: [Errno 28] No space left on device"
+
+
 class TestExitCodeFuzz:
     # Qubit tokens stay below 3 or reach 600: every register either runs in
     # a few kilobytes or is refused before it is allocated.
@@ -852,8 +961,9 @@ class TestExitCodeFuzz:
         lines=GATE_LINES,
         tips=st.integers(1, 3),
         snr=st.sampled_from([None, "1e-3", "10", "1e-320"]),
+        fault=stdout_faults(2 ** 13),  # a report takes about 1-6 kB
     )
-    def test_every_input_ends_in_a_documented_code(self, lines, tips, snr):
+    def test_every_input_ends_in_a_documented_code(self, lines, tips, snr, fault):
         import spintip.cli as cli
 
         with tempfile.TemporaryDirectory() as directory:
@@ -862,7 +972,7 @@ class TestExitCodeFuzz:
             argv = ["--circuit", str(path), "--seed", "0", "--tips", str(tips)]
             if snr is not None:
                 argv += ["--trace-snr", snr]
-            stdout, stderr = io.StringIO(), io.StringIO()
+            stdout, stderr = FaultyStdout(fault), io.StringIO()
             refused = False
             with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
                     warnings.catch_warnings(record=True) as caught:
@@ -871,9 +981,13 @@ class TestExitCodeFuzz:
                     code = cli.main(argv)
                 except SystemExit as exc:  # the flags themselves are refused
                     code, refused = exc.code, True
-        assert code in (0, 2, 3, 4)
+        assert code in (0, 2, 3, 4, 141)
         assert caught == []
         assert "Traceback" not in stderr.getvalue()
+        if stdout.raised:  # the report is the run's one stdout write
+            expected = (141, "") if stdout.kind == "pipe" else (2, CANNOT_WRITE + "\n")
+            assert (code, stderr.getvalue()) == expected
+            return
         if refused:
             assert code == 2
             assert stdout.getvalue() == ""
@@ -970,8 +1084,9 @@ class TestBatchFuzz:
         files=BATCH_FILES,
         tips=st.sampled_from([None, "1", "2"]),
         snr=st.sampled_from([None, "1e-3", "10"]),
+        fault=stdout_faults(60),  # a line takes 19 characters
     )
-    def test_every_file_ends_in_one_documented_code(self, files, tips, snr):
+    def test_every_file_ends_in_one_documented_code(self, files, tips, snr, fault):
         import spintip.cli as cli
 
         with tempfile.TemporaryDirectory() as directory:
@@ -998,17 +1113,31 @@ class TestBatchFuzz:
                 argv += ["--tips", tips]
             if snr is not None:
                 argv += ["--trace-snr", snr]
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            stdout, stderr = FaultyStdout(fault), io.StringIO()
+            run_file, runs = cli._run_file, []
+
+            def recorded(path, *args):
+                runs.append((Path(path).name, run_file(path, *args)))
+                return runs[-1][1]
+
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                    mock.patch.object(cli, "_run_file", recorded):
                 code = cli.main(argv)
-        lines = stdout.getvalue().splitlines()
-        assert [line.rpartition(": exit ")[0] for line in lines] == names
-        codes = [int(line.rpartition(": exit ")[2]) for line in lines]
+        # Whole lines only: the batch stops at the first line it cannot write.
+        lines = stdout.getvalue().split("\n")[:-1]
+        ran = len(lines) + 1 if stdout.raised else len(names)
+        assert [name for name, _ in runs] == names[:ran]
+        assert lines == [f"{name}: exit {c}" for name, c in runs[:len(lines)]]
+        codes = [c for _, c in runs]
         assert set(codes) <= {0, 2, 3, 4}
-        assert code == max(codes)
         errors = stderr.getvalue().splitlines()
         assert all(line.startswith("error: ") for line in errors)
-        assert len(errors) == sum(c != 0 for c in codes)
+        cannot_write = stdout.raised and stdout.kind == "full"
+        assert len(errors) == sum(c != 0 for c in codes) + cannot_write
+        if cannot_write:
+            assert (code, errors[-1]) == (2, CANNOT_WRITE)
+        else:
+            assert code == (141 if stdout.raised else max(codes))
 
 
 class TestEntryPoints:
