@@ -162,14 +162,14 @@ def _record_dict(record):
 
 
 def _check_memory(num_qubits, num_gates):
-    """Raise RegisterTooLarge if a run of ``num_gates`` gates on ``num_qubits`` would not fit.
+    """Raise RegisterTooLarge if ``num_gates`` gate tasks on ``num_qubits`` would not fit.
 
     A run starts in the ground state, where every site is dormant, and
     compiled gates keep at most n + 1 sites live: the n nuclei, and during a
     CNOT the target electron. The control electron and the tip carbon only
     copy the control nucleus, so they stay slaved and take no axis. The
     estimate is ``PEAK_STATE_COPIES`` states of 2^(n+1) 16-byte amplitudes
-    plus ``GATE_BYTES`` per gate, against the host's physical memory, before
+    plus ``GATE_BYTES`` per gate task, against the host's physical memory, before
     the layout or any state is built and before anything compiles. The state
     alone is an integer byte count, printed as its leading power of two,
     because the dimension of a register a circuit can name exceeds the float
@@ -190,8 +190,8 @@ def _check_memory(num_qubits, num_gates):
     estimate = (bytes_per_amplitude << shift) + GATE_BYTES * num_gates
     if estimate > physical:
         raise RegisterTooLarge(
-            f"{num_gates} gates on {num_qubits} qubits need about "
-            f"{estimate / 2**30:.3g} GiB at peak, more than the "
+            f"{num_gates} gate tasks (an INIT counts once per qubit) on {num_qubits} "
+            f"qubits need about {estimate / 2**30:.3g} GiB at peak, more than the "
             f"{physical / 2**30:.3g} GiB of physical memory"
         )
 
@@ -395,20 +395,12 @@ def _run_file(path, cfg, args, seed, report_path=None):
 def _print_stdout(text):
     """Print ``text`` to stdout and flush it; None, or the exit code of a failed write.
 
-    The flush makes a write fail here, not at interpreter exit. After a
-    failure, stdout's file descriptor (an in-memory stdout has none) points
-    at ``os.devnull``, so the output still buffered writes nowhere at exit
-    instead of failing again with an "Exception ignored" line.
+    The flush makes a write fail here, not at interpreter exit.
     """
     try:
         print(text, flush=True)
     except OSError as exc:
-        # io.UnsupportedOperation, a ValueError, says stdout has no descriptor.
-        with contextlib.suppress(AttributeError, ValueError):
-            fd = sys.stdout.fileno()
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, fd)
-            os.close(devnull)
+        _discard(sys.stdout)
         if isinstance(exc, BrokenPipeError):
             return EXIT_BROKEN_PIPE
         _print_stderr(f"error: cannot write the output: {exc}")
@@ -418,8 +410,24 @@ def _print_stdout(text):
 
 def _print_stderr(line):
     """Print one line to stderr; a failed write is dropped, as nowhere is left to report it."""
-    with contextlib.suppress(OSError):
+    try:
         print(line, file=sys.stderr, flush=True)
+    except OSError:
+        _discard(sys.stderr)
+
+
+def _discard(stream):
+    """Point the file descriptor of ``stream``, after a failed write, at ``os.devnull``.
+
+    What the stream still buffers then writes nowhere at interpreter exit,
+    instead of failing again there and turning the exit code into 120. An
+    in-memory stream has no descriptor (io.UnsupportedOperation, an OSError).
+    """
+    with contextlib.suppress(AttributeError, OSError):
+        fd = stream.fileno()
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
 
 
 def main(argv=None):

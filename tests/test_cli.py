@@ -372,7 +372,7 @@ class TestFailureModes:
         self, tmp_path, monkeypatch, capsys
     ):
         # 1 MiB of physical memory: the 4-qubit state fits, the bookkeeping of
-        # 100 INITs on 4 qubits (400 gates) and one MEASURE does not.
+        # 100 INITs on 4 qubits (400 gate tasks) and one MEASURE does not.
         import spintip.cli as cli
         from spintip import compiler
 
@@ -383,7 +383,8 @@ class TestFailureModes:
         path.write_text("INIT\n" * 100 + "MEASURE 3\n", encoding="utf-8")
         assert cli.main(["--circuit", str(path), "--seed", "0"]) == 2
         assert capsys.readouterr() == ("", (
-            "error: 401 gates on 4 qubits need about 0.00153 GiB at peak, "
+            "error: 401 gate tasks (an INIT counts once per qubit) on 4 qubits need about "
+            "0.00153 GiB at peak, "
             "more than the 0.000977 GiB of physical memory\n"
         ))
 
@@ -865,6 +866,28 @@ class TestOutputFaults:
                                   stderr=full)
         assert done.returncode == 2
 
+    def test_a_failed_stderr_write_points_its_descriptor_at_devnull(self, tmp_path, monkeypatch):
+        # A stderr that keeps the bytes it failed to write would fail again
+        # when the interpreter flushes it at exit; its descriptor then writes
+        # nowhere.
+        import spintip.cli as cli
+
+        fd = os.open(tmp_path / "stderr", os.O_WRONLY | os.O_CREAT)
+
+        class Unwritable(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def fileno(self):
+                return fd
+
+        monkeypatch.setattr(sys, "stderr", Unwritable())
+        try:
+            cli._print_stderr("seed: 1")
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+
     @pytest.mark.parametrize("mode", ["--circuit", "--batch"])
     def test_a_failing_stdout_write_exits_two_with_one_error_line(
         self, example_circuit, monkeypatch, capsys, mode
@@ -1127,7 +1150,8 @@ class TestBatchFuzz:
         lines = stdout.getvalue().split("\n")[:-1]
         ran = len(lines) + 1 if stdout.raised else len(names)
         assert [name for name, _ in runs] == names[:ran]
-        assert lines == [f"{name}: exit {c}" for name, c in runs[:len(lines)]]
+        written = ran - 1 if stdout.raised else ran
+        assert lines == [f"{name}: exit {c}" for name, c in runs[:written]]
         codes = [c for _, c in runs]
         assert set(codes) <= {0, 2, 3, 4}
         errors = stderr.getvalue().splitlines()
