@@ -196,17 +196,18 @@ def _check_memory(num_qubits, num_gates):
         )
 
 
-def run_circuit_file(path, cfg, args, seed, dump_path):
+def run_circuit_file(path, cfg, args, seed):
     """Compile, execute and report one circuit file.
 
-    Returns (report, exit code, final state). ``dump_path`` only names the
-    dump in the report: the caller writes it, once the report has serialised.
+    Returns (report, exit code, final state). The report names the
+    ``--dump-state`` file; the caller writes it, once the report has
+    serialised. A leading byte-order mark is dropped.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise CircuitParseError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
-    circuit = program.parse_circuit(text, source=str(path))
+    circuit = program.parse_circuit(text.removeprefix("\ufeff"), source=str(path))
     num_qubits = circuit.num_qubits
     _check_memory(num_qubits, sum(
         num_qubits if isinstance(gate, program.InitGate) else 1 for gate in circuit.gates
@@ -218,17 +219,16 @@ def run_circuit_file(path, cfg, args, seed, dump_path):
         compiler.link(tasks), state, layout, cfg, rng=seed, trace_snr=args.trace_snr
     )
 
-    spectral_misses = sorted(
-        index
-        for index, outcome in result.pulse_log
-        if outcome is not None and outcome.resonant_pair_count == 0
-    )
-    idle_pulses = sorted(
-        index
-        for index, outcome in result.pulse_log
-        if outcome is not None and outcome.no_resonant_transition
-    )
-    skipped = sorted(index for index, outcome in result.pulse_log if outcome is None)
+    # The log runs in instruction order, so each list is sorted.
+    spectral_misses, idle_pulses, skipped = [], [], []
+    for index, outcome in result.pulse_log:
+        if outcome is None:
+            skipped.append(index)
+            continue
+        if outcome.resonant_pair_count == 0:
+            spectral_misses.append(index)
+        if outcome.no_resonant_transition:
+            idle_pulses.append(index)
 
     reasons = []
     verification = None
@@ -278,7 +278,7 @@ def run_circuit_file(path, cfg, args, seed, dump_path):
         "timing": result.timing.to_dict(),
         "final_state": {
             "norm": result.final_state.norm(),
-            "dump_file": str(dump_path) if dump_path else None,
+            "dump_file": str(args.dump_state) if args.dump_state else None,
         },
         "scheduler": schedule,
         "verification": verification,
@@ -373,7 +373,7 @@ def _run_file(path, cfg, args, seed, report_path=None):
     the report, then its reasons as one ``error:`` line.
     """
     try:
-        report, code, final_state = run_circuit_file(path, cfg, args, seed, args.dump_state)
+        report, code, final_state = run_circuit_file(path, cfg, args, seed)
         text = _report_json(report)
         if args.dump_state:
             Path(args.dump_state).write_text(final_state.dump_text(), encoding="utf-8")

@@ -351,7 +351,7 @@ class ExecutionResult:
     final_state: engine.PureState
     records: tuple
     timing: timing.TimingReport
-    pulse_log: tuple  # (instruction index, PulseOutcome | None if skipped)
+    pulse_log: tuple  # (instruction index, PulseOutcome | None if skipped), in order
     final_tip_position: "int | None"
 
 

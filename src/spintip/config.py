@@ -152,14 +152,16 @@ def load_machine_config(path):
 
     Blank lines and ``#`` comments are ignored. Unknown and repeated keys are
     errors (silent typos would quietly change the physics); missing keys keep
-    their defaults. A file that is not UTF-8 text is a ConfigError too.
+    their defaults. A file that is not UTF-8 text is a ConfigError too; a
+    leading byte-order mark is dropped.
     """
     values = {}
     try:
         with open(path, encoding="utf-8") as fh:
-            lines = fh.readlines()
+            text = fh.read()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+    lines = text.removeprefix("\ufeff").split("\n")
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

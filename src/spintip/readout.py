@@ -7,22 +7,23 @@ detection on a synthesized noisy trace. Both routes read one line table in Hz;
 a trace is set up by the config alone, and its frequency scale divides the
 lines in ``synth_trace`` and multiplies the detected peak back to Hz once.
 
-A traced read draws its noisy samples into a module-level spare or
+A traced read draws its noisy samples into a module-level buffer or
 workspace per trace length, and peak detection reuses the workspace, so
 neither is reentrant: two threads must not read traces or detect peaks at
 the same time.
 
 With two usable CPUs and a PCG64 stream (numpy's default), a traced read
 also draws the next read's normals ahead, on one lazily started worker
-thread, while this read runs its window, rFFT and classification. The
-worker draws from a clone of the stream, set to where the next read's
-draws would start if only its two collapses drew in between, into a spare
-buffer it owns until it finishes. The next read adopts those normals only
-if its stream stands at exactly that state, and then sets the stream to
-the clone's end state; equal bit-generator states give equal draws, so
-every read and the caller's stream are bit for bit what drawing inline
-gives. Otherwise the read draws inline and leaves the stale work alone. A
-forked child forgets its parent's worker and pending work.
+thread, while this read runs its window, rFFT and classification. One draw
+is in flight at a time. The worker draws from one clone of the stream, set
+to where the next read's draws would start if only its two collapses drew
+in between, into whichever of two buffers this read does not hold. The
+next read first waits for that draw, stale or not. It adopts those normals
+only if its stream stands at exactly the draw's start state, and then sets
+the stream to the clone's end state; equal bit-generator states give equal
+draws, so every read and the caller's stream are bit for bit what drawing
+inline gives. Otherwise the read draws inline. A forked child forgets its
+parent's worker, the draw in flight and the clone.
 """
 
 import dataclasses
@@ -182,28 +183,16 @@ def _noisy(tone, sigma, normals):
     return normals
 
 
-#: (spare, stream state its draws start from) of the read drawn ahead, or None.
+#: (future, buffer, stream state its draws start from) of the read drawn ahead, or None.
 _pending = None
 #: The worker thread's executor, started by the first read drawn ahead.
 _executor = None
 
 
-class _Spare:
-    """A buffer and a clone stream; one read drawn ahead at a time owns both."""
-
-    def __init__(self, count):
-        self.samples = np.empty(count)
-        self.clone = None
-        self.future = None
-
-    def idle(self):
-        return self.future is None or self.future.done()
-
-
 @functools.lru_cache(maxsize=1)
-def _spares(count):
-    """Two spares per trace length, allocated here, in the reading thread."""
-    return _Spare(count), _Spare(count)
+def _ahead(kind, count):
+    """A clone stream of ``kind`` and two buffers, allocated here, in the reading thread."""
+    return np.random.Generator(kind()), np.empty(count), np.empty(count)
 
 
 @functools.cache
@@ -217,42 +206,34 @@ def _spare_cpu():
 def _normals(rng, count):
     """``count`` standard normals off ``rng``, as ``rng.standard_normal(count)`` draws them.
 
-    Adopts the pending read drawn ahead when ``rng`` stands where it started,
-    and otherwise draws into ``detect_peak``'s windowing scratch. Either way
-    it then draws the next read's normals ahead, when a spare is idle.
+    Waits for the one read drawn ahead, stale or not, and adopts it when
+    ``rng`` stands where it started; otherwise draws into ``detect_peak``'s
+    windowing scratch. Either way it then draws the next read's normals
+    ahead, into the buffer this read does not hold.
     """
     global _pending
     pending, _pending = _pending, None
     # Only PCG64 states are drawn ahead: they hold no arrays, so ``==`` compares
     # them. numpy.random is looked up here: importing it would slow every start.
     ahead = _spare_cpu() and type(rng.bit_generator) in (np.random.PCG64, np.random.PCG64DXSM)
-    if (ahead and pending is not None and pending[0].samples.size == count
-            and rng.bit_generator.state == pending[1]):
-        spare = pending[0]
-        rng.bit_generator.state = spare.future.result()
-        samples = spare.samples
-    else:
+    samples = None
+    if pending is not None:
+        future, buffer, start = pending
+        end = future.result()  # stale or not: the next draw takes its clone
+        if ahead and buffer.size == count and rng.bit_generator.state == start:
+            rng.bit_generator.state = end
+            samples = buffer
+    if samples is None:
         samples = _workspace(count)[1]
         rng.standard_normal(out=samples)
     if ahead:
-        _pending = _draw_ahead(rng, count, samples)
+        clone, *buffers = _ahead(type(rng.bit_generator), count)
+        buffer = buffers[samples is buffers[0]]
+        clone.bit_generator.state = rng.bit_generator.state
+        clone.random(), clone.random()  # the next read's nucleus and tip collapses
+        start = clone.bit_generator.state
+        _pending = _worker().submit(_draw, clone, buffer), buffer, start
     return samples
-
-
-def _draw_ahead(rng, count, busy):
-    """Start the next read's normals on the worker; (spare, start state) or None."""
-    spare = next((s for s in _spares(count) if s.samples is not busy and s.idle()), None)
-    if spare is None:
-        return None
-    kind = type(rng.bit_generator)
-    if spare.clone is None or type(spare.clone.bit_generator) is not kind:
-        spare.clone = np.random.Generator(kind())
-    clone = spare.clone
-    clone.bit_generator.state = rng.bit_generator.state
-    clone.random(), clone.random()  # the next read's nucleus and tip collapses
-    start = clone.bit_generator.state
-    spare.future = _worker().submit(_draw, clone, spare.samples)
-    return spare, start
 
 
 def _draw(clone, out):
@@ -276,7 +257,8 @@ def _forget_worker():
     """In a forked child: the parent's worker thread and its work are gone."""
     global _pending, _executor
     _pending = _executor = None
-    _spares.cache_clear()
+    # The parent's worker may have held the clone's lock at the fork.
+    _ahead.cache_clear()
 
 
 if hasattr(os, "register_at_fork"):

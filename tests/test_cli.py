@@ -594,6 +594,36 @@ class TestFailureModes:
         assert "not UTF-8" in done.stderr
         assert done.stderr.count("\n") == 1
 
+    def test_a_byte_order_mark_changes_no_report_byte(self, tmp_path):
+        # Windows Notepad starts the UTF-8 files it saves with one.
+        runs = []
+        for bom in (b"", b"\xef\xbb\xbf"):
+            name = "bom" if bom else "plain"
+            circuit, config = tmp_path / f"{name}.circuit", tmp_path / f"{name}.config"
+            circuit.write_bytes(bom + b"INIT\nROT 0 1.0\nCNOT 0 1\nMEASURE 1\n")
+            config.write_bytes(bom + b"temperature = 2.0\n")
+            runs.append(run_cli("--circuit", str(circuit), "--config", str(config), "--seed", "3"))
+        assert runs[0].returncode == 0, runs[0].stderr
+        assert (runs[1].returncode, runs[1].stdout, runs[1].stderr) == (0, runs[0].stdout, "")
+
+    @pytest.mark.parametrize("flag", ["--circuit", "--config"])
+    def test_a_bad_byte_after_a_byte_order_mark_names_its_file_position(
+        self, example_circuit, tmp_path, flag
+    ):
+        # The bad byte lies past the first 8 KiB, a read chunk of a text file.
+        path = tmp_path / "bom.txt"
+        line = "MEASURE 0" if flag == "--circuit" else "temperature = 1.0"
+        text = "# padding\n" * 1000 + line + " # \u00b0K\n"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("latin-1"))
+        target = ["--circuit", str(path)] if flag == "--circuit" else [
+            "--circuit", str(example_circuit), "--config", str(path)]
+        done = run_cli(*target, "--seed", "0")
+        assert done.returncode == 2
+        position = 3 + text.index("\u00b0")
+        assert done.stderr == (
+            f"error: {path}: not UTF-8 text: invalid start byte at byte {position}\n"
+        )
+
     def test_unclassifiable_readout_exits_three(self, tmp_path):
         # At this SNR the noise peak of seed 7 lands on no modulation line.
         path = tmp_path / "noisy.circuit"
@@ -797,9 +827,11 @@ class TestBatchRuns:
         assert len(errors) == 2 and all(line.startswith("error: ") for line in errors)
         assert not list(circuits.glob("*.report.json"))
 
-    def test_batch_reports_equal_single_runs(self, tmp_path):
+    @pytest.mark.parametrize("extra", [[], ["--trace-snr", "5"]], ids=["exact", "traced"])
+    def test_batch_reports_equal_single_runs(self, tmp_path, extra):
         # The circuits share CNOT, MEASURE, INIT and signed-zero ROT gates, so
         # the batch's one process serves repeats from its gate-task memo.
+        # Traced, each file's last read drawn ahead is stale in the next one.
         circuits = {
             "a": "INIT\nROT 0 1.0 0.0\nCNOT 0 1\nMEASURE 1\n",
             "b": "INIT\nROT 0 1.0 -0.0\nCNOT 0 1\nMEASURE 1\nMEASURE 0\n",
@@ -808,11 +840,11 @@ class TestBatchRuns:
         }
         for name, text in circuits.items():
             (tmp_path / f"{name}.circuit").write_text(text, encoding="utf-8")
-        done = run_cli("--batch", str(tmp_path), "--seed", "5", "--tips", "2")
+        done = run_cli("--batch", str(tmp_path), "--seed", "5", "--tips", "2", *extra)
         assert done.returncode == 0, done.stderr
         for index, name in enumerate(sorted(circuits)):
             alone = run_cli("--circuit", str(tmp_path / f"{name}.circuit"),
-                            "--seed", str(5 + index), "--tips", "2")
+                            "--seed", str(5 + index), "--tips", "2", *extra)
             assert alone.returncode == 0
             assert (tmp_path / f"{name}.report.json").read_text(encoding="utf-8") == alone.stdout
 

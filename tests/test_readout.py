@@ -1,5 +1,6 @@
 """Current-based readout: line classification, traces, and peak detection."""
 
+import contextlib
 import dataclasses
 import math
 import os
@@ -418,15 +419,25 @@ def drawing_ahead():
     return mock.patch.object(readout, "_spare_cpu", lambda: True)
 
 
-def holding_draws(release):
-    """Make the worker wait for ``release`` before each draw."""
+def holding_draws(release, lock=False):
+    """A patch that makes the worker wait for ``release`` before each draw.
+
+    With ``lock`` the worker holds the clone's lock while it waits. Also
+    returns a list that says, per draw, whether its buffer changed while it
+    waited, and an event set once a draw waits.
+    """
     original = readout._draw
+    written_over, waiting = [], threading.Event()
 
     def held(clone, out):
-        release.wait(timeout=30)
+        before = out.tobytes()
+        with clone.bit_generator.lock if lock else contextlib.nullcontext():
+            waiting.set()
+            release.wait(timeout=30)
+        written_over.append(out.tobytes() != before)
         return original(clone, out)
 
-    return mock.patch.object(readout, "_draw", held)
+    return mock.patch.object(readout, "_draw", held), written_over, waiting
 
 
 def spare_samples(call):
@@ -483,29 +494,47 @@ class TestReadsDrawnAhead:
         # A new trace length draws inline; the same one takes the slow work.
         assert drawn_ahead == [False, False, True, False]
 
-    def test_stale_work_is_neither_waited_for_nor_written_over(self):
+    def test_a_stale_draw_is_waited_for_never_adopted_and_never_written_over(self):
         release = threading.Event()
         streams = [np.random.default_rng(seed) for seed in (1, 2, 3)]
         expected = [outcome(inline_read, SUPERPOSED, CFG, np.random.default_rng(seed), 3.0)
                     for seed in (1, 2, 3)]
         settle()
+        executor = readout._worker()
+        submit = executor.submit
+        submitted, unfinished, seen = [], [], []
+        held, written_over, _ = holding_draws(release)
+
+        def counted(fn, *args):
+            submitted.append(submit(fn, *args))
+            return submitted[-1]
+
+        def read(stream):
+            seen.append(outcome(current_read, SUPERPOSED, CFG, stream, 3.0))
+            unfinished.append(sum(not future.done() for future in submitted))
+
+        def reads():
+            read(streams[0])
+            # Another stream: the held draw is stale, and the read waits for it.
+            reader = threading.Thread(target=read, args=(streams[1],))
+            reader.start()
+            reader.join(timeout=0.2)
+            assert reader.is_alive() and not submitted[0].done()
+            release.set()
+            reader.join(timeout=30)
+            assert not reader.is_alive()
+            read(streams[2])
+
         try:
-            with drawing_ahead(), holding_draws(release):
-                seen = [outcome(current_read, SUPERPOSED, CFG, streams[0], 3.0)]
-                first = readout._pending[0]
-                # Another stream: the held work is stale and is not waited for.
-                seen.append(outcome(current_read, SUPERPOSED, CFG, streams[1], 3.0))
-                second = readout._pending[0]
-                assert second is not first
-                # Both spares are held, so the third read draws nothing ahead.
-                seen.append(outcome(current_read, SUPERPOSED, CFG, streams[2], 3.0))
-                assert readout._pending is None
-                assert not first.future.done() and not second.future.done()
-                assert not release.is_set()
+            with drawing_ahead(), held, mock.patch.object(executor, "submit", counted):
+                _, drawn_ahead = spare_samples(reads)
         finally:
             release.set()
             settle()
         assert seen == expected
+        assert drawn_ahead == [False, False, False]
+        assert len(submitted) == 3 and max(unfinished) <= 1
+        assert written_over == [False, False, False]
 
     @pytest.mark.parametrize("probe", ["affinity", "cpu_count"])
     def test_one_cpu_draws_nothing_ahead(self, monkeypatch, probe):
@@ -540,26 +569,33 @@ class TestReadsDrawnAhead:
         assert completed.stdout.split() == ["False", "False", "1"]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_a_forked_child_reads_without_its_parents_worker(self):
+    @pytest.mark.parametrize("hold_lock", [False, True])
+    def test_a_forked_child_reads_without_its_parents_worker(self, hold_lock):
+        # With ``hold_lock`` the parent's worker holds the clone's lock at the
+        # fork, which no thread in the child would ever release.
         release = threading.Event()
-        stream = np.random.default_rng(9)
+        stream, other = np.random.default_rng(9), np.random.default_rng(10)
         twin = np.random.default_rng(9)
         outcome(inline_read, SUPERPOSED, CFG, twin, 3.0)
-        expected = outcome(inline_read, SUPERPOSED, CFG, twin, 3.0)
+        expected = [outcome(inline_read, SUPERPOSED, CFG, twin, 3.0),
+                    outcome(inline_read, SUPERPOSED, CFG, np.random.default_rng(10), 3.0)]
+        held, _, waiting = holding_draws(release, lock=hold_lock)
         settle()
         reader, writer = os.pipe()
         try:
-            with drawing_ahead(), holding_draws(release):
+            with drawing_ahead(), held:
                 outcome(current_read, SUPERPOSED, CFG, stream, 3.0)
                 assert readout._pending is not None  # held until after the fork
+                assert waiting.wait(timeout=30)
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", DeprecationWarning)
                     pid = os.fork()
                 if pid == 0:  # pragma: no cover - the child
                     try:
-                        record, amplitudes = outcome(current_read, SUPERPOSED, CFG, stream, 3.0)
-                        line = repr((dataclasses.astuple(record), amplitudes.hex()))
-                        os.write(writer, line.encode())
+                        release.set()
+                        seen = [outcome(current_read, SUPERPOSED, CFG, rng, 3.0)
+                                for rng in (stream, other)]
+                        os.write(writer, shown(seen).encode())
                     finally:
                         os._exit(0)
         finally:
@@ -575,5 +611,10 @@ class TestReadsDrawnAhead:
             time.sleep(0.01)
         with os.fdopen(reader, "rb") as pipe:
             received = pipe.read().decode()
-        record, amplitudes = expected
-        assert received == repr((dataclasses.astuple(record), amplitudes.hex()))
+        assert received == shown(expected)
+
+
+def shown(outcomes):
+    """Read outcomes as text, to pass from a forked child."""
+    return repr([(dataclasses.astuple(record), amplitudes.hex())
+                 for record, amplitudes in outcomes])
