@@ -6,8 +6,9 @@ resonance against — so compiled programs cannot silently drift off their own
 machine model. The closed forms in ``physics`` stay an independent cross-check
 route, never a compilation input.
 
-The lines are derived once per config on a one-qubit register (``drive_lines``)
-and reused for every qubit of every register. That holds because couplings are
+The lines come from the one line table, ``physics.one_qubit_lines``, derived
+once per config on a one-qubit register and read by the readout too; they
+serve every qubit of every register. That holds because couplings are
 uniform across qubits: a site's ``pattern_lines`` depend only on the config and
 on the bits of its partners (its own nucleus or electron, and the tip carbon
 while the tip sits on its qubit), never on which qubit or how many. For the
@@ -56,12 +57,6 @@ _DRIVES = {
 }
 
 
-def _site_lines(cfg):
-    """The ``physics.pattern_lines`` of each site of the one-qubit register, tip engaged."""
-    layout = RegisterLayout(1, tip_position=0)
-    return [physics.pattern_lines(layout, cfg, site)[1] for site in range(layout.num_sites)]
-
-
 @functools.lru_cache(maxsize=8)
 def drive_lines(cfg):
     """The six distinct drive lines of the gate set, as a read-only mapping.
@@ -78,13 +73,12 @@ def drive_lines(cfg):
     - target_nucleus: the qubit nucleus with its electron excited (the CNOT's
       conditional flip, and INIT's second correction)
     """
-    lines = _site_lines(cfg)
+    lines = physics.one_qubit_lines(cfg)[0]
     return types.MappingProxyType(
         {role: lines[site][pattern] for role, (site, pattern) in _DRIVES.items()}
     )
 
 
-@functools.lru_cache(maxsize=8)
 def unselective_drive(cfg):
     """(role, line count) of the first ``drive_lines`` role that is not selective, or None.
 
@@ -94,10 +88,9 @@ def unselective_drive(cfg):
     compiled pulse does what its role says exactly when its own line is the
     one line of its site in that window. That is checked on the one-qubit
     register with the tip engaged, where every role is driven; couplings are
-    uniform across qubits, so it holds on every register. Memoised per
-    config, which ``MachineConfig.validate`` checks on every call.
+    uniform across qubits, so it holds on every register.
     """
-    lines = _site_lines(cfg)
+    lines = physics.one_qubit_lines(cfg)[0]
     for role, (site, pattern) in _DRIVES.items():
         drive = lines[site][pattern]
         count = sum(abs(line - drive) <= cfg.selectivity_tolerance for line in lines[site])

@@ -29,6 +29,12 @@ and they leave the state as it is.
 A pulse drives exactly the basis-index pairs whose single-spin flip lies
 within the machine's selectivity window of the drive frequency — everything
 else is untouched, which is the whole trick behind tip-conditional logic.
+Each channel drives one site (``_addressed_site``): the electron or the
+nucleus under the tip, or the tip carbon; no pulse reaches a site away from
+the tip, whatever its lines. Under the default config
+(``hyperfine_bare == hyperfine_tip_modified``) a nucleus has the same lines
+with the tip on it or away from it, so the nuclear drives are selective only
+because of this drive model; the tip's coupling sets the electron lines apart.
 A flip line depends only on the bits of the addressed spin's one or two
 partners, so a pulse compares its drive with at most four lines
 (``physics.pattern_lines``) and moves whole slabs of amplitudes: basic-slice
@@ -181,8 +187,10 @@ class PureState:
 
     @classmethod
     def from_bits(cls, bits):
-        """Basis state |bits> in site order."""
-        sites = [site for site, bit in enumerate(bits) if bit & 1]
+        """Basis state |bits> in site order; a bit that is not 0 or 1 is a ValueError."""
+        for bit in bits:
+            _check_bit(bit)
+        sites = [site for site, bit in enumerate(bits) if bit]
         tensor = np.zeros(1 << len(sites), dtype=np.complex128)
         tensor[-1] = 1.0
         return cls._over(len(bits), sites, tensor)
@@ -229,7 +237,13 @@ class PureState:
         return math.sqrt(_sum_squares(self._materialised().tensor))
 
     def population(self, site, bit):
-        """Total weight with ``site`` in ``bit``; a dormant site is all in bit 0."""
+        """Total weight with ``site`` in ``bit``; a dormant site is all in bit 0.
+
+        A site outside the register is MismatchedRegister, a bit that is not 0
+        or 1 a ValueError.
+        """
+        _check_site(self, site)
+        _check_bit(bit)
         state = self._materialised()
         axis = state._axis(site)
         if axis is None:
@@ -290,6 +304,16 @@ class PureState:
         for site in self.slaves:
             state._materialise(site)
         return state
+
+
+def _check_site(state, site):
+    if not 0 <= site < state.num_sites:
+        raise MismatchedRegister(f"site {site!r} of a {state.num_sites}-site register")
+
+
+def _check_bit(bit):
+    if bit not in (0, 1):
+        raise ValueError(f"a bit must be 0 or 1, got {bit!r}")
 
 
 #: Partner bit patterns in ``physics.pattern_lines`` order, per partner count.
@@ -580,8 +604,9 @@ def measure_spin(state, site, rng):
     keeping half the tensor. The sums are ``_sum_squares``' pairwise C
     reductions and no BLAS call is made, so the bits do not depend on the
     host's BLAS threads. The given state is collapsed (its tensor may be
-    replaced) and returned.
+    replaced) and returned. A site outside the register is MismatchedRegister.
     """
+    _check_site(state, site)
     rng = np.random.default_rng(rng)
     for slave in tuple(state.slaves):
         state._materialise(slave)

@@ -4,13 +4,14 @@ Basis states are energy eigenstates here, so every configuration has a sharp
 energy (in Hz) and every single-spin flip a sharp transition frequency,
 evaluated in extended precision and rounded once to float64. A flip line
 depends only on the bits of the site's partners (``partner_sites``), so a site
-has at most four: ``pattern_lines``, the one memoised table that pulses, drive
-lines, readout lines and the spectral-gap scan all read.
+has at most four (``pattern_lines``). Drive lines, readout lines and the
+spectral-gap scan read them from one table, ``one_qubit_lines``.
 """
 
 import functools
 import itertools
 import math
+import types
 
 import numpy as np
 
@@ -286,24 +287,32 @@ def frequency_audit(cfg):
 
 
 @functools.lru_cache(maxsize=8)
+def one_qubit_lines(cfg):
+    """The one line table: the ``pattern_lines`` of a one-qubit register, memoised.
+
+    Maps the tip position (0, engaged, or PARKED) to the lines of sites 0, 1
+    and 2 (nucleus, electron, tip carbon). Couplings are uniform across
+    qubits, so these are the lines of every qubit of every register.
+    """
+    layouts = [RegisterLayout(1, tip_position=tip) for tip in (0, PARKED)]
+    return types.MappingProxyType({
+        layout.tip_position: tuple(pattern_lines(layout, cfg, site)[1] for site in range(3))
+        for layout in layouts
+    })
+
+
 def min_spectral_gap(cfg):
     """Smallest gap (Hz) between distinct transition lines of a one-qubit register.
 
-    Scans both tip situations (engaged on the qubit, parked) and every site's
-    ``pattern_lines``. Nearly equal values are clustered with a relative
-    epsilon before taking gaps, so exactly degenerate lines do not report a
-    spurious zero; what remains is the resolution a selective pulse must
-    beat. A line that overflows float64 is a ConfigError. Memoised on the
-    frozen config, which ``MachineConfig.validate`` checks on every call.
+    Scans every line of ``one_qubit_lines``, both tip positions. Nearly equal
+    values are clustered with a relative epsilon before taking gaps, so
+    exactly degenerate lines do not report a spurious zero; what remains is
+    the resolution a selective pulse must beat. A line that overflows float64
+    is a ConfigError.
     """
-    values = []
-    for tip in (0, PARKED):
-        layout = RegisterLayout(1, tip_position=tip)
-        for site in range(layout.num_sites):
-            values += pattern_lines(layout, cfg, site)[1]
+    values = sorted(line for sites in one_qubit_lines(cfg).values() for s in sites for line in s)
     if not all(map(math.isfinite, values)):
         raise ConfigError("transition lines overflow float64 (above 1.8e308 Hz)")
-    values.sort()
     atol = values[-1] * 1e-9  # lines are magnitudes, so the last is the span
     clusters = [values[0]]
     for value in values[1:]:

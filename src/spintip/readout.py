@@ -3,14 +3,20 @@
 The current under the tip is modulated at the local electron resonance, whose
 position encodes the qubit-nucleus bit and the tip-carbon bit. Reading a qubit
 means finding that line — here either exactly (noise-free mode) or by peak
-detection on a synthesized noisy trace. Both routes read one line table in Hz;
-a trace is set up by the config alone, and its frequency scale divides the
-lines in ``synth_trace`` and multiplies the detected peak back to Hz once.
+detection on a synthesized noisy trace. Both routes read the four lines in Hz
+of the electron under the tip in the one line table, ``physics.one_qubit_lines``
+(the table the compiler's drives read; ``physics.modulation_frequency`` stays a
+closed-form cross-check): its partners are the nucleus and the tip carbon, so
+line ``2 * p + a`` is the one for nucleus bit p and tip bit a. A trace is set
+up by the config alone, and its frequency scale divides the lines in
+``synth_trace`` and multiplies the detected peak back to Hz once.
 
 A traced read draws its noisy samples into a module-level buffer or
-workspace per trace length, and peak detection reuses the workspace, so
-neither is reentrant: two threads must not read traces or detect peaks at
-the same time.
+workspace per trace length, and peak detection reuses the workspace. One
+module lock guards both: a traced read holds it from its draw through its
+peak detection, and ``detect_peak`` holds it while it uses the workspace, so
+traced reads from several threads run one at a time and give the bits they
+give in sequence.
 
 With two usable CPUs and a PCG64 stream (numpy's default), a traced read
 also draws the next read's normals ahead, on one lazily started worker
@@ -23,7 +29,7 @@ only if its stream stands at exactly the draw's start state, and then sets
 the stream to the clone's end state; equal bit-generator states give equal
 draws, so every read and the caller's stream are bit for bit what drawing
 inline gives. Otherwise the read draws inline. A forked child forgets its
-parent's worker, the draw in flight and the clone.
+parent's worker, the draw in flight, the clone and the lock.
 """
 
 import dataclasses
@@ -31,13 +37,14 @@ import functools
 import itertools
 import math
 import os
+import threading
 
 import numpy as np
 
 from . import engine, physics
 from .errors import AliasingError, ConfigError, TipParked, UnclassifiableFrequency
-from .register import RegisterLayout
 
+#: The (p_bit, a_bit) of each readout line, in line order.
 _PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 #: Most samples a synthesized trace may hold: 128 MiB per float64 array.
@@ -55,25 +62,6 @@ class MeasurementRecord:
     pre_measurement_probability: float
 
 
-@functools.lru_cache(maxsize=8)
-def _line_table(cfg):
-    """The four readout lines in Hz, keyed by (p_bit, a_bit), and their smallest gap.
-
-    Each line is the ``physics.pattern_lines`` entry of the electron under the
-    tip on a one-qubit register (nucleus, electron, tip carbon) with the tip
-    engaged — the table ``compiler.drive_lines`` and the engine read;
-    ``physics.modulation_frequency`` stays a closed-form cross-check. Both
-    readout routes read it, memoised per config. Callers must not mutate the
-    returned dict.
-    """
-    layout = RegisterLayout(1, tip_position=0)
-    # The electron's partners are (nucleus, tip), so pattern 2p + a is (p, a).
-    electron = physics.pattern_lines(layout, cfg, layout.electron_site(0))[1]
-    lines = {(p, a): electron[2 * p + a] for p, a in _PAIRS}
-    smallest_gap = min(abs(a - b) for a, b in itertools.combinations(lines.values(), 2))
-    return lines, smallest_gap
-
-
 def classify_frequency(frequency, cfg):
     """Map an observed line in Hz back to (p_bit, a_bit).
 
@@ -81,9 +69,9 @@ def classify_frequency(frequency, cfg):
     when a config makes two lines coincide, so nothing matches). No or
     several matches raise UnclassifiableFrequency.
     """
-    lines, smallest_gap = _line_table(cfg)
-    tolerance = smallest_gap / 4.0
-    matches = [pair for pair, line in lines.items() if abs(frequency - line) <= tolerance]
+    lines = physics.one_qubit_lines(cfg)[0][1]
+    tolerance = min(abs(a - b) for a, b in itertools.combinations(lines, 2)) / 4.0
+    matches = [pair for pair, line in zip(_PAIRS, lines) if abs(frequency - line) <= tolerance]
     if len(matches) != 1:
         raise UnclassifiableFrequency(
             f"frequency {frequency!r} matched {len(matches)} modulation lines"
@@ -110,12 +98,13 @@ def measure_via_current(state, qubit, layout, cfg, rng, trace_snr=None):
     p_bit, state, probability = engine.measure_spin(state, layout.nucleus_site(qubit), rng)
     a_bit, state, _ = engine.measure_spin(state, layout.tip_site, rng)
     if trace_snr is None:
-        observed = _line_table(cfg)[0][(p_bit, a_bit)]
+        observed = physics.one_qubit_lines(cfg)[0][1][2 * p_bit + a_bit]
         inferred_p, inferred_a = p_bit, a_bit
     else:
         sigma, tone = _clean_trace(p_bit, a_bit, cfg, trace_snr)
-        samples = tone if sigma == 0 else _noisy(tone, sigma, _normals(rng, tone.size))
-        observed = detect_peak(samples, cfg.trace_sample_rate) * cfg.trace_frequency_scale
+        with _lock:
+            samples = tone if sigma == 0 else _noisy(tone, sigma, _normals(rng, tone.size))
+            observed = detect_peak(samples, cfg.trace_sample_rate) * cfg.trace_frequency_scale
         inferred_p, inferred_a = classify_frequency(observed, cfg)
     record = MeasurementRecord(
         qubit=qubit,
@@ -155,10 +144,10 @@ def _clean_trace(p_bit, a_bit, cfg, snr):
         raise ValueError(f"snr {snr!r} is too small: the noise deviation overflows")
     if (p_bit, a_bit) not in _PAIRS:
         raise ValueError(f"bits must be 0 or 1, got {p_bit!r}, {a_bit!r}")
-    lines = _line_table(cfg)[0]
+    lines = physics.one_qubit_lines(cfg)[0][1]
     scale, sample_rate = cfg.trace_frequency_scale, cfg.trace_sample_rate
-    line = lines[(p_bit, a_bit)] / scale
-    highest = max(lines.values()) / scale
+    line = lines[_PAIRS.index((p_bit, a_bit))] / scale
+    highest = max(lines) / scale
     if sample_rate <= 2.0 * highest:
         raise AliasingError(
             f"sample rate {sample_rate:g} cannot represent lines up to {highest:g}"
@@ -183,6 +172,8 @@ def _noisy(tone, sigma, normals):
     return normals
 
 
+#: Held by a traced read from its draw through its peak detection, and by ``detect_peak``.
+_lock = threading.RLock()
 #: (future, buffer, stream state its draws start from) of the read drawn ahead, or None.
 _pending = None
 #: The worker thread's executor, started by the first read drawn ahead.
@@ -254,9 +245,10 @@ def _worker():
 
 
 def _forget_worker():
-    """In a forked child: the parent's worker thread and its work are gone."""
-    global _pending, _executor
+    """In a forked child: the parent's worker thread, its work and the lock are gone."""
+    global _pending, _executor, _lock
     _pending = _executor = None
+    _lock = threading.RLock()
     # The parent's worker may have held the clone's lock at the fork.
     _ahead.cache_clear()
 
@@ -299,21 +291,22 @@ def detect_peak(samples, sample_rate):
     peak bin; good to a fraction of a bin on clean traces and robust at the
     SNRs the readout cares about. The windowed samples, spectrum and
     magnitudes live in one workspace per trace length, reused from read to
-    read, so a read allocates no trace-sized array and is not reentrant.
+    read under the module lock, so a read allocates no trace-sized array.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if len(samples) < 2:
         raise ValueError("trace too short for peak detection")
-    window, windowed, bins, spectrum = _workspace(len(samples))
-    np.multiply(samples, window, out=windowed)
-    np.fft.rfft(windowed, out=bins)
-    np.abs(bins, out=spectrum)
-    peak = 1 + int(np.argmax(spectrum[1:]))  # skip the DC bin
-    offset = 0.0
-    if 1 <= peak < len(spectrum) - 1:
-        left, mid, right = spectrum[peak - 1], spectrum[peak], spectrum[peak + 1]
-        denominator = left - 2.0 * mid + right
-        if denominator != 0.0:
-            offset = 0.5 * (left - right) / denominator
-            offset = float(np.clip(offset, -0.5, 0.5))
+    with _lock:
+        window, windowed, bins, spectrum = _workspace(len(samples))
+        np.multiply(samples, window, out=windowed)
+        np.fft.rfft(windowed, out=bins)
+        np.abs(bins, out=spectrum)
+        peak = 1 + int(np.argmax(spectrum[1:]))  # skip the DC bin
+        offset = 0.0
+        if 1 <= peak < len(spectrum) - 1:
+            left, mid, right = spectrum[peak - 1], spectrum[peak], spectrum[peak + 1]
+            denominator = left - 2.0 * mid + right
+            if denominator != 0.0:
+                offset = 0.5 * (left - right) / denominator
+                offset = float(np.clip(offset, -0.5, 0.5))
     return (peak + offset) * sample_rate / len(samples)

@@ -1384,6 +1384,27 @@ class TestGoldenReport:
         produced = capsys.readouterr().out.encode("utf-8")
         assert produced == (DATA / "golden_traced_report.json").read_bytes()
 
+    def test_report_bytes_do_not_depend_on_numpys_simd_dispatch(self):
+        # numpy picks its loops by the host's CPU features at import. Both
+        # goldens must keep their bytes with the AVX-512 and AVX2 loops off.
+        env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3"}
+        probe = "import numpy._core._multiarray_umath as m; print(m.__cpu_features__.get('X86_V3'))"
+
+        def x86_v3(child_env):
+            return subprocess.run([sys.executable, "-c", probe], env=child_env, text=True,
+                                  capture_output=True, check=True, timeout=60).stdout.strip()
+
+        if x86_v3(None) == "None":
+            pytest.skip("this numpy has no X86_V3 dispatch group")
+        assert x86_v3(env) == "False"
+        golden = ["--circuit", str(DATA / "golden.circuit"), "--seed", "42"]
+        for extra, name in (([], "golden_report.json"),
+                            (["--trace-snr", "1.0", "--tips", "2"], "golden_traced_report.json")):
+            done = subprocess.run([sys.executable, "-m", "spintip", *golden, *extra], env=env,
+                                  capture_output=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            assert done.stdout == (DATA / name).read_bytes()
+
     def test_golden_state_dump_bytes(self, tmp_path, capsys):
         import spintip.cli as cli
 

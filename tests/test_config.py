@@ -142,14 +142,15 @@ def test_a_drive_that_meets_several_lines_of_its_site_is_refused(field, value, r
 
 
 def test_the_selectivity_check_runs_once_per_config():
-    from spintip import compiler
+    # The gap and the selectivity check read one line table, derived once per
+    # config: validating equal configs misses it once.
+    from spintip import physics
 
     cfg = dataclasses.replace(MachineConfig(), magnetic_field=4.25)
-    cfg.validate()
-    misses = compiler.unselective_drive.cache_info().misses
-    for twin in (cfg, dataclasses.replace(cfg), MachineConfig(**_values(cfg))):
+    physics.one_qubit_lines.cache_clear()
+    for twin in (cfg, cfg, dataclasses.replace(cfg), MachineConfig(**_values(cfg))):
         assert twin.validate() is twin
-    assert compiler.unselective_drive.cache_info().misses == misses
+    assert physics.one_qubit_lines.cache_info().misses == 1
 
 
 def _values(cfg):

@@ -55,7 +55,7 @@ from spintip import (
 )
 from spintip import cli, compiler, engine, physics
 from spintip.engine import IDLE_POPULATION
-from spintip.errors import DegenerateState, TipParked
+from spintip.errors import DegenerateState, MismatchedRegister, TipParked
 from spintip.readout import MeasurementRecord
 
 CFG = MachineConfig()
@@ -1968,3 +1968,29 @@ class TestWholeCircuitsAgainstTheGateOracle:
             dumped[int(bits[0::2][:n], 2)] = complex(float(re), float(im))
         # The dump leaves out amplitudes of modulus up to 1e-12.
         assert_agree_up_to_sign(dumped, vector, tolerance=2e-12)
+
+
+TWO_QUBITS = RegisterLayout(2)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: measure_spin(PureState.ground(TWO_QUBITS), 99, 0), MismatchedRegister),
+        (lambda: measure_spin(PureState.from_bits((0, 0, 0, 0, 1)), -1, 0), MismatchedRegister),
+        (lambda: PureState.ground(TWO_QUBITS).population(99, 0), MismatchedRegister),
+        (lambda: PureState.ground(TWO_QUBITS).population(-1, 0), MismatchedRegister),
+        (lambda: PureState.ground(TWO_QUBITS).population(0, 2), ValueError),
+        (lambda: PureState.from_bits((2, 0, 0, 0, 0)), ValueError),
+        (lambda: PureState.from_bits((0, 0, 0, 0, -1)), ValueError),
+        (lambda: ancilla_diagnostics(PureState.ground(TWO_QUBITS), TWO_QUBITS, sites=(99,)),
+         MismatchedRegister),
+    ],
+    ids=["measure-99", "measure-minus-1", "population-99", "population-minus-1",
+         "population-bit-2", "from-bits-2", "from-bits-minus-1", "ancilla-site-99"],
+)
+def test_a_site_or_bit_outside_the_register_is_refused_where_it_enters(call, error):
+    # A site that does not exist, or a bit that is not 0 or 1, is refused at
+    # the public entry instead of being answered for.
+    with pytest.raises(error):
+        call()

@@ -27,7 +27,7 @@ from spintip import (
 )
 from spintip import physics
 from spintip.errors import MismatchedRegister
-from spintip.physics import pattern_lines
+from spintip.physics import one_qubit_lines, pattern_lines
 
 CFG = MachineConfig()
 # Distinct couplings so tip-present and tip-absent cases cannot be confused.
@@ -374,12 +374,13 @@ def test_min_spectral_gap_frozen():
 
 
 def test_the_gap_memo_is_bounded():
-    # Validating every config of a field sweep must not keep a gap for each.
-    bound = min_spectral_gap.cache_info().maxsize
+    # Validating every config of a field sweep must not keep a line table for
+    # each; the gap and every drive and readout line are read from that table.
+    bound = one_qubit_lines.cache_info().maxsize
     assert bound is not None
     for step in range(3 * bound):
         dataclasses.replace(CFG, magnetic_field=1.0 + step / 8).validate()
-    assert min_spectral_gap.cache_info().currsize == bound
+    assert one_qubit_lines.cache_info().currsize == bound
 
 
 def test_register_mismatch_rejected():

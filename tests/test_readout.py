@@ -171,6 +171,13 @@ class TestTraces:
             with pytest.raises(ValueError):
                 synth_trace(0, 0, short, snr=snr, rng=np.random.default_rng(0))
 
+    def test_bits_are_read_by_value(self):
+        short = dataclasses.replace(CFG, trace_duration=0.01)
+        trace = synth_trace(1, 1, short, snr=math.inf, rng=np.random.default_rng(0))
+        assert np.array_equal(synth_trace(1.0, True, short, math.inf, 0), trace)
+        with pytest.raises(ValueError, match="^bits must be 0 or 1, got 2, 0$"):
+            synth_trace(2, 0, short, snr=math.inf, rng=np.random.default_rng(0))
+
     def test_duration_reflects_the_sample_count(self):
         cfg = dataclasses.replace(CFG, trace_duration=0.013)
         samples = synth_trace(0, 0, cfg, snr=math.inf, rng=np.random.default_rng(0))
@@ -618,3 +625,48 @@ def shown(outcomes):
     """Read outcomes as text, to pass from a forked child."""
     return repr([(dataclasses.astuple(record), amplitudes.hex())
                  for record, amplitudes in outcomes])
+
+
+def traced_runs(seeds):
+    """Seeded traced runs of a 4-qubit ROT-all / INIT / MEASURE-all program at SNR 0.5."""
+    from spintip import compile_circuit, execute, parse_circuit
+
+    layout = RegisterLayout(4)
+    text = "".join(f"ROT {q} {0.7 + q} 0.0\n" for q in range(4))
+    text += "INIT\n" + "".join(f"MEASURE {q}\n" for q in range(4))
+    program = compile_circuit(parse_circuit(text), layout, CFG)
+    state = PureState.ground(layout)
+    results = []
+    for seed in seeds:
+        try:
+            run = execute(program, state, layout, CFG, np.random.default_rng(seed), trace_snr=0.5)
+        except UnclassifiableFrequency as error:
+            results.append((seed, str(error)))
+        else:
+            results.append((seed, run.records, run.final_state.amplitudes.tobytes()))
+    return results
+
+
+class TestTracedReadsFromTwoThreads:
+    def test_two_threads_give_the_sequential_records(self):
+        seeds = list(range(40))
+        expected = traced_runs(seeds)
+        halves = [seeds[0::2], seeds[1::2]]
+        seen = [None, None]
+
+        def run(k):
+            seen[k] = traced_runs(halves[k])
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in (0, 1)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)  # switch threads often, inside a read too
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        settle()
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(seen[0] + seen[1], key=lambda result: result[0]) == expected
