@@ -8,15 +8,16 @@ ancillas that only ever carry a copy of a nucleus bit and that every compiled
 gate hands back in |0>, so a run stores the n nuclei and, during a CNOT, the
 target electron alone: at most 2^(n+1) amplitudes, not 2^(2n+1).
 
-An exact pi swap on a site that is not live, whose resonant patterns select
-"source = 1" for one live site, rewrites the slave map and moves no
-amplitude: a dormant site becomes a copy of that source, and a copy of it
-becomes dormant. Every other pulse reads a slaved partner as a condition on
-its source. A site is *materialised* -- given the axis a plain live-site
-engine would give it, holding its source's bit -- when a pulse is not a
-swap, when its condition is not a single source (the target electron's
-"target nucleus AND tip carbon"), when the pulse addresses a source that has
-slaves, and before any measurement. A pulse that moves amplitude onto a
+An exact pi swap on a site that is not live, where exactly one resonant
+pattern selects amplitude and it selects "source = 1" for one live site,
+rewrites the slave map and moves no amplitude: a dormant site becomes a
+copy of that source, and a copy of it becomes dormant. Every other pulse
+reads a slaved partner as a condition on its source. A site is
+*materialised* -- given the axis a plain live-site engine would give it,
+holding its source's bit -- when a pulse is not a swap, when its condition
+is not a single source (the target electron's "target nucleus AND tip
+carbon"), when the pulse addresses a source that has slaves, and before any
+measurement. A pulse that moves amplitude onto a
 dormant site wakes it (its axis is inserted with a zero |1> half); a pulse
 or collapse that leaves a site's |1> half exactly zero drops it again.
 Electron and tip pulses are exact pi swaps, so that is a zero test, not a
@@ -47,11 +48,12 @@ pulse reshapes once and indexes. Populations and measurement read and zero
 the halves of a site through the same plan. A pulse is resolved once per
 channel, frequency, qubit count, tip position and config, in a bounded
 ``lru_cache`` (``_resolve``: its site, partners, resonant patterns and idle
-outcome), so ROT pulses of any angle and phase share one entry; one that can
-move nothing -- a dormant site whose every resonant pattern pins a dormant
-partner to 1 -- returns before any array is touched. A pulse or collapse
-finds each axis it reads once per call, and a state with no slaved site
-skips the slave map. A collapse sums each half of the measured site once,
+outcome), so ROT pulses of any angle and phase share one entry. On a site
+with no axis one memo (``_selection``) says whether any resonant pattern
+selects amplitude and which live site a copy reads; a pulse on a dormant
+site that selects nothing returns at once, touching no array. A pulse or
+collapse finds each axis it reads once per call, and a state with no slaved
+site skips the slave map. A collapse sums each half of the measured site once,
 takes p(1) from the two sums and divides the kept half by the root of its
 own sum (not at all when that is exactly 1.0). Every sum a collapse, a
 population or ``PureState.norm`` takes is ``_sum_squares``' pairwise C
@@ -78,7 +80,7 @@ import numpy as np
 from . import physics
 from .config import BOLTZMANN_CONSTANT, PLANCK_CONSTANT
 from .errors import DegenerateState, MismatchedRegister, TipParked
-from .register import PARKED, RegisterLayout
+from .register import PARKED, RegisterLayout, check_bit
 
 #: Resonant-subspace weight below which a pulse counts as having done nothing.
 IDLE_POPULATION = 1e-12
@@ -189,7 +191,7 @@ class PureState:
     def from_bits(cls, bits):
         """Basis state |bits> in site order; a bit that is not 0 or 1 is a ValueError."""
         for bit in bits:
-            _check_bit(bit)
+            check_bit(bit)
         sites = [site for site, bit in enumerate(bits) if bit]
         tensor = np.zeros(1 << len(sites), dtype=np.complex128)
         tensor[-1] = 1.0
@@ -243,7 +245,7 @@ class PureState:
         or 1 a ValueError.
         """
         _check_site(self, site)
-        _check_bit(bit)
+        check_bit(bit)
         state = self._materialised()
         axis = state._axis(site)
         if axis is None:
@@ -311,11 +313,6 @@ def _check_site(state, site):
         raise MismatchedRegister(f"site {site!r} of a {state.num_sites}-site register")
 
 
-def _check_bit(bit):
-    if bit not in (0, 1):
-        raise ValueError(f"a bit must be 0 or 1, got {bit!r}")
-
-
 #: Partner bit patterns in ``physics.pattern_lines`` order, per partner count.
 _PATTERNS = tuple(tuple(itertools.product((0, 1), repeat=r)) for r in range(3))
 
@@ -380,24 +377,18 @@ def _slab_plan(axis, partner_axes):
 
 
 @functools.lru_cache(maxsize=1024)
-def _copied_axis(partner_axes, hits):
-    """The live axis a whose bit the ``hits`` patterns select exactly, or None.
+def _selection(partner_axes, hits):
+    """(selects, copied) of resonant ``hits`` on a site with no axis.
 
-    A pulse with these resonant patterns flips its site on every amplitude
-    whose partners read a hit pattern. That set is "a is 1" for at most one
-    of the live axes the partners read; the swap then XORs a's bit into the
-    site.
+    ``selects`` says whether any hit pattern selects amplitude (``_pins``).
+    ``copied`` is the live axis a when exactly one does and pins {a: 1}, else
+    None: a swap then XORs a's bit into the site.
     """
     pinned = [_pins(partner_axes, _PATTERNS[len(partner_axes)][hit]) for hit in hits]
-    live = sorted({a for a in partner_axes if a is not None})
-    for axis in live:
-        if all(
-            any(p is not None and all(values[a] == b for a, b in p.items()) for p in pinned)
-            == values[axis]
-            for values in (dict(zip(live, bits)) for bits in _PATTERNS[len(live)])
-        ):
-            return axis
-    return None
+    selecting = [pins for pins in pinned if pins is not None]
+    if len(selecting) == 1 and list(selecting[0].values()) == [1]:
+        return True, next(iter(selecting[0]))
+    return bool(selecting), None
 
 
 def _half(tensor, axis, bit):
@@ -480,10 +471,12 @@ def apply_selective_pulse(state, pulse, layout, cfg):
     slaved, and 0 if it is dormant. The slaves of the addressed site are
     materialised first.
 
-    An exact pi swap on a site that is not live, whose resonant patterns
-    select "s = 1" for one live site s, rewrites the slave map: a dormant
-    site becomes a copy of s (if s = 1 holds any amplitude) and a copy of s
-    becomes dormant. Its population is the weight with s = 1.
+    An exact pi swap on a site that is not live, where exactly one resonant
+    pattern selects amplitude and it pins one live site s to 1, rewrites the
+    slave map: a dormant site becomes a copy of s (if s = 1 holds any
+    amplitude) and a copy of s becomes dormant. Its population is the weight
+    with s = 1. Patterns that only together select "s = 1" (coinciding lines,
+    as with no tip coupling) drive slabs instead.
 
     Any other pulse materialises a slaved addressed site. Every resonant
     pattern then names two slabs of the live tensor, addressed bit 0 and 1
@@ -496,10 +489,10 @@ def apply_selective_pulse(state, pulse, layout, cfg):
     half ends exactly zero.
 
     A pulse that can move nothing returns at once: one on a dormant site
-    whose every resonant pattern pins a dormant partner to 1 (a spectral
-    miss has none), so the copy route cannot apply either. That pulse, and
-    any whose resonant population is exactly 0.0, returns the resolution's
-    shared idle outcome.
+    where no resonant pattern selects amplitude (a spectral miss has none),
+    so the copy route cannot apply either. That pulse, and any whose
+    resonant population is exactly 0.0, returns the resolution's shared idle
+    outcome.
 
     The given state is driven (its tensor may be replaced) and returned.
     """
@@ -522,12 +515,10 @@ def apply_selective_pulse(state, pulse, layout, cfg):
     axes = tuple(map(state._axis, sources))
     if axis is None:
         # A site that is not live is no slave's source, so nothing was materialised.
-        if source is None:
-            slabs = _slab_plan(None, axes)[1]
-            if not any(map(slabs.__getitem__, hits)):  # each is None or a tuple of keys
-                return state, idle
-        copied = _copied_axis(axes, hits) if swap else None
-        if copied is not None and source in (None, state.sites[copied]):
+        selects, copied = _selection(axes, hits)
+        if source is None and not selects:
+            return state, idle
+        if swap and copied is not None and source in (None, state.sites[copied]):
             half = _half(state.tensor, copied, 1)
             population = _sum_squares(half)
             if source is not None:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import BOHR_MAGNETON, NUCLEAR_MAGNETON, PLANCK_CONSTANT, SPECIES_INFO, Species
 from .errors import ConfigError, MismatchedRegister
-from .register import PARKED, RegisterLayout
+from .register import PARKED, RegisterLayout, check_bit
 
 _EXACT = np.longdouble
 
@@ -40,18 +40,26 @@ def zeeman_splitting(species, cfg):
     return float(abs(_zeeman_coefficient(species, cfg)))
 
 
+def _check_config(config, layout):
+    """Raise unless ``config`` holds one bit, 0 or 1, per site of ``layout``."""
+    if len(config) != layout.num_sites:
+        raise MismatchedRegister(
+            f"configuration of {len(config)} bits for a {layout.num_sites}-site register"
+        )
+    for bit in config:
+        check_bit(bit)
+
+
 def configuration_energy(config, layout, cfg):
     """Total energy (Hz) of one basis configuration under the current tip.
 
     Each qubit contributes electron and nuclear Zeeman terms plus their
     hyperfine product term, using the tip-modified coupling when the tip sits
     on that qubit. The tip carbon contributes its Zeeman term always and its
-    electron coupling only while the tip is over a qubit.
+    electron coupling only while the tip is over a qubit. A bit that is not
+    0 or 1 is a ValueError.
     """
-    if len(config) != layout.num_sites:
-        raise MismatchedRegister(
-            f"configuration of {len(config)} bits for a {layout.num_sites}-site register"
-        )
+    _check_config(config, layout)
     m = [
         _EXACT(SPECIES_INFO[layout.species_of(s)].m_of_bit(config[s]))
         for s in range(layout.num_sites)
@@ -120,9 +128,8 @@ def _transition_exact(config, site, layout, cfg):
     return _flip_magnitudes(layout, cfg, site, [config[p] for p in partner_sites(layout, site)])
 
 
-@functools.lru_cache(maxsize=1024)
 def pattern_lines(layout, cfg, site):
-    """(partners, flip line of ``site`` per partner bit pattern), memoised.
+    """(partners, flip line of ``site`` per partner bit pattern).
 
     Patterns run in ``itertools.product((0, 1), repeat=len(partners))`` order.
     """
@@ -137,11 +144,9 @@ def transition_frequency(config, spin_site, layout, cfg):
     """Frequency (Hz) of flipping ``spin_site`` out of basis state ``config``.
 
     Equals |E(flipped) - E(config)| and is the line a resonant pulse must hit.
+    A bit that is not 0 or 1 is a ValueError.
     """
-    if len(config) != layout.num_sites:
-        raise MismatchedRegister(
-            f"configuration of {len(config)} bits for a {layout.num_sites}-site register"
-        )
+    _check_config(config, layout)
     layout.species_of(spin_site)  # bounds check
     return float(_transition_exact(tuple(config), spin_site, layout, cfg))
 

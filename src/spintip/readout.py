@@ -292,16 +292,25 @@ def detect_peak(samples, sample_rate):
     SNRs the readout cares about. The windowed samples, spectrum and
     magnitudes live in one workspace per trace length, reused from read to
     read under the module lock, so a read allocates no trace-sized array.
+
+    ``samples`` that are not one-dimensional are a ValueError, and so are
+    samples whose peak magnitude is not finite: a NaN or infinite sample
+    makes every bin so. The samples themselves are not scanned.
     """
     samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim != 1:
+        raise ValueError(f"samples must be one-dimensional, got shape {samples.shape}")
     if len(samples) < 2:
         raise ValueError("trace too short for peak detection")
     with _lock:
         window, windowed, bins, spectrum = _workspace(len(samples))
-        np.multiply(samples, window, out=windowed)
-        np.fft.rfft(windowed, out=bins)
-        np.abs(bins, out=spectrum)
+        with np.errstate(invalid="ignore", over="ignore"):
+            np.multiply(samples, window, out=windowed)
+            np.fft.rfft(windowed, out=bins)
+            np.abs(bins, out=spectrum)
         peak = 1 + int(np.argmax(spectrum[1:]))  # skip the DC bin
+        if not math.isfinite(spectrum[peak]):
+            raise ValueError(f"samples give a non-finite peak magnitude {float(spectrum[peak])!r}")
         offset = 0.0
         if 1 <= peak < len(spectrum) - 1:
             left, mid, right = spectrum[peak - 1], spectrum[peak], spectrum[peak + 1]

@@ -16,6 +16,12 @@ from .errors import MismatchedRegister
 PARKED = None
 
 
+def check_bit(bit):
+    """Raise ValueError unless ``bit`` equals 0 or 1 (so True and 1.0 pass)."""
+    if bit not in (0, 1):
+        raise ValueError(f"a bit must be 0 or 1, got {bit!r}")
+
+
 @dataclasses.dataclass(frozen=True)
 class RegisterLayout:
     """Where the spins sit and where the tip currently is.

@@ -1252,6 +1252,43 @@ class TestSlabPlanAgainstTheDictRoute:
         assert engine._slab_plan.cache_info().maxsize is not None
 
 
+class TestCopyRule:
+    # An exact swap on a site with no axis is a copy when exactly one resonant
+    # pattern selects amplitude and it pins one live axis to 1.
+    def test_one_selecting_pattern_slaves_a_dormant_site_and_moves_nothing(self):
+        layout = RegisterLayout(2).with_tip(0)
+        state = PureState.product(layout, {0: (0.6, 0.8), 1: (0.8, 0.6)})
+        tensor = state.tensor
+        before = tensor.tobytes()
+        pulse = Pulse(Channel.ELECTRON_RF, compiler.drive_lines(CFG)["control_electron"],
+                      math.pi, 0.0, 1e-7)
+        after, outcome = apply_selective_pulse(state, pulse, layout, CFG)
+        assert after is state and state.slaves == {1: 0} and state.sites == (0, 2)
+        assert state.tensor is tensor and tensor.tobytes() == before
+        assert outcome.resonant_population == engine._sum_squares(engine._half(tensor, 0, 1))
+
+    def test_two_patterns_that_together_select_a_bit_drive_slabs(self):
+        # With no tip coupling the electron lines of (n, tip) = (1, 0) and
+        # (1, 1) coincide: together they select "nucleus = 1", yet two
+        # patterns select amplitude, so the electron is woken, not slaved.
+        cfg = dataclasses.replace(CFG, tip_hyperfine=0.0)
+        layout = RegisterLayout(1, tip_position=0)
+        rng = np.random.default_rng(7)
+        tensor = rng.normal(size=4) + 1j * rng.normal(size=4)
+        state = PureState._over(layout.num_sites, (0, 2), tensor / np.linalg.norm(tensor))
+        partners, lines = physics.pattern_lines(layout, cfg, 1)
+        assert partners == (0, 2) and lines[0b10] == lines[0b11]
+        pulse = Pulse(Channel.ELECTRON_RF, lines[0b10], math.pi, 0.0, 1e-7)
+        sites, expected_tensor, expected = dict_pulse(state, pulse, layout, cfg)
+        after, outcome = apply_selective_pulse(state, pulse, layout, cfg)
+        assert (after.sites, after.slaves) == ((0, 1, 2), {}) == (sites, {})
+        assert after.tensor.tobytes() == expected_tensor.tobytes()
+        assert outcome == expected
+
+    def test_the_selection_memo_is_bounded(self):
+        assert engine._selection.cache_info().maxsize == 1024
+
+
 # -- Readers of a slaved state against the live-site engine ------------------
 #
 # During a CNOT the control electron, the tip carbon and sometimes the target
@@ -1402,7 +1439,14 @@ def unmemoised_pulse(state, pulse, layout, cfg):
     swap = pulse.mode is PulseMode.LOGICAL_X and pulse.angle == math.pi
     copied = None
     if swap and state._axis(site) is None:
-        copied = engine._copied_axis(tuple(map(state._axis, sources)), hits)
+        # A copy: exactly one resonant pattern selects amplitude, and it pins
+        # one live axis to 1.
+        axes = tuple(map(state._axis, sources))
+        patterns = list(itertools.product((0, 1), repeat=len(axes)))
+        pinned = [engine._pins(axes, patterns[index]) for index in hits]
+        selecting = [pins for pins in pinned if pins is not None]
+        if len(selecting) == 1 and list(selecting[0].values()) == [1]:
+            [copied] = selecting[0]
     if copied is not None and source in (None, state.sites[copied]):
         half = engine._half(state.tensor, copied, 1)
         population = frozen_sum_squares(half)

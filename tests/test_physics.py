@@ -389,3 +389,25 @@ def test_register_mismatch_rejected():
         configuration_energy((0, 0), layout, CFG)
     with pytest.raises(MismatchedRegister):
         transition_frequency((0, 0, 0, 0), 0, layout, CFG)
+
+
+@pytest.mark.parametrize("bad", [3, -1, 2, 0.5, None, "1"])
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_a_configuration_bit_that_is_not_0_or_1_is_refused(bad, where):
+    layout = RegisterLayout(1, tip_position=0)
+    config = [0, 0, 0]
+    config[where] = bad
+    with pytest.raises(ValueError, match="a bit must be 0 or 1"):
+        configuration_energy(tuple(config), layout, CFG)
+    for site in range(layout.num_sites):
+        with pytest.raises(ValueError, match="a bit must be 0 or 1"):
+            transition_frequency(tuple(config), site, layout, CFG)
+
+
+def test_true_and_one_point_zero_read_as_1():
+    layout = RegisterLayout(1, tip_position=0)
+    energy = configuration_energy((1, 0, 1), layout, CFG)
+    line = transition_frequency((1, 0, 1), 1, layout, CFG)
+    for bit in (True, 1.0, np.int64(1)):
+        assert configuration_energy((bit, 0, bit), layout, CFG) == energy
+        assert transition_frequency((bit, 0, bit), 1, layout, CFG) == line

@@ -273,6 +273,25 @@ class TestTracedRouteOracles:
         assert readout._workspace(length) is workspace
         assert readout._workspace.cache_info().currsize == 1
 
+    @pytest.mark.parametrize("shape", [(), (2, 500), (1, 1000)])
+    def test_samples_that_are_not_one_dimensional_are_refused(self, shape):
+        with pytest.raises(ValueError, match="^samples must be one-dimensional"):
+            detect_peak(np.ones(shape), RATE)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", [0, 1, 499])
+    def test_a_non_finite_sample_is_refused_without_a_warning(self, bad, where):
+        samples = synth_trace(1, 0, CFG, snr=1.0, rng=np.random.default_rng(5))[:500].copy()
+        samples[where] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^samples give a non-finite peak magnitude"):
+                detect_peak(samples, RATE)
+
+    def test_a_spectrum_that_overflows_is_refused(self):
+        with pytest.raises(ValueError, match="^samples give a non-finite peak magnitude"):
+            detect_peak(np.full(1000, 1e308), RATE)
+
     @pytest.mark.parametrize("count", [0, 1])
     def test_traces_under_two_samples_are_refused(self, count):
         with pytest.raises(ConfigError):
