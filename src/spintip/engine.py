@@ -10,22 +10,22 @@ target electron alone: at most 2^(n+1) amplitudes, not 2^(2n+1).
 
 An exact pi swap on a site that is not live, where exactly one resonant
 pattern selects amplitude and it selects "source = 1" for one live site,
-rewrites the slave map and moves no amplitude: a dormant site becomes a
-copy of that source, and a copy of it becomes dormant. Every other pulse
-reads a slaved partner as a condition on its source. A site is
-*materialised* -- given the axis a plain live-site engine would give it,
-holding its source's bit -- when a pulse is not a swap, when its condition
-is not a single source (the target electron's "target nucleus AND tip
-carbon"), when the pulse addresses a source that has slaves, and before any
-measurement. A pulse that moves amplitude onto a
-dormant site wakes it (its axis is inserted with a zero |1> half); a pulse
-or collapse that leaves a site's |1> half exactly zero drops it again.
-Electron and tip pulses are exact pi swaps, so that is a zero test, not a
-tolerance. A state built from a full vector has every site live and runs as
-a plain dense engine. ``PureState.amplitudes``, ``norm``, ``population``,
-``dump_text`` and ``ancilla_diagnostics`` read a materialised copy when a
-site is slaved, so their sums run over the layout a live-site engine holds,
-and they leave the state as it is.
+rewrites the slave map and moves no amplitude: a dormant site becomes a copy
+of that source, and a copy of it becomes dormant. Every other pulse reads a
+slaved partner as a condition on its source. A site is *materialised* --
+given the axis a plain live-site engine would give it, holding its source's
+bit -- when a pulse is not a swap, when its condition is not a single source
+(the target electron's "target nucleus AND tip carbon"), when the pulse
+addresses a source that has slaves, and before any measurement. A slab drive
+wakes a dormant site first (its axis is inserted with a zero |1> half) and
+drops it undriven when no resonant slab holds amplitude; a pulse or collapse
+that leaves a site's |1> half exactly zero drops it too. Electron and tip
+pulses are exact pi swaps, so that is a zero test, not a tolerance. A state
+built from a full vector has every site live and runs as a plain dense
+engine. ``PureState.amplitudes``, ``norm``, ``population``, ``dump_text``
+and ``ancilla_diagnostics`` read a materialised copy when a site is slaved,
+so their sums run over the layout a live-site engine holds, and they leave
+the state as it is.
 
 A pulse drives exactly the basis-index pairs whose single-spin flip lies
 within the machine's selectivity window of the drive frequency — everything
@@ -43,7 +43,7 @@ views of the live tensor, with the addressed site and the partners' live
 sites pinned, one slab per partner pattern and addressed bit. No
 register-sized frequency or index array is built. The slabs come from a
 memoised plan (``_slab_plan``): the reshape and slice keys depend only on
-the axes of the addressed site and of the live sites its partners read, so a
+the live axes of the addressed site and of the sites its partners read, so a
 pulse reshapes once and indexes. Populations and measurement read and zero
 the halves of a site through the same plan. A pulse is resolved once per
 channel, frequency, qubit count, tip position and config, in a bounded
@@ -80,7 +80,7 @@ import numpy as np
 from . import physics
 from .config import BOLTZMANN_CONSTANT, PLANCK_CONSTANT
 from .errors import DegenerateState, MismatchedRegister, TipParked
-from .register import PARKED, RegisterLayout, check_bit
+from .register import PARKED, RegisterLayout, check_bit, is_index
 
 #: Resonant-subspace weight below which a pulse counts as having done nothing.
 IDLE_POPULATION = 1e-12
@@ -162,13 +162,17 @@ class PureState:
     in every amplitude; every other site is dormant, exactly |0>.
     ``PureState(amplitudes, num_sites)`` takes a full register vector, so
     every site starts live; ``ground``, ``from_bits`` and ``product`` keep
-    only the sites that need an axis, and slave none.
+    only the sites that need an axis, and slave none. The vector is taken
+    as it is, unnormalised too; a non-finite amplitude or an all-zero
+    vector is DegenerateState.
     """
 
     def __init__(self, amplitudes, num_sites):
         amps = np.asarray(amplitudes, dtype=np.complex128)
         if amps.shape != (1 << num_sites,):
             raise MismatchedRegister(f"{amps.shape} amplitudes for a {num_sites}-site register")
+        if not (np.isfinite(amps).all() and amps.any()):
+            raise DegenerateState("amplitudes must be finite and not all zero")
         self.num_sites = num_sites
         self.sites = tuple(range(num_sites))
         self.tensor = amps
@@ -201,15 +205,22 @@ class PureState:
     def product(cls, layout, nuclear_amplitudes):
         """Product state with chosen qubit-nucleus amplitudes, ancillas ground.
 
-        ``nuclear_amplitudes`` maps qubit index to an (a0, a1) pair; omitted
-        qubits, all electrons and the tip start in bit 0 and stay dormant.
+        ``nuclear_amplitudes`` maps qubit index to an (a0, a1) pair, which is
+        normalised; omitted qubits, all electrons and the tip start in bit 0
+        and stay dormant. A key that is not a qubit is MismatchedRegister, and
+        a pair whose norm is zero or not finite is DegenerateState.
         """
+        for qubit in nuclear_amplitudes:
+            layout.check_qubit(qubit)
         sites, tensor = [], np.ones(1, dtype=np.complex128)
         for qubit in range(layout.num_qubits):
             if qubit in nuclear_amplitudes:
                 factor = np.array(nuclear_amplitudes[qubit], dtype=np.complex128)
+                norm = np.linalg.norm(factor)
+                if not 0.0 < norm < math.inf:
+                    raise DegenerateState(f"qubit {qubit} amplitudes have norm {norm}")
                 sites.append(layout.nucleus_site(qubit))
-                tensor = np.multiply.outer(tensor, factor / np.linalg.norm(factor)).reshape(-1)
+                tensor = np.multiply.outer(tensor, factor / norm).reshape(-1)
         return cls._over(layout.num_sites, sites, tensor)
 
     @property
@@ -289,7 +300,7 @@ class PureState:
         self.sites = self.sites[:axis] + self.sites[axis + 1 :]
 
     def _materialise(self, site):
-        """Give a slaved site its axis, holding its source's bit."""
+        """Give a slaved site its axis, holding its source's bit; return the axis."""
         source = self.slaves.pop(site)
         axis = self._wake(site)
         shape, slabs, _ = _slab_plan(axis, (self._axis(source),))
@@ -297,6 +308,7 @@ class PureState:
         view = self.tensor.reshape(shape)
         view[one] = view[zero]
         view[zero] = 0.0
+        return axis
 
     def _materialised(self):
         """This state with every slaved site materialised: itself, or a copy."""
@@ -309,7 +321,7 @@ class PureState:
 
 
 def _check_site(state, site):
-    if not 0 <= site < state.num_sites:
+    if not is_index(site, state.num_sites):
         raise MismatchedRegister(f"site {site!r} of a {state.num_sites}-site register")
 
 
@@ -338,20 +350,18 @@ def _pins(partner_axes, pattern):
 def _slab_plan(axis, partner_axes):
     """(shape, slabs, one): how to cut a flat 2^k tensor into a pulse's slabs.
 
-    ``axis`` is the addressed site's axis and ``partner_axes`` the live axes
-    its partners read (``_pins``), so the slave map enters the key through
-    them; axis 0 is the most significant bit. ``shape`` splits the tensor at
-    the pinned axes, with the free axes between two of them in one
+    ``axis`` is the addressed site's live axis and ``partner_axes`` the live
+    axes its partners read (``_pins``), so the slave map enters the key
+    through them; axis 0 is the most significant bit. ``shape`` splits the
+    tensor at the pinned axes, with the free axes between two of them in one
     dimension, so p pinned axes give at most 2p + 1 dimensions. Its last is
     -1, which is why k does not enter the key.
     ``slabs`` holds, per partner pattern, None when the pattern selects
-    nothing, else the indices of its addressed-bit 0 and 1 slabs, or of its
-    one slab while the addressed site is not live. ``one`` indexes the
-    addressed site's |1> half, or is None while it is not live. Length-1
-    slices rather than integers keep every slab a view, even with every axis
-    pinned.
+    nothing, else the indices of its addressed-bit 0 and 1 slabs. ``one``
+    indexes the addressed site's |1> half. Length-1 slices rather than
+    integers keep every slab a view, even with every axis pinned.
     """
-    pinned = sorted({a for a in partner_axes + (axis,) if a is not None})
+    pinned = sorted({axis, *(a for a in partner_axes if a is not None)})
     shape, start = [], 0
     for pin in pinned:
         shape += [1 << (pin - start), 2]
@@ -366,14 +376,8 @@ def _slab_plan(axis, partner_axes):
     slabs = []
     for pattern in _PATTERNS[len(partner_axes)]:
         bits = _pins(partner_axes, pattern)
-        if bits is None:
-            slabs.append(None)
-        elif axis is None:
-            slabs.append((key(bits),))
-        else:
-            slabs.append((key({**bits, axis: 0}), key({**bits, axis: 1})))
-    one = None if axis is None else key({axis: 1})
-    return tuple(shape) + (-1,), tuple(slabs), one
+        slabs.append(None if bits is None else (key({**bits, axis: 0}), key({**bits, axis: 1})))
+    return tuple(shape) + (-1,), tuple(slabs), key({axis: 1})
 
 
 @functools.lru_cache(maxsize=1024)
@@ -478,15 +482,17 @@ def apply_selective_pulse(state, pulse, layout, cfg):
     with s = 1. Patterns that only together select "s = 1" (coinciding lines,
     as with no tip coupling) drive slabs instead.
 
-    Any other pulse materialises a slaved addressed site. Every resonant
-    pattern then names two slabs of the live tensor, addressed bit 0 and 1
-    with the partners pinned; they are swapped (exact pi) or rotated by the
-    pair unitary in place. A pattern that pins a dormant partner to 1, or
-    two partners reading one source to different bits, holds nothing and is
-    skipped; ``resonant_pair_count`` still counts it, as the dense register
-    would. A dormant addressed site is woken only when a resonant pattern
-    carries amplitude, and the addressed site drops out again when its |1>
-    half ends exactly zero.
+    Any other pulse first gives an addressed site with no axis its axis,
+    here and nowhere else: a slaved site is materialised, a dormant one
+    woken. Every resonant pattern then names two slabs of the live tensor,
+    addressed bit 0 and 1 with the partners pinned; they are swapped (exact
+    pi) or rotated by the pair unitary in place. A pattern that pins a
+    dormant partner to 1, or two partners reading one source to different
+    bits, holds nothing and is skipped; ``resonant_pair_count`` still
+    counts it, as the dense register would. A site woken for the pulse is
+    dropped again undriven when no resonant slab holds amplitude, so no
+    zero's sign moves; the addressed site drops out whenever its |1> half
+    ends exactly zero.
 
     A pulse that can move nothing returns at once: one on a dormant site
     where no resonant pattern selects amplitude (a spectral miss has none),
@@ -512,10 +518,10 @@ def apply_selective_pulse(state, pulse, layout, cfg):
             state._materialise(slave)
         axis = state._axis(site)
     sources = tuple(slaves.get(partner, partner) for partner in partners) if slaves else partners
-    axes = tuple(map(state._axis, sources))
+    woken = axis is None and source is None
     if axis is None:
         # A site that is not live is no slave's source, so nothing was materialised.
-        selects, copied = _selection(axes, hits)
+        selects, copied = _selection(tuple(map(state._axis, sources)), hits)
         if source is None and not selects:
             return state, idle
         if swap and copied is not None and source in (None, state.sites[copied]):
@@ -526,11 +532,8 @@ def apply_selective_pulse(state, pulse, layout, cfg):
             elif population > 0.0 or _any(half):  # a live-site engine wakes no empty site
                 slaves[site] = state.sites[copied]
             return state, _outcome(idle, population)
-        if source is not None:
-            state._materialise(site)
-            axis = state._axis(site)
-            axes = tuple(map(state._axis, sources))
-    population = _drive(state, pulse, site, axis, axes, hits, swap)
+        axis = state._wake(site) if woken else state._materialise(site)
+    population = _drive(state, pulse, axis, tuple(map(state._axis, sources)), hits, swap, woken)
     return state, _outcome(idle, population)
 
 
@@ -545,22 +548,18 @@ def _outcome(idle, population):
     )
 
 
-def _drive(state, pulse, site, axis, axes, hits, swap):
-    """Swap or rotate the resonant slabs of ``site``; return their weight.
+def _drive(state, pulse, axis, axes, hits, swap, woken):
+    """Swap or rotate the resonant slabs of the site at ``axis``; return their weight.
 
-    ``axis`` is the site's live axis, or None while it is dormant, and
-    ``axes`` the live axes its partners read.
+    ``axes`` are the live axes the site's partners read. A site that was
+    ``woken`` for this pulse is dropped again, undriven, when no resonant
+    slab of its |0> half holds amplitude.
     """
     shape, slabs, one = _slab_plan(axis, axes)
     view = state.tensor.reshape(shape)
     occupied = [index for index in hits if slabs[index] is not None]
-    if one is None and any(_any(view[slabs[index][0]]) for index in occupied):
-        axis = state._wake(site)
-        axes = tuple(a if a is None or a < axis else a + 1 for a in axes)
-        shape, slabs, one = _slab_plan(axis, axes)
-        view = state.tensor.reshape(shape)
     population = 0.0
-    if one is not None:
+    if not woken or any(_any(view[slabs[index][0]]) for index in occupied):
         if not swap:
             u00, u01, u10, u11 = _pair_unitary(pulse)
         for index in occupied:
@@ -575,8 +574,8 @@ def _drive(state, pulse, site, axis, axes, hits, swap):
                 rotated0 = u00 * a0 + u01 * a1
                 a1[...] = u10 * a0 + u11 * a1
                 a0[...] = rotated0
-        if not _any(view[one]):
-            state._drop(axis)
+    if not _any(view[one]):
+        state._drop(axis)
     return population
 
 

@@ -10,7 +10,7 @@ import math
 
 from .engine import Channel, Pulse
 from .errors import CircuitParseError, IllFormedProgram, SameQubit
-from .register import PARKED
+from .register import PARKED, is_index
 
 
 # --------------------------------------------------------------------------
@@ -223,11 +223,12 @@ def validate_program(program, layout):
     measured = False
     for position, instruction in enumerate(program.instructions):
         if isinstance(instruction, MoveTip):
-            if instruction.target is not PARKED and not 0 <= instruction.target < layout.num_qubits:
+            target = instruction.target
+            if target is not PARKED and not is_index(target, layout.num_qubits):
                 raise IllFormedProgram(
-                    f"instruction {position}: move to {instruction.target!r}, not a qubit"
+                    f"instruction {position}: move to {target!r}, not a qubit"
                 )
-            tip = instruction.target
+            tip = target
         elif isinstance(instruction, (ApplyPulse, ConditionalPulse)):
             if instruction.pulse.channel is not Channel.TIP_CARBON_NUCLEAR_RF and tip is PARKED:
                 raise IllFormedProgram(

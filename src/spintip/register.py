@@ -8,12 +8,22 @@ significant bit, so sorting indices sorts the printed bitstrings too.
 """
 
 import dataclasses
+import operator
 
 from .config import Species
 from .errors import MismatchedRegister
 
 #: Tip position value meaning "retracted, over no qubit".
 PARKED = None
+
+
+def is_index(value, size):
+    """Whether ``value`` is an integer in [0, size): an int, a bool or a numpy
+    integer (``operator.index`` takes it), not a float such as 1.0."""
+    try:
+        return 0 <= operator.index(value) < size
+    except TypeError:
+        return False
 
 
 def check_bit(bit):
@@ -53,7 +63,7 @@ class RegisterLayout:
         self._check_tip(self.tip_position)
 
     def _check_tip(self, position):
-        if position is not PARKED and not 0 <= position < self.num_qubits:
+        if position is not PARKED and not is_index(position, self.num_qubits):
             raise MismatchedRegister(f"tip position {position!r} is not a qubit index")
 
     @property
@@ -77,21 +87,20 @@ class RegisterLayout:
         return 2 * qubit + 1
 
     def check_qubit(self, qubit):
-        if not 0 <= qubit < self.num_qubits:
+        if not is_index(qubit, self.num_qubits):
             raise MismatchedRegister(f"qubit {qubit!r} outside register of {self.num_qubits}")
 
     def species_of(self, site):
+        if not is_index(site, self.num_sites):
+            raise MismatchedRegister(f"site {site!r} outside register")
         if site == self.tip_site:
             return Species.TIP_CARBON_NUCLEUS
-        if not 0 <= site < self.num_sites:
-            raise MismatchedRegister(f"site {site!r} outside register")
         return Species.PHOSPHORUS_NUCLEUS if site % 2 == 0 else Species.ELECTRON
 
     def qubit_of(self, site):
         """Qubit owning a site, or None for the tip site."""
-        if site == self.tip_site:
+        if self.species_of(site) is Species.TIP_CARBON_NUCLEUS:
             return None
-        self.species_of(site)  # bounds check
         return site // 2
 
     def site_name(self, site):

@@ -461,18 +461,27 @@ class TestGateTaskMemo:
             (RotGate(0, 1, 0), RotGate(0, 1.0, 0.0)),
             (RotGate(0, 2.0, 1), RotGate(0, 2.0, 1.0)),
             (RotGate(0, 2.0, np.float64(0.5)), RotGate(0, 2.0, 0.5)),
-            (RotGate(1.0, 2.0, 0.5), RotGate(1, 2.0, 0.5)),
-            (RotGate(np.int64(1), 2.0, 0.5), RotGate(1.0, 2.0, 0.5)),
-            (MeasureGate(1.0), MeasureGate(1)),
+            (RotGate(np.int64(1), 2.0, 0.5), RotGate(1, 2.0, 0.5)),
+            (RotGate(np.int64(1), 2, 0.5), RotGate(1, 2.0, 0.5)),
+            (MeasureGate(np.int64(1)), MeasureGate(1)),
         ],
     )
     def test_library_gates_list_their_values_as_given(self, gate, twin):
-        # An int or numpy phase equals its float twin but prints differently.
+        # An int or numpy value equals its twin but may print differently.
         assert gate == twin and hash(gate) == hash(twin)
         for circuit in (Circuit((twin,)), Circuit((gate,)), Circuit((twin,))):
             program = compile_circuit(circuit, PAIR, CFG)
             expected = self.fresh_listing(circuit.gates, PAIR)
             assert program_to_text(program).splitlines() == expected
+
+    @pytest.mark.parametrize("gate", [
+        RotGate(1.0, 2.0, 0.5), MeasureGate(1.0), CnotGate(0, 1.0), CnotGate(0.0, 1),
+        RotGate(0.5, 2.0, 0.5),
+    ])
+    def test_a_qubit_that_is_not_an_integer_is_refused(self, gate):
+        # 1.0 equals qubit 1 but is no index: it would list as MOVE 1.0.
+        with pytest.raises(MismatchedRegister, match="outside register of 2"):
+            compile_circuit(Circuit((gate,)), PAIR, CFG)
 
     def test_a_repeated_gate_is_compiled_once(self, monkeypatch):
         calls = []

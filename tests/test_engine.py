@@ -15,6 +15,7 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -273,9 +274,11 @@ class TestMeasurement:
             measure_spin(PureState(amplitudes, 3), 0, np.random.default_rng(0))
 
     def test_measuring_nothing_raises(self):
-        empty = PureState(np.zeros(8, dtype=complex), 3)
+        # The constructor refuses an all-zero vector; one whose norm is
+        # below 1e-9 is taken, and its collapse is refused.
+        faint = PureState(np.full(8, 1e-12, dtype=complex), 3)
         with pytest.raises(DegenerateState):
-            measure_spin(empty, 0, np.random.default_rng(0))
+            measure_spin(faint, 0, np.random.default_rng(0))
 
 
 class TestThermalStates:
@@ -1395,8 +1398,36 @@ def frozen_sum_squares(view):
     return float(np.add.reduce(np.abs(view) ** 2, axis=None))
 
 
+def frozen_slab_plan(axis, partner_axes):
+    """A frozen copy of ``engine._slab_plan`` while it also planned a site with
+    no axis (``axis`` None): one slab per selecting pattern, and ``one`` None."""
+    pinned = sorted({a for a in partner_axes + (axis,) if a is not None})
+    shape, start = [], 0
+    for pin in pinned:
+        shape += [1 << (pin - start), 2]
+        start = pin + 1
+
+    def key(bits):
+        index = [slice(None)] * (2 * len(pinned))
+        for pin, bit in bits.items():
+            index[2 * pinned.index(pin) + 1] = slice(bit, bit + 1)
+        return tuple(index)
+
+    slabs = []
+    for pattern in itertools.product((0, 1), repeat=len(partner_axes)):
+        bits = engine._pins(partner_axes, pattern)
+        if bits is None:
+            slabs.append(None)
+        elif axis is None:
+            slabs.append((key(bits),))
+        else:
+            slabs.append((key({**bits, axis: 0}), key({**bits, axis: 1})))
+    one = None if axis is None else key({axis: 1})
+    return tuple(shape) + (-1,), tuple(slabs), one
+
+
 def frozen_plan(state, site, sources):
-    shape, slabs, one = engine._slab_plan(state._axis(site), tuple(map(state._axis, sources)))
+    shape, slabs, one = frozen_slab_plan(state._axis(site), tuple(map(state._axis, sources)))
     return state.tensor.reshape(shape), slabs, one
 
 
@@ -1482,7 +1513,7 @@ MODULI = st.one_of(
 @st.composite
 def slab_views(draw):
     """A view the kernels sum over: a whole tensor of 1 to 2^12 amplitudes, or one
-    of its ``_slab_plan`` slabs, contiguous or not."""
+    of its ``frozen_slab_plan`` slabs, contiguous or not."""
     k = draw(st.integers(0, 12))
     size = 1 << k
     parts = draw(st.lists(MODULI, min_size=2, max_size=2 * size)) * (2 * size)
@@ -1493,7 +1524,7 @@ def slab_views(draw):
     axes = st.one_of(st.none(), st.integers(0, k - 1))
     axis = draw(axes)
     partner_axes = tuple(draw(st.lists(axes, max_size=2)))
-    shape, slabs, one = engine._slab_plan(axis, partner_axes)
+    shape, slabs, one = frozen_slab_plan(axis, partner_axes)
     keys = [key for slab in slabs if slab is not None for key in slab]
     if one is not None:
         keys.append(one)
@@ -1681,6 +1712,32 @@ class TestResolvedPulses:
         assert after is state and state.tensor is tensor and state.sites == (2,)
         assert outcome == engine.PulseOutcome(4, 0.0, True)
         assert apply_selective_pulse(state, pulse, layout, CFG)[1] is outcome
+
+    @pytest.mark.parametrize("angle, mode", [
+        (math.pi, PulseMode.LOGICAL_X), (1.3, PulseMode.PHASED_ROTATION),
+    ])
+    def test_a_woken_site_whose_resonant_slabs_hold_only_zeros_is_dropped_undriven(
+        self, angle, mode
+    ):
+        # Electron 0 is dormant and reads two live partners, so no pattern is
+        # a copy. The slabs with the tip carbon at 1 hold only signed zeros:
+        # a drive there would move the woken half's +0.0 zeros in.
+        layout = RegisterLayout(2).with_tip(0)
+        partners, lines = physics.pattern_lines(layout, CFG, 1)
+        assert partners == (0, 4)
+        rng = np.random.default_rng(34)
+        tensor = rng.normal(size=8) + 1j * rng.normal(size=8)  # over sites 0, 2 and 4
+        tensor[1::2] = [complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0), 0.0]
+        for pattern, line in enumerate(lines):
+            state = PureState._over(layout.num_sites, (0, 2, 4), tensor.copy(), {3: 2})
+            pulse = Pulse(Channel.ELECTRON_RF, line, angle, 0.4, 1e-7, mode)
+            expected_state, expected = unmemoised_pulse(state.copy(), pulse, layout, CFG)
+            after, outcome = apply_selective_pulse(state, pulse, layout, CFG)
+            assert held(after) == held(expected_state) and outcome == expected
+            assert after.slaves == {3: 2}
+            if pattern & 1:  # the tip carbon at 1: only zeros
+                assert (after.sites, after.tensor.tobytes()) == ((0, 2, 4), tensor.tobytes())
+                assert outcome == engine.PulseOutcome(4, 0.0, True)
 
     @pytest.mark.parametrize("mode", [PulseMode.LOGICAL_X, PulseMode.PHASED_ROTATION])
     def test_a_weight_below_the_idle_threshold_is_reported_as_it_is(self, mode):
@@ -2029,12 +2086,35 @@ TWO_QUBITS = RegisterLayout(2)
         (lambda: PureState.from_bits((0, 0, 0, 0, -1)), ValueError),
         (lambda: ancilla_diagnostics(PureState.ground(TWO_QUBITS), TWO_QUBITS, sites=(99,)),
          MismatchedRegister),
+        (lambda: measure_spin(PureState.ground(TWO_QUBITS), 2.5, 0), MismatchedRegister),
+        (lambda: measure_spin(PureState.from_bits((0, 0, 1, 0, 0)), 2.0, 0), MismatchedRegister),
+        (lambda: PureState.ground(TWO_QUBITS).population(2.5, 0), MismatchedRegister),
+        (lambda: PureState.product(TWO_QUBITS, {5: (0, 1)}), MismatchedRegister),
+        (lambda: PureState.product(TWO_QUBITS, {1.0: (0, 1)}), MismatchedRegister),
+        (lambda: PureState.product(TWO_QUBITS, {0: (0, 0)}), DegenerateState),
+        (lambda: PureState.product(TWO_QUBITS, {1: (np.inf, 1)}), DegenerateState),
+        (lambda: PureState.product(TWO_QUBITS, {1: (1, complex(0, np.nan))}), DegenerateState),
+        (lambda: PureState(np.zeros(32), 5), DegenerateState),
+        (lambda: PureState(np.r_[np.nan, np.ones(31)], 5), DegenerateState),
+        (lambda: PureState(np.r_[np.ones(31), complex(1, np.inf)], 5), DegenerateState),
     ],
     ids=["measure-99", "measure-minus-1", "population-99", "population-minus-1",
-         "population-bit-2", "from-bits-2", "from-bits-minus-1", "ancilla-site-99"],
+         "population-bit-2", "from-bits-2", "from-bits-minus-1", "ancilla-site-99",
+         "measure-2.5", "measure-2.0", "population-2.5", "product-key-5", "product-key-1.0",
+         "product-zero-pair", "product-inf-pair", "product-nan-pair",
+         "vector-zero", "vector-nan", "vector-inf"],
 )
 def test_a_site_or_bit_outside_the_register_is_refused_where_it_enters(call, error):
-    # A site that does not exist, or a bit that is not 0 or 1, is refused at
-    # the public entry instead of being answered for.
-    with pytest.raises(error):
-        call()
+    # A site or qubit that does not exist or is not an integer, a bit that is
+    # not 0 or 1, or a state that cannot be normalised, is refused at the
+    # public entry instead of being answered for, before any division warns.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            call()
+
+
+def test_an_unnormalised_vector_is_taken_as_it_is():
+    vector = np.full(32, 2.0 + 0j)
+    state = PureState(vector, 5)
+    assert state.tensor.tobytes() == vector.tobytes() and state.norm() == math.sqrt(128.0)

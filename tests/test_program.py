@@ -164,6 +164,10 @@ class TestProgramValidation:
                 "instruction 2: move to 5, not a qubit",
             ),
             (
+                (MoveTip(0), MoveTip(1.0)),
+                "instruction 1: move to 1.0, not a qubit",
+            ),
+            (
                 (MoveTip(0), MoveTip(None), ApplyPulse(electron_pulse())),
                 "instruction 2: electron_rf pulse with the tip parked",
             ),

@@ -2,10 +2,12 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from spintip import PARKED, RegisterLayout, Species
 from spintip.errors import MismatchedRegister
+from spintip.register import is_index
 
 
 def test_site_roles_and_names():
@@ -97,3 +99,32 @@ def test_an_out_of_range_tip_move_raises_what_the_revalidated_copy_raises(layout
 def test_bad_layouts_rejected(bad):
     with pytest.raises(MismatchedRegister):
         bad()
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        lambda: RegisterLayout(3, tip_position=1.5),
+        lambda: RegisterLayout(3).with_tip(1.0),
+        lambda: RegisterLayout(3).hop_distance(0, 2.0),
+        lambda: RegisterLayout(3).check_qubit(1.0),
+        lambda: RegisterLayout(3).nucleus_site(np.float64(1)),
+        lambda: RegisterLayout(3).electron_site("1"),
+        lambda: RegisterLayout(3).species_of(6.0),
+        lambda: RegisterLayout(3).species_of(2.5),
+        lambda: RegisterLayout(3).qubit_of(6.0),
+    ],
+    ids=["tip-1.5", "with-tip-1.0", "hop-2.0", "qubit-1.0", "nucleus-float64", "electron-str",
+         "species-tip-6.0", "species-2.5", "qubit-of-tip-6.0"],
+)
+def test_an_index_that_is_not_an_integer_is_refused(bad):
+    # 1.0 == 1 and 6.0 == tip_site, but neither is an index.
+    with pytest.raises(MismatchedRegister):
+        bad()
+
+
+def test_an_index_is_an_integer_in_range():
+    assert [is_index(value, 2) for value in (0, 1, True, np.int64(1), np.uint8(0))] == [True] * 5
+    assert [is_index(value, 2) for value in (-1, 2, 1.0, np.float64(0), "1", None, 0.5)] == [
+        False
+    ] * 7
